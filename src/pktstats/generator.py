@@ -327,6 +327,31 @@ def _generate_degree_model(
     return records, truth
 
 
+def _check_id_space(spec: GeneratorSpec, n_packets: int) -> None:
+    """Refuse a stream whose node ids would not fit the address space."""
+    capacity = 1 << _ADDRESS_SPACE_BITS
+    if spec.degree_model is not None:
+        # Sources count up from 0 and destinations, one per packet, from the
+        # middle of the id space, so each half must hold n_packets ids.
+        if n_packets > capacity // 2:
+            raise GeneratorConfigError(
+                f"n_packets={n_packets} exceeds the {capacity // 2} destination "
+                "addresses of a degree-model stream"
+            )
+        return
+    nodes = (
+        2 * spec.n_isolated_pairs
+        + (spec.supernode_leaf_count + 1 if spec.supernode_leaf_count else 0)
+        + spec.core_size
+        + spec.core_leaf_count
+    )
+    if nodes > capacity:
+        raise GeneratorConfigError(
+            f"the spec needs {nodes} node addresses, more than the {capacity} "
+            "available"
+        )
+
+
 def generate_synthetic(
     spec: GeneratorSpec, n_packets: int
 ) -> Tuple[List[tuple], GroundTruth]:
@@ -337,6 +362,7 @@ def generate_synthetic(
     """
     if n_packets < 1:
         raise GeneratorConfigError(f"n_packets must be >= 1, got {n_packets}")
+    _check_id_space(spec, n_packets)
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     if spec.degree_model is not None:
         return _generate_degree_model(spec, n_packets, rng)

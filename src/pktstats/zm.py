@@ -3,9 +3,10 @@
 The model density is rho(d) = 1 / (d + delta)**alpha, normalized over
 d = 1..d_max.  Training solves for the delta that makes the model's
 degree-1 probability match a measured value, via bracketed Newton iteration
-with a bisection fallback.  Inference sweeps a fixed alpha grid, trains delta
-at each point, and scores candidates with a half-norm metric on log-pooled
-bins, keeping the best (ties to the smaller alpha).
+with a bisection fallback.  Inference sweeps a fixed alpha grid, training
+delta at every point in lock-step so each round's model sums come from one
+2-D power, and scores candidates with a half-norm metric on log-pooled bins,
+keeping the best (ties to the smaller alpha).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +23,11 @@ from .netstats import PooledDistribution, bin_edges
 # Ranges at most this long are summed term by term; longer ranges use an
 # integral tail approximation after an exact head of this many terms.
 EXACT_SUM_TERMS = 10**6
+
+# Elements per 2-D block of the batched model evaluator: a block holds
+# max(1, EVAL_BLOCK_ELEMENTS // d_max) rows, so memory does not grow with
+# the grid size.
+EVAL_BLOCK_ELEMENTS = 1 << 16
 
 # Per-bin |log data - log model| gaps below this are float noise and score as
 # an exact match; see half_norm_loss.
@@ -129,7 +135,7 @@ def _em_tail(alpha: float, delta: float, a: int, b: int) -> float:
 
 
 def _range_rho_sum(
-    alpha: float, delta: float, lo: int, hi: int, exact_terms: int = EXACT_SUM_TERMS
+    alpha: float, delta: float, lo: int, hi: int, exact_terms: int
 ) -> float:
     """Sum of (d + delta)**-alpha over integer d in (lo, hi]."""
     n = hi - lo
@@ -149,24 +155,76 @@ def rho_sum(params: ZmParams, exact_terms: int = EXACT_SUM_TERMS) -> float:
     return _range_rho_sum(params.alpha, params.delta, 0, params.d_max, exact_terms)
 
 
-def _binned_rho_sums(
-    alpha: float, delta: float, d_max: int, exact_terms: int = EXACT_SUM_TERMS
-) -> List[float]:
-    """Per-bin rho mass over the power-of-two bins covering 1..d_max."""
-    sums = []
-    lo = 0
-    for edge in bin_edges(d_max):
-        hi = min(edge, d_max)
-        sums.append(_range_rho_sum(alpha, delta, lo, hi, exact_terms))
-        lo = hi
+def _bin_ranges(d_max: int) -> List[Tuple[int, int]]:
+    """(lo, hi] degree ranges of the power-of-two bins covering 1..d_max."""
+    edges = bin_edges(d_max)
+    return list(zip((0,) + edges[:-1], edges[:-1] + (d_max,)))
+
+
+class _Sums(NamedTuple):
+    """Model sums at one (alpha, delta): the normalization sums at exponents
+    alpha and alpha + 1 (for Newton) and the per-bin masses.  A part left
+    None was not requested."""
+
+    s0: Optional[float]
+    s1: Optional[float]
+    bins: Optional[List[float]]
+
+
+def _block_sums(alphas: np.ndarray, deltas: np.ndarray, d_max: int) -> List[_Sums]:
+    """Every sum for each row (alpha, delta) from one 2-D power.
+
+    Row sums and bin-slice sums of the 2-D array equal the 1-D sums of the
+    same terms bit for bit.
+    """
+    base = np.arange(1.0, d_max + 1.0) + deltas[:, None]
+    powers = base ** -alphas[:, None]
+    # For a scalar exponent numpy computes x ** -1.0 as 1 / x, which can
+    # differ from pow() in the last bit; do the same for alpha = 1 rows.
+    ones = alphas == 1.0
+    if ones.any():
+        powers[ones] = 1.0 / base[ones]
+    s0 = powers.sum(axis=1).tolist()
+    bins = np.stack(
+        [powers[:, lo:hi].sum(axis=1) for lo, hi in _bin_ranges(d_max)], axis=1
+    ).tolist()
+    s1 = np.divide(powers, base, out=powers).sum(axis=1).tolist()
+    return [_Sums(*row) for row in zip(s0, s1, bins)]
+
+
+def _head_tail_sums(alpha: float, delta: float, d_max: int, need: str) -> _Sums:
+    """The requested sums when d_max exceeds EXACT_SUM_TERMS: an exact head
+    plus the Euler-Maclaurin tail, one (alpha, delta) at a time."""
+    terms = EXACT_SUM_TERMS
+    if need == "s0":
+        return _Sums(
+            _range_rho_sum(alpha, delta, 0, d_max, terms),
+            _range_rho_sum(alpha + 1.0, delta, 0, d_max, terms),
+            None,
+        )
+    bins = [
+        _range_rho_sum(alpha, delta, lo, hi, terms) for lo, hi in _bin_ranges(d_max)
+    ]
+    return _Sums(None, None, bins)
+
+
+def _evaluate(
+    requests: Sequence[Tuple[float, float, str]], d_max: int
+) -> List[_Sums]:
+    """Sums for each (alpha, delta, need) request, need being "s0" (Newton
+    sums) or "bins"; for d_max up to EXACT_SUM_TERMS every part is computed."""
+    if d_max > EXACT_SUM_TERMS:
+        return [_head_tail_sums(a, delta, d_max, need) for a, delta, need in requests]
+    rows = max(1, EVAL_BLOCK_ELEMENTS // d_max)
+    sums: List[_Sums] = []
+    for start in range(0, len(requests), rows):
+        alphas, deltas, _ = zip(*requests[start : start + rows])
+        sums.extend(_block_sums(np.array(alphas), np.array(deltas), d_max))
     return sums
 
 
-def model_distribution(
-    params: ZmParams, exact_terms: int = EXACT_SUM_TERMS
-) -> PooledDistribution:
-    """The model's log-pooled distribution on the bins covering 1..d_max."""
-    sums = _binned_rho_sums(params.alpha, params.delta, params.d_max, exact_terms)
+def _pooled(params: ZmParams, sums: Sequence[float]) -> PooledDistribution:
+    """The log-pooled distribution whose per-bin model masses are sums."""
     total = math.fsum(sums)
     values = tuple(s / total for s in sums)
     edges = bin_edges(params.d_max)
@@ -179,22 +237,161 @@ def model_distribution(
     )
 
 
+def model_distribution(params: ZmParams) -> PooledDistribution:
+    """The model's log-pooled distribution on the bins covering 1..d_max."""
+    request = (params.alpha, params.delta, "bins")
+    return _pooled(params, _evaluate([request], params.d_max)[0].bins)
+
+
 def leaf_parameter(params: ZmParams) -> float:
     """The model's unnormalized degree-1 density, 1 / (1 + delta)**alpha."""
     return (1.0 + params.delta) ** (-params.alpha)
 
 
-def _newton_sums(
-    alpha: float, delta: float, d_max: int, exact_terms: int
-) -> Tuple[float, float]:
-    """Normalization sums at exponents alpha and alpha + 1 (shared base)."""
-    if d_max <= exact_terms:
-        base = np.arange(1.0, d_max + 1.0) + delta
-        r0 = base ** (-alpha)
-        return float(np.sum(r0)), float(np.sum(r0 / base))
-    s0 = _range_rho_sum(alpha, delta, 0, d_max, exact_terms)
-    s1 = _range_rho_sum(alpha + 1.0, delta, 0, d_max, exact_terms)
-    return s0, s1
+def _lane_sums(memo: Dict, alpha: float, delta: float, need: str):
+    """The _Sums at delta holding the part need ("s0" or "bins"), requested
+    from the lane's driver unless memo already has it."""
+    got = memo.get((delta, need))
+    if got is None:
+        got = yield alpha, delta, need
+        if got.s0 is not None:
+            memo[delta, "s0"] = got
+        if got.bins is not None:
+            memo[delta, "bins"] = got
+    return got
+
+
+def _lane_newton(memo: Dict, d1: float, alpha: float, delta: float):
+    """f(delta) = d1 * (1 + delta)**alpha * S(delta) - 1 and its derivative."""
+    s = yield from _lane_sums(memo, alpha, delta, "s0")
+    scale = d1 * (1.0 + delta) ** alpha
+    f = scale * s.s0 - 1.0
+    grad = alpha * scale * (s.s0 / (1.0 + delta) - s.s1)
+    return f, grad
+
+
+def _lane_gap(memo: Dict, d1: float, alpha: float, delta: float):
+    """The binned model's degree-1 value at delta minus d1."""
+    s = yield from _lane_sums(memo, alpha, delta, "bins")
+    return s.bins[0] / math.fsum(s.bins) - d1
+
+
+def _train_lane(
+    d1: float,
+    alpha: float,
+    tol: float = TRAIN_STEP_TOL,
+    residual_tol: float = TRAIN_RESIDUAL_TOL,
+    max_iterations: int = 200,
+) -> Generator:
+    """Delta training for one alpha as a coroutine.
+
+    It yields (alpha, delta, need) requests, is sent the _Sums for each, and
+    returns the training with the model's bin masses at the solution, or None
+    when no interior root exists.  Each (delta, need) is requested once.
+    """
+    memo: Dict[Tuple[float, str], _Sums] = {}
+    lo, hi = TRAIN_DELTA_BOUNDS
+    f_lo, _ = yield from _lane_newton(memo, d1, alpha, lo)
+    if f_lo >= 0.0:
+        return None  # matching delta would sit at or below the lower bound
+    f_hi, _ = yield from _lane_newton(memo, d1, alpha, hi)
+    if f_hi <= 0.0:
+        return None  # matching delta would sit at or beyond the upper bound
+
+    # Newton inside the sign bracket, bisecting when a step leaves it.
+    delta = TRAIN_DELTA_START
+    iterations = 0
+    last_step = math.inf
+    fval, grad = yield from _lane_newton(memo, d1, alpha, delta)
+    for _ in range(max_iterations):
+        if fval < 0.0:
+            lo = delta
+        elif fval > 0.0:
+            hi = delta
+        else:
+            break
+        if last_step < tol and abs(fval) < residual_tol:
+            break
+        candidate = delta - fval / grad if grad > 0.0 else 0.5 * (lo + hi)
+        if not lo < candidate < hi:
+            candidate = 0.5 * (lo + hi)
+        last_step = abs(candidate - delta)
+        delta = candidate
+        iterations += 1
+        fval, grad = yield from _lane_newton(memo, d1, alpha, delta)
+
+    # Refinement: push the residual down to float noise with further Newton
+    # steps (quadratic tail), keeping only strict improvements.
+    for _ in range(12):
+        if fval == 0.0 or grad <= 0.0:
+            break
+        candidate = delta - fval / grad
+        if candidate == delta or not lo < candidate < hi:
+            break
+        new_f, new_grad = yield from _lane_newton(memo, d1, alpha, candidate)
+        if abs(new_f) < abs(fval):
+            delta, fval, grad = candidate, new_f, new_grad
+        else:
+            break
+
+    # Walk delta by ulps so the binned model's D(1) best reproduces d1; the
+    # bins are model_distribution's, so an exact float match is found
+    # whenever one exists (e.g. d1 generated by the model).
+    lo, hi = TRAIN_DELTA_BOUNDS
+    best_delta = delta
+    best_abs = math.inf
+    prev_sign = None
+    current = delta
+    for _ in range(32):
+        g = yield from _lane_gap(memo, d1, alpha, current)
+        if abs(g) < best_abs:
+            best_abs, best_delta = abs(g), current
+        if best_abs == 0.0:
+            break
+        sign = g > 0.0
+        if prev_sign is not None and sign != prev_sign:
+            break  # crossed the root without an exact zero
+        prev_sign = sign
+        # D(1) decreases as delta grows, so walk toward the sign of the gap.
+        nxt = math.nextafter(current, hi if g > 0.0 else lo)
+        if not lo < nxt < hi or nxt == current:
+            break
+        current = nxt
+    if best_abs == 0.0:
+        # Prefer the smallest float in a zero plateau, deterministically.
+        for _ in range(4):
+            down = math.nextafter(best_delta, lo)
+            if not lo < down < hi:
+                break
+            if (yield from _lane_gap(memo, d1, alpha, down)) != 0.0:
+                break
+            best_delta = down
+
+    residual, _ = yield from _lane_newton(memo, d1, alpha, best_delta)
+    model = yield from _lane_sums(memo, alpha, best_delta, "bins")
+    training = DeltaTraining(
+        delta=best_delta, iterations=iterations, residual=abs(residual)
+    )
+    return training, model.bins
+
+
+def _run_lanes(lanes: Sequence[Generator], d_max: int) -> list:
+    """Run lane coroutines in lock-step: each round answers every pending
+    request with one batched evaluation.  Returns the lanes' results."""
+    results: list = [None] * len(lanes)
+    answers: List[Optional[_Sums]] = [None] * len(lanes)
+    active = range(len(lanes))
+    while active:
+        requests = []
+        for i in active:
+            try:
+                requests.append((i, lanes[i].send(answers[i])))
+            except StopIteration as stop:
+                results[i] = stop.value
+        active = [i for i, _ in requests]
+        for i, got in zip(active, _evaluate([req for _, req in requests], d_max)):
+            answers[i] = got
+    return results
 
 
 def train_delta(
@@ -205,7 +402,6 @@ def train_delta(
     tol: float = TRAIN_STEP_TOL,
     residual_tol: float = TRAIN_RESIDUAL_TOL,
     max_iterations: int = 200,
-    exact_terms: int = EXACT_SUM_TERMS,
 ) -> Optional[DeltaTraining]:
     """Solve for the delta whose model matches degree-1 probability d1.
 
@@ -222,104 +418,9 @@ def train_delta(
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
-
-    lo, hi = TRAIN_DELTA_BOUNDS
-
-    def f_and_grad(delta: float) -> Tuple[float, float]:
-        s0, s1 = _newton_sums(alpha, delta, d_max, exact_terms)
-        scale = d1 * (1.0 + delta) ** alpha
-        f = scale * s0 - 1.0
-        grad = alpha * scale * (s0 / (1.0 + delta) - s1)
-        return f, grad
-
-    f_lo, _ = f_and_grad(lo)
-    if f_lo >= 0.0:
-        return None  # matching delta would sit at or below the lower bound
-    f_hi, _ = f_and_grad(hi)
-    if f_hi <= 0.0:
-        return None  # matching delta would sit at or beyond the upper bound
-
-    delta = TRAIN_DELTA_START
-    iterations = 0
-    last_step = math.inf
-    fval, grad = f_and_grad(delta)
-    for _ in range(max_iterations):
-        if fval < 0.0:
-            lo = delta
-        elif fval > 0.0:
-            hi = delta
-        else:
-            break
-        if last_step < tol and abs(fval) < residual_tol:
-            break
-        candidate = delta - fval / grad if grad > 0.0 else 0.5 * (lo + hi)
-        if not lo < candidate < hi:
-            candidate = 0.5 * (lo + hi)
-        last_step = abs(candidate - delta)
-        delta = candidate
-        iterations += 1
-        fval, grad = f_and_grad(delta)
-
-    # Refinement: push the residual down to float noise with further Newton
-    # steps (quadratic tail), keeping only strict improvements.
-    for _ in range(12):
-        if fval == 0.0 or grad <= 0.0:
-            break
-        candidate = delta - fval / grad
-        if candidate == delta or not lo < candidate < hi:
-            break
-        new_f, new_grad = f_and_grad(candidate)
-        if abs(new_f) < abs(fval):
-            delta, fval, grad = candidate, new_f, new_grad
-        else:
-            break
-
-    delta = _ulp_match(d1, alpha, d_max, delta, exact_terms)
-    residual, _ = f_and_grad(delta)
-    return DeltaTraining(delta=delta, iterations=iterations, residual=abs(residual))
-
-
-def _ulp_match(
-    d1: float, alpha: float, d_max: int, delta: float, exact_terms: int
-) -> float:
-    """Walk delta by ulps so the binned model's D(1) best reproduces d1.
-
-    Uses the same binned-sum code path as model_distribution, so an exact
-    float match is found whenever one exists (e.g. d1 generated by the model).
-    """
-
-    def gap(dd: float) -> float:
-        sums = _binned_rho_sums(alpha, dd, d_max, exact_terms)
-        return sums[0] / math.fsum(sums) - d1
-
-    lo, hi = TRAIN_DELTA_BOUNDS
-    best_delta = delta
-    best_abs = abs(gap(delta))
-    prev_sign = None
-    current = delta
-    for _ in range(32):
-        if best_abs == 0.0:
-            break
-        g = gap(current)
-        sign = g > 0.0
-        if abs(g) < best_abs:
-            best_abs, best_delta = abs(g), current
-        if prev_sign is not None and sign != prev_sign and g != 0.0:
-            break  # crossed the root without an exact zero
-        prev_sign = sign
-        # D(1) decreases as delta grows, so walk toward the sign of the gap.
-        nxt = math.nextafter(current, hi if g > 0.0 else lo)
-        if not lo < nxt < hi or nxt == current:
-            break
-        current = nxt
-    if best_abs == 0.0:
-        # Prefer the smallest float in a zero plateau, deterministically.
-        for _ in range(4):
-            down = math.nextafter(best_delta, lo)
-            if not lo < down < hi or gap(down) != 0.0:
-                break
-            best_delta = down
-    return best_delta
+    lane = _train_lane(d1, alpha, tol, residual_tol, max_iterations)
+    result = _run_lanes([lane], d_max)[0]
+    return None if result is None else result[0]
 
 
 def admissible_bins(data: PooledDistribution) -> Tuple[int, ...]:
@@ -359,38 +460,36 @@ def half_norm_loss(
     return loss
 
 
-def infer_parameters(
-    data: PooledDistribution,
-    grid: AlphaGrid = DEFAULT_GRID,
-    *,
-    exact_terms: int = EXACT_SUM_TERMS,
-) -> ZmFit:
+def infer_parameters(data: PooledDistribution, grid: AlphaGrid = DEFAULT_GRID) -> ZmFit:
     """Grid search over alpha with per-alpha delta training.
 
-    Every grid alpha is trained to match the data's degree-1 value; candidates
-    are scored by half_norm_loss and the smallest loss wins, ties going to the
-    smaller alpha.  Raises InferenceError when the data is degenerate or no
-    grid point can be trained.
+    Every grid alpha is trained to match the data's degree-1 value, all alphas
+    in lock-step; candidates are scored by half_norm_loss and the smallest
+    loss wins, ties going to the smaller alpha.  Raises InferenceError when
+    the data is degenerate or no grid point can be trained.
     """
     d1 = data.values[0]
     if not 0.0 < d1 < 1.0:
         raise InferenceError(f"degree-1 mass must be in (0, 1), got {d1}")
-    if not admissible_bins(data):
+    bins_used = len(admissible_bins(data))
+    if not bins_used:
         raise InferenceError("no admissible bins to fit")
     d_max = data.d_max
+    alphas = grid.values
+    results = _run_lanes([_train_lane(d1, alpha) for alpha in alphas], d_max)
     best: Optional[ZmFit] = None
-    for alpha in grid.values:
-        trained = train_delta(d1, alpha, d_max, exact_terms=exact_terms)
-        if trained is None:
+    for alpha, result in zip(alphas, results):
+        if result is None:
             continue
+        trained, model_bins = result
         params = ZmParams(alpha=alpha, delta=trained.delta, d_max=d_max)
-        loss = half_norm_loss(data, model_distribution(params, exact_terms))
+        loss = half_norm_loss(data, _pooled(params, model_bins))
         if best is None or loss < best.loss:
             best = ZmFit(
                 params=params,
                 loss=loss,
                 leaf=leaf_parameter(params),
-                bins_used=len(admissible_bins(data)),
+                bins_used=bins_used,
             )
     if best is None:
         raise InferenceError("no grid alpha admitted a trained delta")

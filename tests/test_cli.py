@@ -98,6 +98,28 @@ class TestGenerate:
         assert main(["generate", "--config", cfg, "--out", str(out_b)]) == 0
         assert out_b.exists() and not out_a.exists()
 
+    @pytest.mark.parametrize(
+        "spec_text",
+        [
+            "degree_model_alpha = 1.5\ndegree_model_delta = 0.5\n"
+            "degree_model_d_max = 64\n",
+            "n_isolated_pairs = 600\n",
+        ],
+    )
+    def test_id_space_overflow_is_config_error(
+        self, tmp_path, capsys, monkeypatch, spec_text
+    ):
+        monkeypatch.setattr("pktstats.generator._ADDRESS_SPACE_BITS", 10)
+        spec = write_spec(tmp_path, spec_text)
+        out = tmp_path / "pkts.csv"
+        code = main(
+            ["generate", "--spec", spec, "--packets", "2000", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
 

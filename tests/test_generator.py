@@ -71,6 +71,18 @@ class TestSpecValidation:
         with pytest.raises(GeneratorConfigError):
             generate_synthetic(GeneratorSpec(n_isolated_pairs=1), 0)
 
+    def test_node_ids_must_fit_the_address_space(self, monkeypatch):
+        monkeypatch.setattr("pktstats.generator._ADDRESS_SPACE_BITS", 4)
+        model = GeneratorSpec(degree_model=ZmParams(1.2, 0.5, 4))
+        assert len(generate_synthetic(model, 8)[0]) == 8
+        with pytest.raises(GeneratorConfigError):
+            generate_synthetic(model, 9)
+        # 2 * 4 pairs + a hub with 3 leaves + 4 core nodes = 16 ids.
+        spec = GeneratorSpec(n_isolated_pairs=4, supernode_leaf_count=3, core_size=4)
+        assert generate_synthetic(spec, 40)[1].n_links == 4 + 3 + 8 + 4
+        with pytest.raises(GeneratorConfigError):
+            generate_synthetic(GeneratorSpec(n_isolated_pairs=9), 40)
+
 
 class TestIsolatedPairs:
     def test_truth_and_matrix(self):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from pktstats import zm
 from pktstats import (
     AlphaGrid,
     DEFAULT_GRID,
@@ -232,6 +233,64 @@ class TestInference:
     def test_untrainable_everywhere(self):
         with pytest.raises(InferenceError):
             infer_parameters(make_data((0.97, 0.03)))
+
+
+class TestBatchedSolver:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            model_distribution(ZmParams(1.5, 0.3, 300)),
+            model_distribution(ZmParams(0.7, 4.0, 40)),
+            model_distribution(ZmParams(2.3, 0.05, 945)),
+            make_data((0.6, 0.2, 0.1, 0.07, 0.03), sigmas=(0.0, 0.01, 0.0, 0.0, 0.0)),
+        ],
+    )
+    def test_lock_step_matches_training_alone(self, data):
+        d1, d_max = data.values[0], data.d_max
+        alphas = AlphaGrid(0.1, 4.0, 0.05).values
+        lanes = [zm._train_lane(d1, alpha) for alpha in alphas]
+        batched = zm._run_lanes(lanes, d_max)
+        skipped = 0
+        for alpha, result in zip(alphas, batched):
+            alone = train_delta(d1, alpha, d_max)
+            if alone is None:
+                assert result is None, alpha
+                skipped += 1
+            else:
+                assert result[0].delta == alone.delta, alpha
+        assert skipped < len(alphas)
+
+    def test_frozen_values_at_alpha_one(self):
+        fit = infer_parameters(model_distribution(ZmParams(1.0, 3.0, 40)))
+        assert fit.params.delta == 3.0
+        fit = infer_parameters(model_distribution(ZmParams(1.0, 0.5, 300)))
+        assert fit.params.delta == 0.4999999999999997
+
+    def test_head_and_tail_path(self, monkeypatch):
+        monkeypatch.setattr(zm, "EXACT_SUM_TERMS", 64)
+        data = model_distribution(ZmParams(1.5, 0.3, 300))
+        fit = infer_parameters(data, AlphaGrid(1.0, 2.0, 0.05))
+        assert fit.params.alpha == 1.5
+        assert fit.params.delta == 0.29999999989514164
+        assert fit.loss == 6.556485662440223e-05
+
+    def test_grid_is_evaluated_in_few_batches(self, monkeypatch):
+        # One batched evaluation per round of the lock-step solver; training
+        # the alphas one by one would take thousands.
+        batches = []
+        evaluate = zm._evaluate
+
+        def counted(requests, d_max):
+            batches.append(len(requests))
+            return evaluate(requests, d_max)
+
+        data = model_distribution(ZmParams(1.5, 0.3, 945))
+        monkeypatch.setattr(zm, "_evaluate", counted)
+        grid = AlphaGrid(0.10, 4.00, 0.005)
+        fit = infer_parameters(data, grid)
+        assert fit.params.alpha == 1.5
+        assert batches[0] == len(grid.values) == 781
+        assert len(batches) <= 60
 
 
 class TestPayloads:
