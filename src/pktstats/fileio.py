@@ -19,7 +19,10 @@ class _GzipTextWriter(io.TextIOWrapper):
 
     def __init__(self, path):
         self._binary = open(path, "wb")
-        raw = gzip.GzipFile(filename="", mode="wb", fileobj=self._binary, mtime=0)
+        # Level 9 spends about 80% of a write in zlib for files only 4% smaller.
+        raw = gzip.GzipFile(
+            filename="", mode="wb", fileobj=self._binary, mtime=0, compresslevel=6
+        )
         super().__init__(raw, encoding="utf-8", newline="")
 
     def close(self):

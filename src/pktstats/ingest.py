@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import gzip
 import ipaddress
+import operator
+import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional
 
 PROTOCOLS = frozenset({"TCP", "UDP", "ICMP", "OTHER"})
+# Each protocol name maps to itself, so parsed records share one str per name.
+_PROTOCOL_NAMES = {name: name for name in PROTOCOLS}
 IP_VERSIONS = frozenset({4, 6})
 
 CANONICAL_FIELDS = ("timestamp", "src", "dst", "protocol", "ip_version")
@@ -85,8 +88,14 @@ class PacketWindow:
             )
 
 
-@lru_cache(maxsize=1 << 16)
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+# Exactly the IPv4 strings ipaddress accepts: ASCII digits, no leading zeros.
+_DOTTED_QUAD = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}")
+
+
 def _is_address(text: str) -> bool:
+    if _DOTTED_QUAD.fullmatch(text):
+        return True
     try:
         ipaddress.ip_address(text)
     except ValueError:
@@ -138,14 +147,48 @@ def is_valid_packet(record) -> bool:
     return record[3] == "TCP" and record[4] == 4
 
 
+def _learn_address(known: Dict[str, str], text: str) -> Optional[str]:
+    """Validate an address not yet in known; a valid one is added and returned."""
+    if _is_address(text):
+        known[text] = text
+        return text
+    return None
+
+
 def read_packet_csv(path, fmt: FormatSpec = CANONICAL_FORMAT) -> Iterator[PacketRecord]:
-    """Stream records from a packet CSV file (gzip-transparent by suffix)."""
+    """Stream records from a packet CSV file (gzip-transparent by suffix).
+
+    Each distinct address is validated once per file, and every record that
+    holds it shares one str object.  A line that fails any check is handed to
+    parse_packet_line, which raises its error.
+    """
     opener = gzip.open if str(path).endswith(".gz") else open
+    n_fields = len(CANONICAL_FIELDS)
+    pick = operator.itemgetter(*(fmt.fields.index(name) for name in CANONICAL_FIELDS))
+    known: Dict[str, str] = {}
     with opener(path, "rt", encoding="utf-8") as fh:
         lines = iter(enumerate(fh, 1))
         if fmt.header:
             next(lines, None)
         for line_number, line in lines:
+            parts = line.rstrip("\r\n").split(",")
+            if len(parts) == n_fields:
+                raw_ts, src, dst, protocol, raw_ver = pick(parts)
+                src = known.get(src) or _learn_address(known, src)
+                dst = known.get(dst) or _learn_address(known, dst)
+                protocol = _PROTOCOL_NAMES.get(protocol)
+                if src and dst and protocol:
+                    try:
+                        timestamp = int(raw_ts)
+                        ip_version = int(raw_ver)
+                    except ValueError:
+                        pass
+                    else:
+                        if timestamp >= 0 and ip_version in IP_VERSIONS:
+                            yield PacketRecord(
+                                timestamp, src, dst, protocol, ip_version
+                            )
+                            continue
             yield parse_packet_line(line, line_number, fmt)
 
 

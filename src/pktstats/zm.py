@@ -254,20 +254,28 @@ def _lane_sums(memo: Dict, alpha: float, delta: float, need: str):
     got = memo.get((delta, need))
     if got is None:
         got = yield alpha, delta, need
-        if got.s0 is not None:
-            memo[delta, "s0"] = got
-        if got.bins is not None:
-            memo[delta, "bins"] = got
+        _remember(memo, delta, got)
     return got
 
 
-def _lane_newton(memo: Dict, d1: float, alpha: float, delta: float):
+def _remember(memo: Dict, delta: float, got: _Sums) -> None:
+    if got.s0 is not None:
+        memo[delta, "s0"] = got
+    if got.bins is not None:
+        memo[delta, "bins"] = got
+
+
+def _newton_values(d1: float, alpha: float, delta: float, s: _Sums):
     """f(delta) = d1 * (1 + delta)**alpha * S(delta) - 1 and its derivative."""
-    s = yield from _lane_sums(memo, alpha, delta, "s0")
     scale = d1 * (1.0 + delta) ** alpha
     f = scale * s.s0 - 1.0
     grad = alpha * scale * (s.s0 / (1.0 + delta) - s.s1)
     return f, grad
+
+
+def _lane_newton(memo: Dict, d1: float, alpha: float, delta: float):
+    s = yield from _lane_sums(memo, alpha, delta, "s0")
+    return _newton_values(d1, alpha, delta, s)
 
 
 def _lane_gap(memo: Dict, d1: float, alpha: float, delta: float):
@@ -282,14 +290,16 @@ def _train_lane(
     tol: float = TRAIN_STEP_TOL,
     residual_tol: float = TRAIN_RESIDUAL_TOL,
     max_iterations: int = 200,
+    memo: Optional[Dict[Tuple[float, str], _Sums]] = None,
 ) -> Generator:
     """Delta training for one alpha as a coroutine.
 
     It yields (alpha, delta, need) requests, is sent the _Sums for each, and
     returns the training with the model's bin masses at the solution, or None
-    when no interior root exists.  Each (delta, need) is requested once.
+    when no interior root exists.  Each (delta, need) is requested once;
+    memo may hold answers the lane then does not request.
     """
-    memo: Dict[Tuple[float, str], _Sums] = {}
+    memo = {} if memo is None else memo
     lo, hi = TRAIN_DELTA_BOUNDS
     f_lo, _ = yield from _lane_newton(memo, d1, alpha, lo)
     if f_lo >= 0.0:
@@ -475,10 +485,20 @@ def infer_parameters(data: PooledDistribution, grid: AlphaGrid = DEFAULT_GRID) -
     if not bins_used:
         raise InferenceError("no admissible bins to fit")
     d_max = data.d_max
+    # The bracket test at the lower bound rejects most grid alphas, so it is
+    # evaluated for the whole grid in one round and lanes are built only for
+    # the alphas it passes, their memos holding its answer.
+    lo = TRAIN_DELTA_BOUNDS[0]
     alphas = grid.values
-    results = _run_lanes([_train_lane(d1, alpha) for alpha in alphas], d_max)
+    lanes = []
+    for alpha, sums in zip(alphas, _evaluate([(a, lo, "s0") for a in alphas], d_max)):
+        if _newton_values(d1, alpha, lo, sums)[0] < 0.0:
+            memo: Dict = {}
+            _remember(memo, lo, sums)
+            lanes.append((alpha, _train_lane(d1, alpha, memo=memo)))
+    results = _run_lanes([lane for _, lane in lanes], d_max)
     best: Optional[ZmFit] = None
-    for alpha, result in zip(alphas, results):
+    for (alpha, _), result in zip(lanes, results):
         if result is None:
             continue
         trained, model_bins = result

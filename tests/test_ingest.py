@@ -1,9 +1,12 @@
 """Packet parsing, validity filtering, and fixed-size window assembly."""
 
 import gzip
+import ipaddress
+from collections import Counter
 
 import pytest
 
+from pktstats import ingest
 from pktstats import (
     CANONICAL_FIELDS,
     FormatSpec,
@@ -118,6 +121,87 @@ class TestReadPacketCsv:
         with pytest.raises(PacketParseError) as excinfo:
             list(read_packet_csv(path))
         assert excinfo.value.line_number == 3
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1,10.0.0.1,10.0.0.2,TCP", "expected 5 fields, got 4"),
+            ("x,10.0.0.1,10.0.0.2,TCP,4", "bad timestamp 'x'"),
+            ("-1,10.0.0.1,10.0.0.2,TCP,4", "negative timestamp -1"),
+            ("1,10.0.0.1,10.0.0.256,TCP,4", "invalid dst address '10.0.0.256'"),
+            ("1,10.0.0.01,10.0.0.2,TCP,4", "invalid src address '10.0.0.01'"),
+            ("1,10.0.0.1,10.0.0.2,GRE,4", "unknown protocol 'GRE'"),
+            ("1,10.0.0.1,10.0.0.2,TCP,four", "bad ip_version 'four'"),
+            ("1,10.0.0.1,10.0.0.2,TCP,5", "unknown ip_version 5"),
+        ],
+    )
+    def test_malformed_line_after_good_lines(self, tmp_path, bad, message):
+        path = tmp_path / "pkts.csv"
+        good = "".join(
+            f"{i},10.0.0.{i % 7},10.0.1.{i % 5},TCP,4\n" for i in range(1000)
+        )
+        path.write_text(good + bad + "\n" + good)
+        records = []
+        with pytest.raises(PacketParseError) as excinfo:
+            records.extend(read_packet_csv(path))
+        assert len(records) == 1000
+        assert excinfo.value.line_number == 1001
+        assert str(excinfo.value) == f"line 1001: {message}"
+
+    def test_permuted_fields_with_header(self, tmp_path):
+        fmt = FormatSpec(
+            fields=("ip_version", "dst", "protocol", "timestamp", "src"), header=True
+        )
+        path = tmp_path / "pkts.csv"
+        path.write_text(
+            "ip_version,dst,protocol,timestamp,src\n"
+            "4,10.0.0.2,TCP,0,10.0.0.1\n"
+            "6,::1,UDP,1,fe80::2\n"
+            "4,10.0.0.1,ICMP,2,10.0.0.2\n"
+        )
+        assert list(read_packet_csv(path, fmt)) == [
+            PacketRecord(0, "10.0.0.1", "10.0.0.2", "TCP", 4),
+            PacketRecord(1, "fe80::2", "::1", "UDP", 6),
+            PacketRecord(2, "10.0.0.2", "10.0.0.1", "ICMP", 4),
+        ]
+
+    def test_repeated_values_share_one_object(self, tmp_path):
+        path = tmp_path / "pkts.csv"
+        path.write_text(
+            "0,10.0.0.1,10.0.0.2,TCP,4\n"
+            "1,10.0.0.2,10.0.0.1,TCP,4\n"
+            "2,2001:db8::1,10.0.0.1,TCP,6\n"
+            "3,10.0.0.1,2001:db8::1,UDP,6\n"
+        )
+        records = list(read_packet_csv(path))
+        assert records[0].src is records[1].dst is records[2].dst is records[3].src
+        assert records[0].dst is records[1].src
+        assert records[2].src is records[3].dst
+        assert records[0].protocol is records[1].protocol is records[2].protocol
+
+    def test_each_distinct_address_is_validated_once(self, tmp_path, monkeypatch):
+        assert not hasattr(ingest._is_address, "cache_info")
+        calls = Counter()
+        ip_address = ipaddress.ip_address
+
+        def counted(text):
+            calls[text] += 1
+            return ip_address(text)
+
+        monkeypatch.setattr(ipaddress, "ip_address", counted)
+        v6 = ["2001:db8::1", "fe80::2", "::ffff:10.0.0.1"]
+        lines = [
+            f"{i},{v6[i % 3]},{v6[(i + 1) % 3]},TCP,6\n"
+            f"{i},10.0.0.{i % 9},192.168.1.1,UDP,4\n"
+            for i in range(300)
+        ]
+        path = tmp_path / "pkts.csv"
+        path.write_text("".join(lines))
+        assert len(list(read_packet_csv(path))) == 600
+        assert calls == Counter(v6)
+        # A second file starts from an empty table.
+        assert len(list(read_packet_csv(path))) == 600
+        assert calls == Counter({addr: 2 for addr in v6})
 
 
 class TestWindows:

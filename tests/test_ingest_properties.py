@@ -1,0 +1,144 @@
+"""Property tests: the fast ingest path accepts and rejects exactly what the
+reference definitions (ipaddress, parse_packet_line) accept and reject."""
+
+import ipaddress
+import tempfile
+from pathlib import Path
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from pktstats import (  # noqa: E402
+    CANONICAL_FIELDS,
+    FormatSpec,
+    PacketParseError,
+    parse_packet_line,
+    read_packet_csv,
+)
+from pktstats.ingest import _DOTTED_QUAD, _is_address  # noqa: E402
+
+
+def _accepted(text: str) -> bool:
+    try:
+        ipaddress.ip_address(text)
+    except ValueError:
+        return False
+    return True
+
+
+OCTET_LIKE = st.one_of(
+    st.integers(0, 999).map(str),
+    st.sampled_from(
+        ["0", "00", "000", "01", "001", "010", "255", "256", "+1", "-1", " 1",
+         "1 ", "٣", "²", "1٣", "", "a", "0x1", "1e1", "１"]
+    ),
+)
+DOTTED = st.lists(OCTET_LIKE, min_size=1, max_size=5).map(".".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(DOTTED)
+def test_dotted_quad_rule_is_what_ipaddress_accepts(text):
+    matched = _DOTTED_QUAD.fullmatch(text) is not None
+    accepted = _accepted(text)
+    if matched:
+        assert accepted
+    if accepted and ":" not in text:
+        assert matched
+    assert _is_address(text) == accepted
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(max_size=40), st.ip_addresses().map(str)))
+def test_is_address_agrees_with_ipaddress(text):
+    assert _is_address(text) == _accepted(text)
+
+
+def _mostly(good, bad):
+    """Values that are good about three times in four, so that most files
+    parse several lines before any error."""
+    return st.one_of(good, good, good, bad)
+
+
+ADDRESSES = _mostly(
+    st.one_of(
+        st.sampled_from(["10.0.0.1", "10.0.0.2", "2001:db8::1", "fe80::1%eth0"]),
+        st.ip_addresses().map(str),
+    ),
+    st.one_of(DOTTED, st.sampled_from(["", "not-an-ip", "10.0.0", "::g", "10.0.0.1 "])),
+)
+FIELD_VALUES = {
+    "timestamp": _mostly(
+        st.integers(0, 10**12).map(str),
+        st.one_of(
+            st.integers(-5, -1).map(str),
+            st.sampled_from(["", "x", " 7", "+3", "1_000", "٣", "1.5", "-0"]),
+        ),
+    ),
+    "src": ADDRESSES,
+    "dst": ADDRESSES,
+    "protocol": _mostly(
+        st.sampled_from(["TCP", "UDP", "ICMP", "OTHER"]),
+        st.sampled_from(["tcp", "GRE", "", "TCP "]),
+    ),
+    "ip_version": _mostly(
+        st.sampled_from(["4", "6"]),
+        st.sampled_from(["5", "four", "", " 4", "04", "+6", "٤"]),
+    ),
+}
+
+
+@st.composite
+def csv_lines(draw, fields):
+    values = [draw(FIELD_VALUES[name]) for name in fields]
+    extra = draw(st.sampled_from([0] * 10 + [-1, 1]))
+    if extra < 0:
+        values.pop(draw(st.integers(0, len(values) - 1)))
+    elif extra > 0:
+        values.append(draw(FIELD_VALUES["protocol"]))
+    return ",".join(values)
+
+
+@st.composite
+def csv_files(draw):
+    fields = tuple(draw(st.permutations(CANONICAL_FIELDS)))
+    lines = draw(st.lists(csv_lines(fields), min_size=1, max_size=12))
+    # Repeat lines so the per-file address table is hit as well as missed.
+    lines += draw(st.lists(st.sampled_from(lines), max_size=6))
+    return FormatSpec(fields=fields, header=draw(st.booleans())), lines
+
+
+def _reference(lines, fmt):
+    """What parse_packet_line makes of the lines: the records before the
+    first bad line, and that line's error text (None if all parse)."""
+    first = 2 if fmt.header else 1
+    records = []
+    for number, line in enumerate(lines, first):
+        try:
+            records.append(parse_packet_line(line, number, fmt))
+        except PacketParseError as exc:
+            return records, str(exc)
+    return records, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files())
+def test_read_packet_csv_matches_parse_packet_line(case):
+    fmt, lines = case
+    expected, error = _reference(lines, fmt)
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pkts.csv"
+        header = ",".join(fmt.fields) + "\n" if fmt.header else ""
+        body = "".join(line + "\n" for line in lines)
+        path.write_text(header + body, encoding="utf-8")
+        try:
+            records.extend(read_packet_csv(path, fmt))
+        except PacketParseError as exc:
+            assert str(exc) == error
+        else:
+            assert error is None
+    assert [tuple(r) for r in records] == [tuple(r) for r in expected]
+    assert [type(r.timestamp) for r in records] == [int] * len(records)
