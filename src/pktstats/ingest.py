@@ -4,6 +4,10 @@ A packet stream is a sequence of records ``(timestamp_us, src, dst, protocol,
 ip_version)``.  Only TCP-over-IPv4 records are *valid*; windowing groups every
 ``n_valid`` consecutive valid records into an immutable window, skipping (but
 counting) invalid ones.  A trailing partial window is discarded.
+
+Valid packets can also be held as ``CodedPackets``: two integer arrays of
+source and destination codes into one sorted address table, so a window is a
+slice of the arrays and code order is lexicographic address order.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import ipaddress
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, NamedTuple, Optional
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 PROTOCOLS = frozenset({"TCP", "UDP", "ICMP", "OTHER"})
 # Each protocol name maps to itself, so parsed records share one str per name.
@@ -86,6 +92,43 @@ class PacketWindow:
             raise ValueError(
                 f"window holds {len(self.records)} records, expected {self.n_valid}"
             )
+
+
+@dataclass(frozen=True, eq=False)
+class CodedPackets:
+    """Valid packets as codes into a sorted address table.
+
+    Packet i goes from ``names[src[i]]`` to ``names[dst[i]]``.  A whole stream
+    and each of its windows share one table; ``window`` slices without copying.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    names: Tuple[str, ...]
+    index: int = 0
+
+    @property
+    def n_valid(self) -> int:
+        return len(self.src)
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def window(self, index: int, size: int) -> "CodedPackets":
+        """The index-th run of ``size`` consecutive packets."""
+        start = index * size
+        stop = start + size
+        return CodedPackets(self.src[start:stop], self.dst[start:stop], self.names, index)
+
+
+def intern_addresses(srcs: Sequence[str], dsts: Sequence[str]) -> CodedPackets:
+    """Code each packet's endpoints by their rank among the sorted addresses."""
+    names = sorted(set(srcs).union(dsts))
+    rank = dict(zip(names, range(len(names))))
+    n = len(srcs)
+    src = np.fromiter(map(rank.__getitem__, srcs), np.intp, n)
+    dst = np.fromiter(map(rank.__getitem__, dsts), np.intp, n)
+    return CodedPackets(src, dst, tuple(names))
 
 
 _OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"

@@ -1,20 +1,24 @@
-"""Hypersparse traffic matrices: string-keyed two-level maps of packet counts.
+"""Hypersparse traffic matrices: sorted coordinate arrays of packet counts.
 
 A matrix row is a source address, a column a destination address, and each
-stored entry is a positive packet count.  Entries are held as
-``dict[src, dict[dst, int]]`` with lazily built column views and sorted key
-caches; traversal and dumps are always in sorted key order.
+stored entry is a positive packet count.  Both roles share one node id space:
+the window's addresses, compacted and numbered in lexicographic order, so id
+order is name order.  Entries are three integer arrays (row, col, count)
+sorted by (row, col); per-node fan and volume arrays are derived once at
+construction.  Name-keyed dict views are built from the arrays on request.
 """
 
 from __future__ import annotations
 
-import operator
-from collections import Counter
+from bisect import bisect_left
+from operator import countOf, itemgetter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .fileio import open_text_read, open_text_write
-from .ingest import PacketWindow, is_valid_packet
+from .ingest import CodedPackets, PacketWindow, intern_addresses, is_valid_packet
 
 
 @dataclass(frozen=True)
@@ -27,54 +31,129 @@ class AggregateSummary:
     unique_destinations: int
 
 
+def _cells(packets: CodedPackets, weights: Optional[Sequence[int]] = None) -> tuple:
+    """(names, nodes, row, col, count) of the coded packets' matrix.
+
+    Each distinct (src, dst) pair is one entry counting its packets, or
+    summing ``weights`` when every pair occurs once.
+    """
+    n = len(packets.src)
+    # Sorting the window's own codes keeps the work O(n log n) in the window,
+    # whatever the size of a stream-wide table.
+    codes = np.concatenate((packets.src, packets.dst))
+    nodes, ids = np.unique(codes, return_inverse=True)
+    keys = ids[:n] * len(nodes) + ids[n:]
+    if weights is None:
+        cells, count = np.unique(keys, return_counts=True)
+    else:
+        order = np.argsort(keys)
+        cells, count = keys[order], np.asarray(weights, dtype=np.int64)[order]
+    row, col = np.divmod(cells, max(len(nodes), 1))
+    return packets.names, nodes, row, col, count
+
+
+_CELL_SLOTS = (
+    "_names",
+    "_nodes",
+    "row",
+    "col",
+    "count",
+    "out_degree",
+    "in_degree",
+    "out_volume",
+    "in_volume",
+    "total",
+)
+
+
 class TrafficMatrix:
     """Sparse nonnegative integer matrix over address-string keys.
 
-    Mutation is only allowed during construction; ``freeze()`` (called by all
-    factory methods) makes the matrix immutable.  Equality is by content, so
-    any insertion order of the same multiset of triples yields equal matrices.
+    ``TrafficMatrix()`` is open for ``accumulate`` until ``freeze()``, and
+    reading its entries before then raises ``ValueError``; the factory
+    methods return frozen matrices.  Equality is by content, so any
+    insertion order of the same multiset of triples yields equal matrices.
+
+    Arrays (read-only by convention): ``row``, ``col``, ``count`` per entry;
+    ``out_degree``, ``in_degree``, ``out_volume``, ``in_volume`` per node id.
     """
 
-    __slots__ = ("_rows", "_frozen", "_cols", "_row_keys", "_col_keys", "_total", "_nnz")
+    __slots__ = ("_pending",) + _CELL_SLOTS
 
     def __init__(self):
-        self._rows: Dict[str, Dict[str, int]] = {}
-        self._frozen = False
-        self._cols: Optional[Dict[str, Dict[str, int]]] = None
-        self._row_keys: Optional[Tuple[str, ...]] = None
-        self._col_keys: Optional[Tuple[str, ...]] = None
-        self._total: Optional[int] = None
-        self._nnz: Optional[int] = None
+        self._pending: Optional[Dict[Tuple[str, str], int]] = {}
+
+    def __getattr__(self, name):
+        # Reached only for slots that are still unset: the arrays of a
+        # matrix that has not been frozen yet.
+        if name in _CELL_SLOTS and self._pending is not None:
+            raise ValueError("matrix is not frozen")
+        raise AttributeError(name)
+
+    def _set_cells(self, names, nodes, row, col, count) -> None:
+        # names: a sorted address table; nodes: table index of each node id.
+        self._names = names
+        self._nodes = nodes
+        self.row = row
+        self.col = col
+        self.count = count
+        n = len(nodes)
+        self.out_degree = np.bincount(row, minlength=n)
+        self.in_degree = np.bincount(col, minlength=n)
+        # Weighted bincount sums in float64: exact while a node's packets
+        # stay below 2**53.
+        self.out_volume = np.bincount(row, weights=count, minlength=n).astype(np.int64)
+        self.in_volume = np.bincount(col, weights=count, minlength=n).astype(np.int64)
+        self.total = int(count.sum())
+
+    @classmethod
+    def _from_cells(cls, names, nodes, row, col, count) -> "TrafficMatrix":
+        m = cls.__new__(cls)
+        m._pending = None
+        m._set_cells(names, nodes, row, col, count)
+        return m
 
     # -- construction ------------------------------------------------------
 
     def accumulate(self, src: str, dst: str, count: int = 1) -> "TrafficMatrix":
         """Add ``count`` packets to entry (src, dst); creates it if missing."""
-        if self._frozen:
+        if self._pending is None:
             raise ValueError("matrix is frozen")
         if not isinstance(count, int) or count < 1:
             raise ValueError(f"count must be a positive integer, got {count!r}")
-        row = self._rows.setdefault(src, {})
-        row[dst] = row.get(dst, 0) + count
+        key = (src, dst)
+        self._pending[key] = self._pending.get(key, 0) + count
         return self
 
     def freeze(self) -> "TrafficMatrix":
-        self._frozen = True
+        if self._pending is not None:
+            pending, self._pending = self._pending, None
+            srcs = [src for src, _ in pending]
+            dsts = [dst for _, dst in pending]
+            coded = intern_addresses(srcs, dsts)
+            self._set_cells(*_cells(coded, list(pending.values())))
         return self
 
     @classmethod
-    def from_window(cls, window: PacketWindow) -> "TrafficMatrix":
-        """Build the matrix of one window; total entries equal window.n_valid."""
-        records = window.records
-        for record in records:
-            if not is_valid_packet(record):
-                raise ValueError(f"window contains an invalid packet: {record!r}")
-        counts = Counter(map(operator.itemgetter(1, 2), records))
-        m = cls()
-        rows = m._rows
-        for (src, dst), count in counts.items():
-            rows.setdefault(src, {})[dst] = count
-        m.freeze()
+    def from_window(cls, window) -> "TrafficMatrix":
+        """Build the matrix of one window; total entries equal window.n_valid.
+
+        ``window`` is a ``PacketWindow`` of records, whose addresses are coded
+        here, or ``CodedPackets`` whose packets are all valid.
+        """
+        if isinstance(window, PacketWindow):
+            records = window.records
+            n = len(records)
+            if (
+                countOf(map(itemgetter(3), records), "TCP") != n
+                or countOf(map(itemgetter(4), records), 4) != n
+            ):
+                bad = next(r for r in records if not is_valid_packet(r))
+                raise ValueError(f"window contains an invalid packet: {bad!r}")
+            srcs = list(map(itemgetter(1), records))
+            dsts = list(map(itemgetter(2), records))
+            window = intern_addresses(srcs, dsts)
+        m = cls._from_cells(*_cells(window))
         if m.total != window.n_valid:
             raise AssertionError(
                 f"conservation violated: {m.total} entries != {window.n_valid} packets"
@@ -89,101 +168,115 @@ class TrafficMatrix:
             m.accumulate(src, dst, count)
         return m.freeze()
 
+    # -- node ids ----------------------------------------------------------
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self._nodes)
+
+    def node_names(self, nodes: Iterable[int]) -> list:
+        names, table = self._names, self._nodes
+        return [names[table[i]] for i in nodes]
+
+    def node_mask(self, names: Iterable[str]) -> np.ndarray:
+        """Boolean mask over node ids selecting the given names (unknown
+        names select nothing)."""
+        mask = np.zeros(self.n_nodes, dtype=bool)
+        for name in names:
+            node = self._node_id(name)
+            if node is not None:
+                mask[node] = True
+        return mask
+
+    def _node_id(self, name: str) -> Optional[int]:
+        at = bisect_left(self._names, name)
+        if at == len(self._names) or self._names[at] != name:
+            return None
+        node = int(np.searchsorted(self._nodes, at))
+        if node == self.n_nodes or self._nodes[node] != at:
+            return None
+        return node
+
     # -- views -------------------------------------------------------------
+
+    def _nested(self, outer: np.ndarray, inner: np.ndarray) -> Dict[str, Dict[str, int]]:
+        names = self.node_names(range(self.n_nodes))
+        nested: Dict[str, Dict[str, int]] = {}
+        for i, j, count in zip(outer.tolist(), inner.tolist(), self.count.tolist()):
+            nested.setdefault(names[i], {})[names[j]] = count
+        return nested
 
     @property
     def rows(self) -> Dict[str, Dict[str, int]]:
-        return self._rows
+        """Row-major view src -> dst -> count (built on each access)."""
+        return self._nested(self.row, self.col)
 
     @property
     def cols(self) -> Dict[str, Dict[str, int]]:
-        """Column-major view dst -> src -> count (built lazily, cached)."""
-        if self._cols is None:
-            cols: Dict[str, Dict[str, int]] = {}
-            for src, row in self._rows.items():
-                for dst, count in row.items():
-                    cols.setdefault(dst, {})[src] = count
-            self._cols = cols
-        return self._cols
+        """Column-major view dst -> src -> count (built on each access)."""
+        return self._nested(self.col, self.row)
 
     @property
     def row_keys(self) -> Tuple[str, ...]:
-        if self._row_keys is None:
-            self._row_keys = tuple(sorted(self._rows))
-        return self._row_keys
+        return tuple(self.node_names(np.flatnonzero(self.out_degree)))
 
     @property
     def col_keys(self) -> Tuple[str, ...]:
-        if self._col_keys is None:
-            self._col_keys = tuple(sorted(self.cols))
-        return self._col_keys
-
-    @property
-    def total(self) -> int:
-        """Sum of all entries (valid packets)."""
-        if self._total is None:
-            self._total = sum(sum(row.values()) for row in self._rows.values())
-        return self._total
+        return tuple(self.node_names(np.flatnonzero(self.in_degree)))
 
     @property
     def nnz(self) -> int:
         """Number of stored entries (unique links)."""
-        if self._nnz is None:
-            self._nnz = sum(len(row) for row in self._rows.values())
-        return self._nnz
+        return len(self.count)
 
     def entry(self, src: str, dst: str) -> int:
-        return self._rows.get(src, {}).get(dst, 0)
+        return self.rows.get(src, {}).get(dst, 0)
 
     def entries(self) -> Iterator[Tuple[str, str, int]]:
         """All (src, dst, count) triples in sorted (src, dst) order."""
-        for src in self.row_keys:
-            row = self._rows[src]
-            for dst in sorted(row):
-                yield src, dst, row[dst]
+        names = self.node_names(range(self.n_nodes))
+        for i, j, count in zip(self.row.tolist(), self.col.tolist(), self.count.tolist()):
+            yield names[i], names[j], count
 
     # -- reductions --------------------------------------------------------
 
-    def reduce(self, axis: str, mode: str) -> Dict[str, int]:
-        """Per-key reduction: axis in {row, col}, mode in {sum, nnz}."""
+    def _reduction(self, axis: str, mode: str) -> Tuple[np.ndarray, np.ndarray]:
+        """(active node ids, their values) of one per-key reduction."""
         if axis == "row":
-            table = self._rows
+            degree, volume = self.out_degree, self.out_volume
         elif axis == "col":
-            table = self.cols
+            degree, volume = self.in_degree, self.in_volume
         else:
             raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
-        if mode == "sum":
-            return {key: sum(line.values()) for key, line in table.items()}
-        if mode == "nnz":
-            return {key: len(line) for key, line in table.items()}
-        raise ValueError(f"mode must be 'sum' or 'nnz', got {mode!r}")
+        if mode not in ("sum", "nnz"):
+            raise ValueError(f"mode must be 'sum' or 'nnz', got {mode!r}")
+        nodes = np.flatnonzero(degree)
+        return nodes, (volume if mode == "sum" else degree)[nodes]
+
+    def reduce(self, axis: str, mode: str) -> Dict[str, int]:
+        """Per-key reduction: axis in {row, col}, mode in {sum, nnz}."""
+        nodes, values = self._reduction(axis, mode)
+        return dict(zip(self.node_names(nodes), values.tolist()))
 
     def submatrix(
         self, row_keys: Optional[Set[str]], col_keys: Optional[Set[str]]
     ) -> "TrafficMatrix":
         """Restriction to the given key sets (None selects everything)."""
-        m = TrafficMatrix()
-        rows = m._rows
-        source = (
-            self._rows.items()
-            if row_keys is None
-            else ((k, self._rows[k]) for k in row_keys if k in self._rows)
+        return TrafficMatrix.from_counts(
+            {
+                (src, dst): count
+                for src, dst, count in self.entries()
+                if (row_keys is None or src in row_keys)
+                and (col_keys is None or dst in col_keys)
+            }
         )
-        for src, row in source:
-            if col_keys is None:
-                kept = dict(row)
-            else:
-                kept = {dst: count for dst, count in row.items() if dst in col_keys}
-            if kept:
-                rows[src] = kept
-        return m.freeze()
 
     def aggregates(self) -> AggregateSummary:
         return AggregateSummary(
             valid_packets=self.total,
             unique_links=self.nnz,
-            unique_sources=len(self._rows),
-            unique_destinations=len(self.cols),
+            unique_sources=int(np.count_nonzero(self.out_degree)),
+            unique_destinations=int(np.count_nonzero(self.in_degree)),
         )
 
     # -- dunder ------------------------------------------------------------
@@ -191,7 +284,7 @@ class TrafficMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrafficMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return list(self.entries()) == list(other.entries())
 
     __hash__ = None  # mutable-until-frozen; not hashable
 
@@ -199,9 +292,11 @@ class TrafficMatrix:
         return self.nnz
 
     def __repr__(self) -> str:
+        if self._pending is not None:
+            return f"TrafficMatrix(unfrozen, pending={len(self._pending)})"
         return (
             f"TrafficMatrix(links={self.nnz}, packets={self.total}, "
-            f"sources={len(self._rows)})"
+            f"sources={np.count_nonzero(self.out_degree)})"
         )
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .matrix import TrafficMatrix
 
@@ -34,27 +35,30 @@ ALL_KINDS: Tuple[QuantityKind, ...] = tuple(QuantityKind)
 POOLED_CSV_HEADER = ("kind", "bin_edge", "mean", "sigma", "n_windows")
 
 
+# The matrix reduction behind each per-node quantity; links are the entries.
+_REDUCTIONS = {
+    QuantityKind.SOURCE_PACKETS: ("row", "sum"),
+    QuantityKind.SOURCE_FAN_OUT: ("row", "nnz"),
+    QuantityKind.DESTINATION_FAN_IN: ("col", "nnz"),
+    QuantityKind.DESTINATION_PACKETS: ("col", "sum"),
+}
+
+
 def network_quantity(matrix: TrafficMatrix, kind: QuantityKind) -> Dict[str, int]:
     """Extract one quantity as a key -> positive-count vector.
 
     Sources are keyed by source address, destinations by destination address,
     and links by the concatenated "src→dst" pair.
     """
-    if kind is QuantityKind.SOURCE_PACKETS:
-        return matrix.reduce("row", "sum")
-    if kind is QuantityKind.SOURCE_FAN_OUT:
-        return matrix.reduce("row", "nnz")
     if kind is QuantityKind.LINK_PACKETS:
-        return {
-            f"{src}→{dst}": count
-            for src, row in matrix.rows.items()
-            for dst, count in row.items()
-        }
-    if kind is QuantityKind.DESTINATION_FAN_IN:
-        return matrix.reduce("col", "nnz")
-    if kind is QuantityKind.DESTINATION_PACKETS:
-        return matrix.reduce("col", "sum")
-    raise ValueError(f"unknown quantity kind {kind!r}")
+        return {f"{src}→{dst}": count for src, dst, count in matrix.entries()}
+    return matrix.reduce(*_reduction(kind))
+
+
+def _reduction(kind: QuantityKind) -> Tuple[str, str]:
+    if kind not in _REDUCTIONS:
+        raise ValueError(f"unknown quantity kind {kind!r}")
+    return _REDUCTIONS[kind]
 
 
 def degree_histogram(vector: Dict[str, int]) -> Dict[int, int]:
@@ -131,23 +135,23 @@ def log_pool(
         raise ValueError(
             f"d_max {d_max} does not match the largest degree {degrees[-1]}"
         )
-    cums = [cumulative_map[d] for d in degrees]
+    cums = np.array([cumulative_map[d] for d in degrees], dtype=np.float64)
+    return _pool_cumulative(np.array(degrees), cums, kind)
 
-    def cum_at(x: int) -> float:
-        idx = bisect_right(degrees, x)
-        return cums[idx - 1] if idx else 0.0
 
+def _pool_cumulative(
+    degrees: np.ndarray, cums: np.ndarray, kind: Optional[str]
+) -> PooledDistribution:
+    """log_pool over ascending degrees and their cumulative masses."""
+    d_max = int(degrees[-1])
     edges = bin_edges(d_max)
-    values = []
-    prev = 0.0
-    for edge in edges:
-        here = cum_at(edge)
-        values.append(here - prev)
-        prev = here
+    at = np.searchsorted(degrees, edges, side="right")
+    here = np.where(at > 0, cums[at - 1], 0.0)
+    values = np.diff(here, prepend=0.0)
     zeros = (0.0,) * len(edges)
     return PooledDistribution(
         bin_edges=edges,
-        values=tuple(values),
+        values=tuple(values.tolist()),
         sigmas=zeros,
         n_windows=1,
         d_max=d_max,
@@ -204,13 +208,21 @@ def observed_dmax(pooled: PooledDistribution) -> int:
 def pool_quantity(
     matrix: TrafficMatrix, kind: QuantityKind
 ) -> PooledDistribution:
-    """Convenience chain: quantity -> histogram -> pmf -> cumulative -> pooled."""
-    vector = network_quantity(matrix, kind)
-    if not vector:
+    """Chain quantity -> histogram -> pmf -> cumulative -> pooled, on arrays.
+
+    Same values as network_quantity, degree_histogram, probability,
+    cumulative and log_pool: each degree's count over the key count, summed
+    in ascending degree order.
+    """
+    if kind is QuantityKind.LINK_PACKETS:
+        values = matrix.count
+    else:
+        _, values = matrix._reduction(*_reduction(kind))
+    if not len(values):
         raise ValueError(f"matrix has no {kind.value} entries")
-    pmf = probability(degree_histogram(vector))
-    cum = cumulative(pmf)
-    return log_pool(cum, max(pmf), kind=kind.value)
+    degrees, counts = np.unique(values, return_counts=True)
+    cums = np.cumsum(counts / len(values))
+    return _pool_cumulative(degrees, cums, kind.value)
 
 
 def write_pooled_csv(path, pooled: PooledDistribution) -> int:

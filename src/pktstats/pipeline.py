@@ -20,10 +20,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
-from .ingest import IngestSummary, PacketWindow, is_valid_packet, read_packet_csv
+from .ingest import (
+    CodedPackets,
+    IngestSummary,
+    PacketWindow,
+    intern_addresses,
+    is_valid_packet,
+    read_packet_csv,
+)
 from .matrix import AggregateSummary, TrafficMatrix
 from .netstats import (
     ALL_KINDS,
@@ -141,7 +148,7 @@ class RunReport:
 
 
 def analyze_window(
-    window: PacketWindow,
+    window: Union[PacketWindow, CodedPackets],
     quantities: Sequence[QuantityKind] = ALL_KINDS,
     *,
     supernode_k: int = DEFAULT_SUPERNODE_COUNT,
@@ -159,14 +166,13 @@ def analyze_window(
     )
 
 
-# Workers inherit the valid-record list by fork; tasks carry only offsets.
-_SHARED_RECORDS: Optional[List[tuple]] = None
+# Workers inherit the coded stream by fork; tasks carry only window offsets.
+_SHARED_STREAM: Optional[CodedPackets] = None
 
 
 def _window_task(args: tuple) -> WindowAnalysis:
-    index, start, size, kind_values, supernode_k, strict_core = args
-    records = tuple(_SHARED_RECORDS[start : start + size])
-    window = PacketWindow(index=index, records=records, n_valid=size)
+    index, size, kind_values, supernode_k, strict_core = args
+    window = _SHARED_STREAM.window(index, size)
     kinds = tuple(QuantityKind(value) for value in kind_values)
     return analyze_window(
         window, kinds, supernode_k=supernode_k, strict_core=strict_core
@@ -175,19 +181,25 @@ def _window_task(args: tuple) -> WindowAnalysis:
 
 def load_valid_records(
     inputs: Sequence[str],
-) -> Tuple[List[tuple], IngestSummary]:
-    """All valid records from the input files, in order, plus counters."""
+) -> Tuple[CodedPackets, IngestSummary]:
+    """All valid packets from the input files, in order, plus counters.
+
+    Addresses are coded once for the whole stream, by their rank in its
+    sorted address table.
+    """
     summary = IngestSummary()
-    valid: List[tuple] = []
+    srcs: List[str] = []
+    dsts: List[str] = []
     for path in inputs:
         for record in read_packet_csv(path):
             summary.total_read += 1
             if is_valid_packet(record):
                 summary.total_valid += 1
-                valid.append(record)
+                srcs.append(record[1])
+                dsts.append(record[2])
             else:
                 summary.total_skipped += 1
-    return valid, summary
+    return intern_addresses(srcs, dsts), summary
 
 
 def _effective_sizes(
@@ -221,21 +233,20 @@ def _remove_tree(path: Path) -> None:
 
 
 def _analyze_all_windows(
-    records: List[tuple],
+    stream: CodedPackets,
     sizes: Sequence[int],
     cfg: RunConfig,
 ) -> Dict[int, List[WindowAnalysis]]:
     """Per-size window analyses, reduced in window-index order."""
-    global _SHARED_RECORDS
+    global _SHARED_STREAM
     tasks = []
     for size in sizes:
-        for index in range(len(records) // size):
+        for index in range(len(stream) // size):
             tasks.append(
                 (
                     size,
                     (
                         index,
-                        index * size,
                         size,
                         tuple(kind.value for kind in cfg.quantities),
                         cfg.supernode_k,
@@ -244,7 +255,7 @@ def _analyze_all_windows(
                 )
             )
     results: Dict[int, List[WindowAnalysis]] = {size: [] for size in sizes}
-    _SHARED_RECORDS = records
+    _SHARED_STREAM = stream
     try:
         if cfg.workers == 1:
             for size, args in tasks:
@@ -259,7 +270,7 @@ def _analyze_all_windows(
                 ):
                     results[size].append(analysis)
     finally:
-        _SHARED_RECORDS = None
+        _SHARED_STREAM = None
     for size in sizes:
         results[size].sort(key=lambda analysis: analysis.index)
     return results
@@ -271,10 +282,10 @@ def run_analyze(cfg: RunConfig) -> RunReport:
     _prepare_out_dir(out_dir, cfg.force)
     started = time.perf_counter()
 
-    records, summary = load_valid_records(cfg.inputs)
+    stream, summary = load_valid_records(cfg.inputs)
     ingest_done = time.perf_counter()
 
-    sizes = _effective_sizes(cfg.window_sizes, len(records))
+    sizes = _effective_sizes(cfg.window_sizes, len(stream))
     if not sizes:
         raise EmptyRunError(
             "no window size admits a complete window "
@@ -283,7 +294,7 @@ def run_analyze(cfg: RunConfig) -> RunReport:
             summary,
         )
 
-    analyses = _analyze_all_windows(records, sizes, cfg)
+    analyses = _analyze_all_windows(stream, sizes, cfg)
     analysis_done = time.perf_counter()
 
     files: Dict[str, int] = {}

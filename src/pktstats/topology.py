@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
+
+import numpy as np
 
 from .matrix import AggregateSummary, TrafficMatrix
 
@@ -38,12 +40,21 @@ TOPOLOGY_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FanVectors:
-    """Per-node connection counts: fan-out for sources, fan-in for destinations."""
+    """Per-node connection counts of one matrix: fan-out for sources, fan-in
+    for destinations.  The category functions take it as an argument and
+    read the same counts from the matrix's ``out_degree``/``in_degree``."""
 
-    d_out: Dict[str, int]
-    d_in: Dict[str, int]
+    matrix: TrafficMatrix
+
+    @property
+    def d_out(self) -> Dict[str, int]:
+        return self.matrix.reduce("row", "nnz")
+
+    @property
+    def d_in(self) -> Dict[str, int]:
+        return self.matrix.reduce("col", "nnz")
 
 
 @dataclass(frozen=True)
@@ -100,18 +111,32 @@ class CategoryFractions:
 
 def fan_vectors(matrix: TrafficMatrix) -> FanVectors:
     """Fan-out and fan-in for every source and destination in the matrix."""
-    return FanVectors(
-        d_out=matrix.reduce("row", "nnz"), d_in=matrix.reduce("col", "nnz")
+    return FanVectors(matrix)
+
+
+def _cell_stats(matrix: TrafficMatrix, cells: np.ndarray) -> CategoryStats:
+    """Stats of the selected cells: distinct rows and columns, their sum."""
+    return CategoryStats(
+        sources=len(np.unique(matrix.row[cells])),
+        packets=int(matrix.count[cells].sum()),
+        links=int(np.count_nonzero(cells)),
+        destinations=len(np.unique(matrix.col[cells])),
     )
 
 
-def _submatrix_stats(matrix: TrafficMatrix) -> CategoryStats:
-    summary = matrix.aggregates()
+def _sided_stats(
+    matrix: TrafficMatrix, source_cells: np.ndarray, dest_cells: np.ndarray
+) -> CategoryStats:
+    """Disjoint cell sets counted by role: one source per source-side cell,
+    one destination per destination-side cell."""
+    sources = int(np.count_nonzero(source_cells))
+    destinations = int(np.count_nonzero(dest_cells))
+    count = matrix.count
     return CategoryStats(
-        sources=summary.unique_sources,
-        packets=summary.valid_packets,
-        links=summary.unique_links,
-        destinations=summary.unique_destinations,
+        sources=sources,
+        packets=int(count[source_cells].sum() + count[dest_cells].sum()),
+        links=sources + destinations,
+        destinations=destinations,
     )
 
 
@@ -121,17 +146,13 @@ def isolated_links(matrix: TrafficMatrix, fans: FanVectors) -> CategoryStats:
     Structurally, isolated sources, links, and destinations are all equal:
     each surviving cell is its row's and its column's only entry.
     """
-    i_1 = {key for key, degree in fans.d_out.items() if degree == 1}
-    j_1 = {key for key, degree in fans.d_in.items() if degree == 1}
-    sources = links = packets = 0
-    for src in i_1:
-        dst, count = next(iter(matrix.rows[src].items()))
-        if dst in j_1:
-            sources += 1
-            links += 1
-            packets += count
+    cells = (matrix.out_degree[matrix.row] == 1) & (matrix.in_degree[matrix.col] == 1)
+    links = int(np.count_nonzero(cells))
     return CategoryStats(
-        sources=sources, packets=packets, links=links, destinations=sources
+        sources=links,
+        packets=int(matrix.count[cells].sum()),
+        links=links,
+        destinations=links,
     )
 
 
@@ -148,47 +169,30 @@ def find_supernodes(
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    rows = {src: dict(row) for src, row in matrix.rows.items()}
-    cols = {dst: dict(col) for dst, col in matrix.cols.items()}
-    degree: Dict[str, int] = {}
-    volume: Dict[str, int] = {}
-    for src, row in rows.items():
-        degree[src] = degree.get(src, 0) + len(row)
-        volume[src] = volume.get(src, 0) + sum(row.values())
-    for dst, col in cols.items():
-        degree[dst] = degree.get(dst, 0) + len(col)
-        volume[dst] = volume.get(dst, 0) + sum(col.values())
-
-    chosen: List[str] = []
+    row, col, count = matrix.row, matrix.col, matrix.count
+    degree = matrix.out_degree + matrix.in_degree
+    volume = matrix.out_volume + matrix.in_volume
+    alive = np.ones(len(count), dtype=bool)
+    chosen: List[int] = []
     for _ in range(k):
-        best_key = None
-        best_rank = None
-        for key, deg in degree.items():
-            if deg <= 0:
-                continue
-            rank = (deg, volume[key])
-            if (
-                best_key is None
-                or rank > best_rank
-                or (rank == best_rank and key < best_key)
-            ):
-                best_key, best_rank = key, rank
-        if best_key is None or best_rank[0] <= 1:
+        top = degree.max(initial=0)
+        if top <= 1:
             break
-        chosen.append(best_key)
-        for dst, count in rows.pop(best_key, {}).items():
-            col = cols[dst]
-            del col[best_key]
-            degree[dst] -= 1
-            volume[dst] -= count
-        for src, count in cols.pop(best_key, {}).items():
-            row = rows[src]
-            del row[best_key]
-            degree[src] -= 1
-            volume[src] -= count
-        degree.pop(best_key, None)
-        volume.pop(best_key, None)
-    return chosen
+        tied = np.flatnonzero(degree == top)
+        best = int(tied[np.argmax(volume[tied])])  # first maximum: lowest id
+        chosen.append(best)
+        # Node ids are distinct within a row and within a column, so the
+        # fancy-indexed updates below touch each neighbour once.
+        out_cells = np.flatnonzero(alive & (row == best))
+        alive[out_cells] = False
+        in_cells = np.flatnonzero(alive & (col == best))
+        alive[in_cells] = False
+        degree[col[out_cells]] -= 1
+        volume[col[out_cells]] -= count[out_cells]
+        degree[row[in_cells]] -= 1
+        volume[row[in_cells]] -= count[in_cells]
+        degree[best] = 0
+    return matrix.node_names(chosen)
 
 
 def supernode_leaves(
@@ -198,29 +202,28 @@ def supernode_leaves(
 
     A cell that also qualifies as an isolated link (both endpoints degree 1)
     stays with the isolated category, so degree-1 nodes are never counted
-    twice.  Each leaf is attributed to the first supernode that claims it.
+    twice.  A degree-1 node has one cell, so it is the leaf of one supernode.
     """
-    source_leaves: Set[str] = set()
-    dest_leaves: Set[str] = set()
-    sources = destinations = links = packets = 0
-    for sn in supernodes:
-        if fans.d_in.get(sn, 0) != 1:  # degree-1 feeders are isolated otherwise
-            for src, count in matrix.cols.get(sn, {}).items():
-                if fans.d_out[src] == 1 and src not in source_leaves:
-                    source_leaves.add(src)
-                    sources += 1
-                    links += 1
-                    packets += count
-        if fans.d_out.get(sn, 0) != 1:
-            for dst, count in matrix.rows.get(sn, {}).items():
-                if fans.d_in[dst] == 1 and dst not in dest_leaves:
-                    dest_leaves.add(dst)
-                    destinations += 1
-                    links += 1
-                    packets += count
-    return CategoryStats(
-        sources=sources, packets=packets, links=links, destinations=destinations
-    )
+    is_super = matrix.node_mask(supernodes)
+    out_r, in_c = matrix.out_degree[matrix.row], matrix.in_degree[matrix.col]
+    source_cells = is_super[matrix.col] & (out_r == 1) & (in_c != 1)
+    dest_cells = is_super[matrix.row] & (in_c == 1) & (out_r != 1)
+    return _sided_stats(matrix, source_cells, dest_cells)
+
+
+def _core_masks(
+    matrix: TrafficMatrix, supernodes: Sequence[str], strict_inequality: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    if strict_inequality and supernodes:
+        first = matrix.node_mask(supernodes[:1])
+        out_cap = matrix.out_degree[first].max(initial=0)
+        in_cap = matrix.in_degree[first].max(initial=0)
+        return (
+            (1 < matrix.out_degree) & (matrix.out_degree < out_cap),
+            (1 < matrix.in_degree) & (matrix.in_degree < in_cap),
+        )
+    ordinary = ~matrix.node_mask(supernodes)
+    return (matrix.out_degree > 1) & ordinary, (matrix.in_degree > 1) & ordinary
 
 
 def core_membership(
@@ -237,30 +240,24 @@ def core_membership(
     strictly between 1 and the first supernode's fan on the same side, which
     can differ when later supernodes' fans match or trail other core nodes.
     """
-    if strict_inequality and supernodes:
-        first = supernodes[0]
-        out_cap = fans.d_out.get(first, 0)
-        in_cap = fans.d_in.get(first, 0)
-        i_core = frozenset(
-            key for key, deg in fans.d_out.items() if 1 < deg < out_cap
-        )
-        j_core = frozenset(key for key, deg in fans.d_in.items() if 1 < deg < in_cap)
-        return i_core, j_core
-    excluded = set(supernodes)
-    i_core = frozenset(
-        key for key, deg in fans.d_out.items() if deg > 1 and key not in excluded
+    i_core, j_core = _core_masks(matrix, supernodes, strict_inequality)
+    return (
+        frozenset(matrix.node_names(np.flatnonzero(i_core))),
+        frozenset(matrix.node_names(np.flatnonzero(j_core))),
     )
-    j_core = frozenset(
-        key for key, deg in fans.d_in.items() if deg > 1 and key not in excluded
-    )
-    return i_core, j_core
 
 
 def core_stats(
     matrix: TrafficMatrix, i_core: FrozenSet[str], j_core: FrozenSet[str]
 ) -> CategoryStats:
     """Stats of the submatrix restricted to core sources and destinations."""
-    return _submatrix_stats(matrix.submatrix(i_core, j_core))
+    return _core_stats(matrix, matrix.node_mask(i_core), matrix.node_mask(j_core))
+
+
+def _core_stats(
+    matrix: TrafficMatrix, i_core: np.ndarray, j_core: np.ndarray
+) -> CategoryStats:
+    return _cell_stats(matrix, i_core[matrix.row] & j_core[matrix.col])
 
 
 def core_leaves(
@@ -270,82 +267,60 @@ def core_leaves(
     fans: FanVectors,
 ) -> CategoryStats:
     """Degree-1 nodes whose only link lands on (or comes from) a core node."""
-    sources = destinations = links = packets = 0
-    for src, degree in fans.d_out.items():
-        if degree == 1:
-            dst, count = next(iter(matrix.rows[src].items()))
-            if dst in j_core:
-                sources += 1
-                links += 1
-                packets += count
-    for dst, degree in fans.d_in.items():
-        if degree == 1:
-            src, count = next(iter(matrix.cols[dst].items()))
-            if src in i_core:
-                destinations += 1
-                links += 1
-                packets += count
-    return CategoryStats(
-        sources=sources, packets=packets, links=links, destinations=destinations
+    return _core_leaves(
+        matrix, matrix.node_mask(i_core), matrix.node_mask(j_core)
     )
+
+
+def _core_leaves(
+    matrix: TrafficMatrix, i_core: np.ndarray, j_core: np.ndarray
+) -> CategoryStats:
+    source_cells = (matrix.out_degree[matrix.row] == 1) & j_core[matrix.col]
+    dest_cells = (matrix.in_degree[matrix.col] == 1) & i_core[matrix.row]
+    return _sided_stats(matrix, source_cells, dest_cells)
 
 
 def _supernode_category(
     matrix: TrafficMatrix,
-    supernodes: Sequence[str],
-    fans: FanVectors,
-    j_core: FrozenSet[str],
-    i_core: FrozenSet[str],
+    is_super: np.ndarray,
+    j_core: np.ndarray,
+    i_core: np.ndarray,
 ) -> CategoryStats:
     """The supernodes' own traffic with the core (leaf cells excluded).
 
     Sources/destinations count supernode identities active in each role;
     links/packets cover the cells joining a supernode to a core node on the
-    other side.  Supernode-to-supernode cells are tracked separately.
+    other side.  Supernode-to-supernode cells are tracked separately.  With
+    a strict core a cell can join two supernodes that are both core nodes;
+    it is then counted from each side.
     """
-    sset = set(supernodes)
-    links = packets = 0
-    for sn in sset:
-        for dst, count in matrix.rows.get(sn, {}).items():
-            if dst in j_core and fans.d_out[sn] > 1:
-                links += 1
-                packets += count
-        for src, count in matrix.cols.get(sn, {}).items():
-            if src in i_core and fans.d_in[sn] > 1:
-                links += 1
-                packets += count
-    sources = sum(1 for sn in sset if fans.d_out.get(sn, 0) > 0)
-    destinations = sum(1 for sn in sset if fans.d_in.get(sn, 0) > 0)
+    row, col, count = matrix.row, matrix.col, matrix.count
+    outgoing = is_super[row] & j_core[col] & (matrix.out_degree[row] > 1)
+    incoming = is_super[col] & i_core[row] & (matrix.in_degree[col] > 1)
     return CategoryStats(
-        sources=sources, packets=packets, links=links, destinations=destinations
+        sources=int(np.count_nonzero(is_super & (matrix.out_degree > 0))),
+        packets=int(count[outgoing].sum() + count[incoming].sum()),
+        links=int(np.count_nonzero(outgoing) + np.count_nonzero(incoming)),
+        destinations=int(np.count_nonzero(is_super & (matrix.in_degree > 0))),
     )
 
 
 def _supernode_internal(
-    matrix: TrafficMatrix, supernodes: Sequence[str], fans: FanVectors
+    matrix: TrafficMatrix, is_super: np.ndarray
 ) -> CategoryStats:
     """Cells with supernodes at both ends and neither role at degree 1.
 
     A degree-1 role hands the cell to the isolated or leaf categories even
     between two supernodes, so only fan > 1 on both sides counts here.
     """
-    sset = set(supernodes)
-    row_keys: Set[str] = set()
-    col_keys: Set[str] = set()
-    links = packets = 0
-    for sn in sset:
-        for dst, count in matrix.rows.get(sn, {}).items():
-            if dst in sset and fans.d_out[sn] > 1 and fans.d_in[dst] > 1:
-                links += 1
-                packets += count
-                row_keys.add(sn)
-                col_keys.add(dst)
-    return CategoryStats(
-        sources=len(row_keys),
-        packets=packets,
-        links=links,
-        destinations=len(col_keys),
+    row, col = matrix.row, matrix.col
+    cells = (
+        is_super[row]
+        & is_super[col]
+        & (matrix.out_degree[row] > 1)
+        & (matrix.in_degree[col] > 1)
     )
+    return _cell_stats(matrix, cells)
 
 
 def _fraction(part: int, whole: int) -> float:
@@ -385,17 +360,16 @@ def topology_breakdown(
         )
     fans = fan_vectors(matrix)
     supers = find_supernodes(matrix, k)
-    i_core, j_core = core_membership(
-        matrix, supers, fans, strict_inequality=strict_core
-    )
+    is_super = matrix.node_mask(supers)
+    i_core, j_core = _core_masks(matrix, supers, strict_core)
     categories = {
         "isolated_links": isolated_links(matrix, fans),
         "supernode_leaves": supernode_leaves(matrix, supers, fans),
-        "supernodes": _supernode_category(matrix, supers, fans, j_core, i_core),
-        "core": core_stats(matrix, i_core, j_core),
-        "core_leaves": core_leaves(matrix, i_core, j_core, fans),
+        "supernodes": _supernode_category(matrix, is_super, j_core, i_core),
+        "core": _core_stats(matrix, i_core, j_core),
+        "core_leaves": _core_leaves(matrix, i_core, j_core),
     }
-    internal = _supernode_internal(matrix, supers, fans)
+    internal = _supernode_internal(matrix, is_super)
     tiled_packets = internal.packets + sum(c.packets for c in categories.values())
     tiled_links = internal.links + sum(c.links for c in categories.values())
     fractions = {name: _fractions(stats, totals) for name, stats in categories.items()}

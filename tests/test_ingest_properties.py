@@ -56,6 +56,31 @@ def test_is_address_agrees_with_ipaddress(text):
     assert _is_address(text) == _accepted(text)
 
 
+HEX_GROUP = st.one_of(
+    st.integers(0, 0xFFFF).map("{:x}".format),
+    st.sampled_from(["", "0", "00000", "FFFF", "fffff", "g", " 1", "1.2.3.4", "٣"]),
+)
+COLON_TEXT = st.one_of(
+    st.lists(HEX_GROUP, min_size=2, max_size=10).map(":".join),
+    st.tuples(
+        st.ip_addresses(v=6).map(str),
+        st.sampled_from(["", "%eth0", "%", "%1", ":", "::", ":1", ".1", " "]),
+    ).map("".join),
+    st.tuples(st.text(max_size=20), st.text(max_size=20)).map(":".join),
+    st.text(alphabet="0123456789abcdefABCDEF:.%", max_size=45).filter(
+        lambda text: ":" in text
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(COLON_TEXT)
+def test_text_with_a_colon_is_accepted_as_ipaddress_does(text):
+    assert ":" in text
+    assert _DOTTED_QUAD.fullmatch(text) is None
+    assert _is_address(text) == _accepted(text)
+
+
 def _mostly(good, bad):
     """Values that are good about three times in four, so that most files
     parse several lines before any error."""

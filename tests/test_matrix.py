@@ -44,6 +44,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             m.accumulate("a", "b", -2)
 
+    def test_reads_before_freeze_raise(self):
+        m = TrafficMatrix().accumulate("a", "b")
+        reads = (
+            lambda: m.total,
+            lambda: m.nnz,
+            lambda: m.rows,
+            lambda: list(m.entries()),
+            lambda: m.reduce("row", "sum"),
+            lambda: m.aggregates(),
+            lambda: m == TrafficMatrix.from_counts({("a", "b"): 1}),
+        )
+        for read in reads:
+            with pytest.raises(ValueError, match="not frozen"):
+                read()
+        assert "unfrozen" in repr(m)
+        assert m.freeze().total == 1
+
     def test_equality_is_by_content(self):
         a = TrafficMatrix().accumulate("a", "b").accumulate("c", "d", 2).freeze()
         b = TrafficMatrix().accumulate("c", "d", 2).accumulate("a", "b").freeze()

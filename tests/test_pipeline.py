@@ -1,29 +1,42 @@
 """End-to-end analysis runs: windowing, reports, determinism, failure paths."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pktstats import (
     ALL_KINDS,
     AlphaGrid,
+    CategoryStats,
     EmptyRunError,
     GeneratorSpec,
+    PacketWindow,
     PipelineConfigError,
     QuantityKind,
     RunConfig,
+    TrafficMatrix,
     ZmParams,
     analyze_window,
+    cumulative,
+    degree_histogram,
     generate_synthetic,
     iter_windows,
     load_valid_records,
+    log_pool,
+    network_quantity,
+    probability,
     run_analyze,
     write_packet_csv,
+    write_topology_csv,
 )
 from pktstats.pipeline import _effective_sizes
+from pktstats.topology import CATEGORY_ORDER
 
-from conftest import make_records
+import dense_oracle
+from conftest import make_records, random_cells
 
 SMALL_GRID = AlphaGrid(1.0, 2.5, 0.05)
 
@@ -277,3 +290,115 @@ class TestWorkerDeterminism:
                 if p.is_file() and p.name != "timings.json"
             }
         assert reports[1] == reports[3]
+
+
+def _address(name: str) -> str:
+    """random_cells names n0, n1, ... as addresses whose text order differs
+    from their numeric order (10.0.0.10 sorts before 10.0.0.9)."""
+    return f"10.0.0.{int(name[1:])}"
+
+
+class TestCodedWindows:
+    def test_supernode_ties_go_to_the_smaller_address_on_every_path(self, tmp_path):
+        # Two hubs tie on degree 3 and volume 3.  10.0.0.9 is seen first but
+        # 10.0.0.10 sorts first, so with k = 1 it is the supernode, and its
+        # three feeders (not 10.0.0.9's three receivers) are supernode leaves.
+        pairs = [("10.0.0.9", f"10.0.1.{i}") for i in range(3)]
+        pairs += [(f"10.0.2.{i}", "10.0.0.10") for i in range(3)]
+        records = make_records(pairs)
+        path = tmp_path / "ties.csv"
+        write_packet_csv(path, records)
+
+        expected = analyze_window(PacketWindow(0, tuple(records), 6), supernode_k=1)
+        assert expected.topology.supernode_ids == ("10.0.0.10",)
+        leaves = expected.topology.categories["supernode_leaves"]
+        assert leaves == CategoryStats(3, 3, 3, 0)
+        stream, _ = load_valid_records([str(path)])
+        coded = analyze_window(stream.window(0, 6), supernode_k=1)
+        assert coded.topology == expected.topology
+
+        expected_csv = tmp_path / "expected.topology.csv"
+        write_topology_csv(expected_csv, expected.topology)
+        for workers in (1, 2):
+            out = tmp_path / f"out_w{workers}"
+            cfg = RunConfig(
+                inputs=(str(path),),
+                out_dir=str(out),
+                window_sizes=(6,),
+                grid=SMALL_GRID,
+                workers=workers,
+                supernode_k=1,
+            )
+            run_analyze(cfg)
+            written = out / "nv_000000006" / "window_000000.topology.csv"
+            assert written.read_bytes() == expected_csv.read_bytes()
+
+    def test_coded_windows_match_record_windows_and_dense_oracle(self, tmp_path):
+        # Two windows per stream, so a window's addresses are coded by a
+        # table that also holds the other window's addresses.  In every other
+        # stream a trailing partial window of fresh addresses makes the table
+        # larger than a window's own endpoint list.
+        rng = np.random.Generator(np.random.Philox(key=20261018))
+        for trial in range(200):
+            draws = []
+            for _ in range(2):
+                cells = random_cells(rng, max_side=30, max_cells=100)
+                pairs = [
+                    (_address(src), _address(dst))
+                    for (src, dst), count in cells.items()
+                    for _ in range(count)
+                ]
+                draws.append([pairs[i] for i in rng.permutation(len(pairs))])
+            size = min(len(draw) for draw in draws)
+            tail = [
+                (f"10.1.{j >> 8}.{j & 255}", f"10.2.{j >> 8}.{j & 255}")
+                for j in range((size - 1) * (trial % 2))
+            ]
+            records = make_records(draws[0][:size] + draws[1][:size] + tail)
+            noise = make_records(draws[1][:5], protocol="UDP")
+            path = tmp_path / f"stream{trial}.csv"
+            write_packet_csv(path, records[:size] + noise + records[size:])
+            stream, summary = load_valid_records([str(path)])
+            assert len(stream) == len(records)
+            assert summary.total_skipped == len(noise)
+            k = int(rng.integers(0, 7))
+            for index in range(2):
+                window_records = records[index * size : (index + 1) * size]
+                window = stream.window(index, size)
+                coded = analyze_window(window, supernode_k=k)
+                record_window = PacketWindow(index, tuple(window_records), size)
+                assert coded == analyze_window(record_window, supernode_k=k)
+
+                cells = Counter((r[1], r[2]) for r in window_records)
+                dense, rows, cols = dense_oracle.from_cells(cells)
+                aggregates = coded.aggregates
+                assert (
+                    aggregates.valid_packets,
+                    aggregates.unique_links,
+                    aggregates.unique_sources,
+                    aggregates.unique_destinations,
+                ) == dense_oracle.aggregates(dense)
+                matrix = TrafficMatrix.from_window(window)
+                expected = dense_oracle.quantity_maps(dense, rows, cols)
+                for kind in ALL_KINDS:
+                    vector = expected[kind.value]
+                    assert network_quantity(matrix, kind) == vector
+                    pmf = probability(degree_histogram(vector))
+                    pooled = log_pool(cumulative(pmf), max(pmf), kind=kind.value)
+                    assert coded.pooled[kind.value] == pooled
+                stats, supers, leftovers = dense_oracle.classify(dense, rows, cols, k)
+                assert leftovers == []
+                topology = coded.topology
+                assert list(topology.supernode_ids) == supers
+                for name in CATEGORY_ORDER:
+                    got = topology.categories[name]
+                    assert (
+                        got.sources, got.packets, got.links, got.destinations
+                    ) == stats[name], f"trial {trial} window {index} {name}"
+                internal = topology.supernode_internal
+                assert (
+                    internal.sources,
+                    internal.packets,
+                    internal.links,
+                    internal.destinations,
+                ) == stats["supernode_internal"]
