@@ -22,14 +22,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from . import __version__
 from .ingest import (
+    DOTTED_QUADS,
     CodedPackets,
     IngestSummary,
     PacketWindow,
     intern_addresses,
-    is_valid_packet,
-    read_packet_csv,
+    read_packet_keys,
 )
 from .matrix import AggregateSummary, TrafficMatrix
 from .netstats import (
@@ -184,22 +186,33 @@ def load_valid_records(
 ) -> Tuple[CodedPackets, IngestSummary]:
     """All valid packets from the input files, in order, plus counters.
 
-    Addresses are coded once for the whole stream, by their rank in its
-    sorted address table.
+    Addresses are coded by their dotted-quad keys, so ``DOTTED_QUADS`` is
+    the stream's sorted address table.  A stream in which any valid packet
+    has another address (IPv6 text in a row marked IPv4) is coded by the
+    rank of each address text in its own sorted table instead.
     """
     summary = IngestSummary()
-    srcs: List[str] = []
-    dsts: List[str] = []
+    srcs: List[np.ndarray] = [np.zeros(0, np.uint32)]
+    dsts: List[np.ndarray] = [np.zeros(0, np.uint32)]
+    texts: List[Tuple[int, str, str]] = []
     for path in inputs:
-        for record in read_packet_csv(path):
-            summary.total_read += 1
-            if is_valid_packet(record):
-                summary.total_valid += 1
-                srcs.append(record[1])
-                dsts.append(record[2])
-            else:
-                summary.total_skipped += 1
-    return intern_addresses(srcs, dsts), summary
+        for batch in read_packet_keys(path):
+            texts.extend((summary.total_valid + i, s, d) for i, s, d in batch.texts)
+            summary.total_read += batch.n_read
+            summary.total_valid += len(batch.src)
+            srcs.append(batch.src)
+            dsts.append(batch.dst)
+    summary.total_skipped = summary.total_read - summary.total_valid
+    src = np.concatenate(srcs)
+    dst = np.concatenate(dsts)
+    if not texts:
+        return CodedPackets(src, dst, DOTTED_QUADS), summary
+    src_texts = [DOTTED_QUADS[key] for key in src.tolist()]
+    dst_texts = [DOTTED_QUADS[key] for key in dst.tolist()]
+    for i, src_text, dst_text in texts:
+        src_texts[i] = src_text
+        dst_texts[i] = dst_text
+    return intern_addresses(src_texts, dst_texts), summary
 
 
 def _effective_sizes(

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, config files, exit codes, printed summary."""
 
+import gzip
 import json
 from pathlib import Path
 
@@ -194,6 +195,40 @@ class TestAnalyze:
         )
         assert code == 2
         assert "malformed input" in capsys.readouterr().err
+
+    def test_undecodable_text_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0,10.0.0.1,10.0.0.2,TCP,4\n1,10.0.0.\xff,10.0.0.2,TCP,4\n")
+        code = main(
+            ["analyze", "--input", str(bad), "--nv", "1",
+             "--out", str(tmp_path / "report")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed input: line 2: undecodable text")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "bad block type"])
+    def test_damaged_gzip_is_io_error(self, tmp_path, capsys, damage):
+        rows = b"".join(
+            b"%d,10.0.%d.%d,10.1.0.1,TCP,4\n" % (i, i >> 8 & 255, i & 255)
+            for i in range(5000)
+        )
+        data = bytearray(gzip.compress(rows, mtime=0))
+        if damage == "truncated":
+            del data[len(data) // 2 :]
+        else:
+            data[10] = 0b111  # the first deflate block (after a 10-byte header)
+        bad = tmp_path / "bad.csv.gz"
+        bad.write_bytes(bytes(data))
+        code = main(
+            ["analyze", "--input", str(bad), "--nv", "1",
+             "--out", str(tmp_path / "report")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed input: line 1: compressed data")
+        assert err.count("\n") == 1
 
     def test_too_short_stream_is_config_error(self, tmp_path, capsys):
         stream = write_stream(tmp_path, GeneratorSpec(n_isolated_pairs=3), 6)

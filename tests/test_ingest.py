@@ -204,6 +204,64 @@ class TestReadPacketCsv:
         assert calls == Counter({addr: 2 for addr in v6})
 
 
+class TestReadPacketKeys:
+    def test_each_distinct_address_is_validated_once_per_file(
+        self, tmp_path, monkeypatch
+    ):
+        calls = Counter()
+        ip_address = ipaddress.ip_address
+
+        def counted(text):
+            calls[text] += 1
+            return ip_address(text)
+
+        monkeypatch.setattr(ipaddress, "ip_address", counted)
+        v6 = ["2001:db8::1", "fe80::2", "::ffff:10.0.0.1"]
+        lines = [
+            f"{i},{v6[i % 3]},{v6[(i + 1) % 3]},TCP,6\n"
+            f"{i},10.0.0.{i % 9},192.168.1.1,UDP,4\n"
+            for i in range(300)
+        ]
+        path = tmp_path / "pkts.csv"
+        path.write_text("".join(lines))
+        # Chunks of 7 bytes hold one line or none; the table spans them all.
+        for chunk_size in (7, ingest.CHUNK_BYTES):
+            calls.clear()
+            batches = list(ingest.read_packet_keys(path, _chunk_size=chunk_size))
+            assert sum(batch.n_read for batch in batches) == 600
+            assert calls == Counter(v6)
+
+
+    def test_only_lines_that_are_not_canonical_take_the_line_path(
+        self, tmp_path, monkeypatch
+    ):
+        parsed = []
+        line_parser = ingest._line_parser
+
+        def recording(fmt):
+            parse = line_parser(fmt)
+
+            def recorded(line, line_number):
+                parsed.append(line_number)
+                return parse(line, line_number)
+
+            return recorded
+
+        monkeypatch.setattr(ingest, "_line_parser", recording)
+        path = tmp_path / "pkts.csv"
+        path.write_bytes(
+            b"0,10.0.0.1,10.0.0.2,TCP,4\n"
+            b"1,0.0.0.0,255.255.255.255,UDP,6\r\n"
+            b"2,2001:db8::1,10.0.0.1,TCP,6\n"
+            b"3,192.168.100.10,10.0.0.1,ICMP,4\n"
+            b"4,10.0.0.1,10.0.0.2,TCP,5\n"
+            b"5,10.0.0.1,10.0.0.2,OTHER,4"
+        )
+        with pytest.raises(PacketParseError, match="line 5: unknown ip_version 5"):
+            list(ingest.read_packet_keys(path))
+        assert parsed == [3, 5]
+
+
 class TestWindows:
     def test_window_size_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Property tests: the fast ingest path accepts and rejects exactly what the
-reference definitions (ipaddress, parse_packet_line) accept and reject."""
+"""Property tests: the fast ingest paths accept and reject exactly what the
+reference definitions (ipaddress, parse_packet_line, read_packet_csv) accept
+and reject."""
 
 import ipaddress
 import tempfile
@@ -17,7 +18,14 @@ from pktstats import (  # noqa: E402
     parse_packet_line,
     read_packet_csv,
 )
-from pktstats.ingest import _DOTTED_QUAD, _is_address  # noqa: E402
+from pktstats.ingest import (  # noqa: E402
+    CHUNK_BYTES,
+    DOTTED_QUADS,
+    _DOTTED_QUAD,
+    _is_address,
+    quad_key,
+    read_packet_keys,
+)
 
 
 def _accepted(text: str) -> bool:
@@ -167,3 +175,147 @@ def test_read_packet_csv_matches_parse_packet_line(case):
             assert error is None
     assert [tuple(r) for r in records] == [tuple(r) for r in expected]
     assert [type(r.timestamp) for r in records] == [int] * len(records)
+
+
+OCTETS = st.integers(0, 255).map(str)
+QUADS = st.lists(OCTETS, min_size=4, max_size=4).map(".".join)
+
+
+@st.composite
+def quad_pairs(draw):
+    """Two dotted quads, often sharing their first octets."""
+    a = draw(QUADS)
+    shared = draw(st.integers(0, 4))
+    rest = draw(st.lists(OCTETS, min_size=4 - shared, max_size=4 - shared))
+    b = ".".join(a.split(".")[:shared] + rest)
+    return a, b
+
+
+@settings(max_examples=1000, deadline=None)
+@given(quad_pairs())
+def test_quad_keys_sort_as_the_texts_do(pair):
+    a, b = pair
+    assert (quad_key(a) < quad_key(b)) == (a < b)
+    assert (quad_key(a) == quad_key(b)) == (a == b)
+    assert DOTTED_QUADS[quad_key(a)] == a
+
+
+def _rarely(good, bad, one_in):
+    """``bad`` once in ``one_in`` draws, else ``good``."""
+    return st.integers(0, one_in - 1).flatmap(lambda i: bad if i == 0 else good)
+
+
+# Rows that are canonical but for a rare field or octet just outside the
+# canonical form, so that files read many lines before any error.
+ROW_OCTETS = _rarely(
+    OCTETS, st.sampled_from(["00", "01", "010", "256", "999", "1000", "", "٣", "1 "]), 40
+)
+ROW_ADDRESSES = st.one_of(
+    st.lists(ROW_OCTETS, min_size=4, max_size=4).map(".".join),
+    st.sampled_from(["10.0.0.1", "0.0.0.0", "255.255.255.255", "fd00::1"]),
+)
+ROWS = st.tuples(
+    _rarely(
+        st.integers(0, 10**20).map(str),
+        st.sampled_from(["", "+1", " 7", "1_0", "-0", "-1", "٣", "1.5"]),
+        12,
+    ),
+    ROW_ADDRESSES,
+    ROW_ADDRESSES,
+    _rarely(
+        st.sampled_from(["TCP", "TCP", "UDP", "ICMP", "OTHER"]),
+        st.sampled_from(["tcp", "GRE", "", "TCP ", "TC", "OTHERS"]),
+        12,
+    ),
+    _rarely(st.sampled_from(["4", "4", "6"]), st.sampled_from(["", "5", "04", " 4", "+4"]), 12),
+).map(",".join)
+LINES = st.one_of(*[ROWS] * 6, csv_lines(CANONICAL_FIELDS), st.just(""))
+
+
+@st.composite
+def packet_files(draw):
+    """File bytes: rows that parse, rows that do not, and blank lines, with
+    LF, CRLF or lone-CR ends and sometimes no end on the last line."""
+    lines = draw(st.lists(LINES, max_size=40))
+    # A lone CR sends its whole chunk down the line path, so most files
+    # have none.
+    ends = ["\n", "\n", "\r\n"]
+    if draw(st.integers(0, 3)) == 0:
+        ends.append("\r")
+    ends = [draw(st.sampled_from(ends)) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+def _by_lines(path):
+    """Valid (src, dst) pairs, lines read and the first error of read_packet_csv."""
+    pairs, n_read = [], 0
+    try:
+        for record in read_packet_csv(path):
+            n_read += 1
+            if record[3] == "TCP" and record[4] == 4:
+                pairs.append((record[1], record[2]))
+    except PacketParseError as exc:
+        return pairs, n_read, str(exc)
+    return pairs, n_read, None
+
+
+def _by_chunks(path, chunk_size):
+    """The same, from read_packet_keys with the given chunk size."""
+    pairs, n_read = [], 0
+    try:
+        for batch in read_packet_keys(path, _chunk_size=chunk_size):
+            texts = [
+                (DOTTED_QUADS[src], DOTTED_QUADS[dst])
+                for src, dst in zip(batch.src.tolist(), batch.dst.tolist())
+            ]
+            for i, src, dst in batch.texts:
+                texts[i] = (src, dst)
+            pairs += texts
+            n_read += batch.n_read
+    except PacketParseError as exc:
+        return pairs, n_read, str(exc)
+    return pairs, n_read, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(packet_files(), st.integers(4, 40))
+def test_chunked_reader_matches_read_packet_csv(data, chunk_size):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pkts.csv"
+        path.write_bytes(data)
+        expected = _by_lines(path)
+        # Chunks of a few bytes split lines, CRLF pairs and octets.
+        for size in (1, 2, 3, chunk_size, CHUNK_BYTES):
+            assert _by_chunks(path, size) == expected
+
+
+NEAR_MISSES = [
+    "0,01.2.3.4,5.6.7.8,TCP,4",
+    "0,1.2.3.256,5.6.7.8,TCP,4",
+    "0,1.2.3.1000,5.6.7.8,TCP,4",
+    "0,1..3.4,5.6.7.8,TCP,4",
+    "0,1.2.3.4.5,6.7.8,TCP,4",
+    "0,1.2.3,4.5.6.7.8,TCP,4",
+    ",1.2.3.4,5.6.7.8,TCP,4",
+    "00,0.0.0.0,255.255.255.255,OTHER,6",
+    "99999999999999999999,1.2.3.4,5.6.7.8,TCP,4",
+    "0,1.2.3.4,5.6.7.8,TCP,44",
+    "0,1.2.3.4,5.6.7.8,TCP,4,",
+    "0,1.2.3.4,5.6.7.8,TCP,4\x00",
+    "0,1.2.3.4,5.6.7.8,TCP\x00,4",
+    "0,1.2.3.4,5.6.7.8,TCPTCP,4",
+    "0,1.2.3.4,5.6.7.8,OTHERS,4",
+    "0,1.2.3.4,5.6.7.8,,4",
+    "0,1.2.3.4,fd00::1,TCP,4",
+]
+
+
+@pytest.mark.parametrize("line", NEAR_MISSES)
+def test_near_canonical_lines_read_alike(tmp_path, line):
+    path = tmp_path / "pkts.csv"
+    path.write_bytes(f"1,10.0.0.1,10.0.0.2,TCP,4\n{line}\n2,10.0.0.2,10.0.0.1,TCP,4\n".encode())
+    expected = _by_lines(path)
+    for size in (1, CHUNK_BYTES):
+        assert _by_chunks(path, size) == expected

@@ -1,5 +1,6 @@
 """End-to-end analysis runs: windowing, reports, determinism, failure paths."""
 
+import gzip
 import json
 from collections import Counter
 from pathlib import Path
@@ -13,6 +14,7 @@ from pktstats import (
     CategoryStats,
     EmptyRunError,
     GeneratorSpec,
+    PacketParseError,
     PacketWindow,
     PipelineConfigError,
     QuantityKind,
@@ -28,6 +30,7 @@ from pktstats import (
     log_pool,
     network_quantity,
     probability,
+    read_packet_csv,
     run_analyze,
     write_packet_csv,
     write_topology_csv,
@@ -105,6 +108,85 @@ class TestLoadValidRecords:
         assert summary.total_read == 8
         assert summary.total_valid == 6
         assert summary.total_skipped == 2
+
+
+A, B, C = "10.0.0.1", "10.0.0.2", "10.0.0.3"
+ROWS = b"0,10.0.0.1,10.0.0.2,TCP,4\n1,10.0.0.2,10.0.0.3,UDP,4\n2,10.0.0.3,10.0.0.1,TCP,4\n"
+
+# name: (input files as (suffix, bytes), valid (src, dst) pairs in order,
+# lines read before the first error, that error's text)
+EDGE_CASES = {
+    "crlf ends": (
+        [(".csv", ROWS.replace(b"\n", b"\r\n"))], [(A, B), (C, A)], 3, None
+    ),
+    "lone cr ends a line": (
+        [(".csv", b"0,10.0.0.1,10.0.0.2,TCP,4\r1,10.0.0.2,10.0.0.3,TCP,4\n"
+                  b"2,10.0.0.3,10.0.0.1,TCP,4\r")],
+        [(A, B), (B, C), (C, A)], 3, None,
+    ),
+    "lone cr before crlf": (
+        [(".csv", b"0,10.0.0.1,10.0.0.2,TCP,4\r\r\n1,10.0.0.2,10.0.0.3,TCP,4\n")],
+        [(A, B)], 1, "line 2: expected 5 fields, got 1",
+    ),
+    "no final newline": ([(".csv", ROWS[:-1])], [(A, B), (C, A)], 3, None),
+    "empty file": ([(".csv", b"")], [], 0, None),
+    "blank line": (
+        [(".csv", ROWS.replace(b"\n", b"\n\n", 1))],
+        [(A, B)], 1, "line 2: expected 5 fields, got 1",
+    ),
+    "utf-8 bom": (
+        [(".csv", b"\xef\xbb\xbf" + ROWS)], [], 0, "line 1: bad timestamp '\\ufeff0'"
+    ),
+    "gzip": ([(".csv.gz", gzip.compress(ROWS, mtime=0))], [(A, B), (C, A)], 3, None),
+    "two inputs, lines counted per file": (
+        [(".csv", ROWS), (".csv", ROWS.replace(b"UDP", b"GRE"))],
+        [(A, B), (C, A), (A, B)], 4, "line 2: unknown protocol 'GRE'",
+    ),
+    "ipv6 text in rows marked ipv4": (
+        [(".csv", ROWS + b"3,fd00::1,fd00::2,TCP,4\n4,10.0.0.2,fd00::1,TCP,4\n"
+                         b"5,fd00::1,10.0.0.1,TCP,6\n")],
+        [(A, B), (C, A), ("fd00::1", "fd00::2"), (B, "fd00::1")], 6, None,
+    ),
+}
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("name", list(EDGE_CASES))
+    def test_both_readers_agree(self, tmp_path, name):
+        files, pairs, n_read, error = EDGE_CASES[name]
+        paths = []
+        for i, (suffix, data) in enumerate(files):
+            path = tmp_path / f"input{i}{suffix}"
+            path.write_bytes(data)
+            paths.append(str(path))
+
+        records, raised = [], None
+        try:
+            for path in paths:
+                records.extend(read_packet_csv(path))
+        except PacketParseError as exc:
+            raised = str(exc)
+        valid = [record for record in records if record[3] == "TCP" and record[4] == 4]
+        assert [(r[1], r[2]) for r in valid] == pairs
+        assert (len(records), raised) == (n_read, error)
+
+        if error is not None:
+            with pytest.raises(PacketParseError) as excinfo:
+                load_valid_records(paths)
+            assert str(excinfo.value) == error
+            return
+        stream, summary = load_valid_records(paths)
+        names = stream.names
+        assert [
+            (names[src], names[dst])
+            for src, dst in zip(stream.src.tolist(), stream.dst.tolist())
+        ] == pairs
+        assert summary.total_read == n_read
+        assert summary.total_valid == len(pairs)
+        assert summary.total_skipped == n_read - len(pairs)
+        if pairs:
+            coded = analyze_window(stream.window(0, len(pairs)))
+            assert coded == analyze_window(PacketWindow(0, tuple(valid), len(pairs)))
 
 
 class TestAnalyzeWindow:
