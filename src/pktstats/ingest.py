@@ -289,16 +289,33 @@ def read_packet_csv(path, fmt: FormatSpec = CANONICAL_FORMAT) -> Iterator[Packet
 
     Each distinct address is validated once per file, and every record that
     holds it shares one str object.  The first bad line raises its
-    PacketParseError.
+    PacketParseError.  So does undecodable input (text that is not UTF-8,
+    compressed data that is cut short or corrupt); text is decoded in
+    blocks, so the error names the first line not yet delivered.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     parse = _line_parser(fmt)
     with opener(path, "rt", encoding="utf-8") as fh:
-        lines = iter(enumerate(fh, 1))
-        if fmt.header:
-            next(lines, None)
-        for line_number, line in lines:
-            yield parse(line, line_number)
+        lines = iter(fh)
+        line_number = 0
+        while True:
+            try:
+                line = next(lines)
+            except StopIteration:
+                return
+            except UnicodeDecodeError as exc:
+                raise PacketParseError(
+                    f"undecodable text at or after this line ({exc})", line_number + 1
+                ) from None
+            except (EOFError, zlib.error) as exc:
+                raise PacketParseError(
+                    f"compressed data is cut short or corrupt at or after "
+                    f"this line ({exc})",
+                    line_number + 1,
+                ) from None
+            line_number += 1
+            if line_number > 1 or not fmt.header:
+                yield parse(line, line_number)
 
 
 # Bytes read per step of read_packet_keys.  Every per-line array of a chunk

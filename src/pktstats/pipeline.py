@@ -15,9 +15,7 @@ contract.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -274,6 +272,11 @@ def _analyze_all_windows(
             for size, args in tasks:
                 results[size].append(_window_task(args))
         else:
+            # Imported here: with what they pull in (socket, logging,
+            # selectors) they cost a single-worker run tens of ms at start.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(
                 max_workers=cfg.workers, mp_context=context

@@ -115,12 +115,19 @@ def fan_vectors(matrix: TrafficMatrix) -> FanVectors:
 
 
 def _cell_stats(matrix: TrafficMatrix, cells: np.ndarray) -> CategoryStats:
-    """Stats of the selected cells: distinct rows and columns, their sum."""
+    """Stats of the selected cells: distinct rows and columns, their sum.
+
+    Cells are sorted by row, so distinct rows are counted as value changes;
+    distinct columns are marked in a node mask.
+    """
+    rows = matrix.row[cells]
+    columns = np.zeros(matrix.n_nodes, dtype=bool)
+    columns[matrix.col[cells]] = True
     return CategoryStats(
-        sources=len(np.unique(matrix.row[cells])),
+        sources=int(np.count_nonzero(rows[1:] != rows[:-1])) + (len(rows) > 0),
         packets=int(matrix.count[cells].sum()),
-        links=int(np.count_nonzero(cells)),
-        destinations=len(np.unique(matrix.col[cells])),
+        links=len(rows),
+        destinations=int(np.count_nonzero(columns)),
     )
 
 

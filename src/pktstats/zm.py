@@ -3,10 +3,12 @@
 The model density is rho(d) = 1 / (d + delta)**alpha, normalized over
 d = 1..d_max.  Training solves for the delta that makes the model's
 degree-1 probability match a measured value, via bracketed Newton iteration
-with a bisection fallback.  Inference sweeps a fixed alpha grid, training
-delta at every point in lock-step so each round's model sums come from one
-2-D power, and scores candidates with a half-norm metric on log-pooled bins,
-keeping the best (ties to the smaller alpha).
+with a bisection fallback.  Inference sweeps a fixed alpha grid: a screen
+scores every admitted alpha from cheap short-head sums with a proven error
+bound, and only the alphas that can still win are trained exactly, in
+lock-step so each round's model sums come from one 2-D power.  Candidates
+are scored with a half-norm metric on log-pooled bins, keeping the best
+(ties to the smaller alpha).
 """
 
 from __future__ import annotations
@@ -32,6 +34,16 @@ EVAL_BLOCK_ELEMENTS = 1 << 16
 # Per-bin |log data - log model| gaps below this are float noise and score as
 # an exact match; see half_norm_loss.
 LOG_GAP_NOISE_FLOOR = 1e-12
+
+# Terms the alpha screen sums exactly before each bin's Euler-Maclaurin
+# tail; see _screen.
+SCREEN_HEAD_TERMS = 64
+
+# When the screen leaves at least this share of the admitted alphas as
+# candidates, every admitted alpha is trained exactly.
+CONFIRM_ALL_SHARE = 0.5
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 TRAIN_DELTA_START = 1.0
 TRAIN_DELTA_BOUNDS = (0.0, 10.0)
@@ -470,13 +482,273 @@ def half_norm_loss(
     return loss
 
 
+def _em_tails(alphas: np.ndarray, deltas: np.ndarray, a: int, b: int) -> np.ndarray:
+    """_em_tail over arrays of (alpha, delta), for one range d = a..b.
+
+    The log ratio is taken as log1p((b - a) / x0), which keeps the integral
+    accurate to a few ulps relative even for short ranges far out.
+    """
+    x0 = a + deltas
+    x1 = b + deltas
+    one_m = 1.0 - alphas
+    log_ratio = np.log1p((b - a) / x0)
+    ones = one_m == 0.0
+    safe = np.where(ones, 1.0, one_m)
+    integral = np.where(
+        ones, log_ratio, x0**safe * np.expm1(safe * log_ratio) / safe
+    )
+    fa = x0**-alphas
+    fb = x1**-alphas
+    return integral + 0.5 * (fa + fb) + alphas * (fa / x0 - fb / x1) / 12.0
+
+
+def _em_error(alphas: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Bound on |computed - true| of an _em_tail or _em_tails sum over
+    d = a..b, at every delta in TRAIN_DELTA_BOUNDS, apart from the
+    relative rounding that _screen's rho covers.
+
+    Remainder: with f(x) = (x + delta)**-alpha, every even derivative is
+    positive and every odd one negative.  Euler-Maclaurin to order four
+    (the B4 term plus its remainder, at most 2 zeta(4) / (2 pi)**4 = 1/720
+    times the integral of |f''''|) bounds what the B2 formula leaves by
+    |f'''(a)| / 360 = alpha (alpha+1) (alpha+2) (a + delta)**-(alpha+3) / 360.
+    Rounding: _em_tail takes log(x1 / x0) with an absolute error of at most
+    (3 + 2 log(x1 / x0)) ulps, and the integral's derivative by that log is
+    x1**(1 - alpha) <= x1 * x0**-alpha.  Both decrease in delta apart from
+    x1, so they are taken at delta = 0 and x1 at the upper bound.
+    """
+    lo, hi = TRAIN_DELTA_BOUNDS
+    x0 = a + lo
+    x1 = b + hi
+    fa = float(x0) ** -alphas
+    remainder = alphas * (alphas + 1.0) * (alphas + 2.0) * fa / x0**3 / 360.0
+    rounding = 16.0 * _UNIT_ROUNDOFF * (1.0 + math.log(x1 / x0)) * x1 * fa
+    return remainder + rounding
+
+
+def _screen_sums(
+    alphas: np.ndarray, deltas: np.ndarray, d_max: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-bin masses (rows by bins) and the whole-range sum at exponent
+    alpha + 1, for each row (alpha, delta): the first SCREEN_HEAD_TERMS
+    terms are summed exactly, each bin's remaining range by _em_tails."""
+    head_terms = min(SCREEN_HEAD_TERMS, d_max)
+    base = np.arange(1.0, head_terms + 1.0) + deltas[:, None]
+    head = base ** -alphas[:, None]
+    ranges = _bin_ranges(d_max)
+    bins = np.empty((len(alphas), len(ranges)))
+    for j, (lo, hi) in enumerate(ranges):
+        bins[:, j] = head[:, lo : min(hi, head_terms)].sum(axis=1)
+        if hi > head_terms:
+            bins[:, j] += _em_tails(alphas, deltas, max(lo, head_terms) + 1, hi)
+    s1 = (head / base).sum(axis=1)
+    if d_max > head_terms:
+        s1 += _em_tails(alphas + 1.0, deltas, head_terms + 1, d_max)
+    return bins, s1
+
+
+def _sum_errors(
+    alphas: np.ndarray, d_max: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Absolute error bounds, valid at every delta in the bracket, of the
+    screen's bin masses, of _evaluate's bin masses and of _evaluate's
+    normalization sum, apart from relative rounding: the tail bounds of
+    _em_error plus d_max subnormal ulps for terms that underflow."""
+    exact_terms = EXACT_SUM_TERMS
+    head_terms = min(SCREEN_HEAD_TERMS, d_max)
+    underflow = d_max * 2.0**-1074
+    ranges = _bin_ranges(d_max)
+    screen = np.full((len(alphas), len(ranges)), underflow)
+    exact = np.full((len(alphas), len(ranges)), underflow)
+    for j, (lo, hi) in enumerate(ranges):
+        if hi > head_terms:
+            screen[:, j] += _em_error(alphas, max(lo, head_terms) + 1, hi)
+        if d_max > exact_terms and hi - lo > exact_terms:
+            exact[:, j] += _em_error(alphas, lo + exact_terms + 1, hi)
+    exact_s0 = np.full(len(alphas), underflow)
+    if d_max > exact_terms:
+        exact_s0 += _em_error(alphas, exact_terms + 1, d_max)
+    return screen, exact, exact_s0
+
+
+class _Screen(NamedTuple):
+    """Screened half-norm losses of the admitted alphas, each with a bound
+    on its distance from the exact loss, and a verdict per alpha: 1 when
+    the exact training is proven to succeed, -1 when it is proven to fail,
+    0 when the screen cannot tell or cannot bound the loss (loss nan,
+    bound inf)."""
+
+    loss: np.ndarray
+    bound: np.ndarray
+    verdict: np.ndarray
+
+
+def _screen(data: PooledDistribution, alphas: np.ndarray) -> _Screen:
+    """Screen alphas that passed the exact bracket test at delta = 0.
+
+    Notation: f(delta) = d1 (1 + delta)**alpha S(delta) - 1 is the training
+    function (S the normalization sum), increasing in delta; B_i are the
+    bin masses and m_i = B_i / S the model's pooled values.  The screen's
+    sums (_screen_sums) and _evaluate's differ from the true sums by at
+    most rho relative plus the absolute bounds of _sum_errors (ES_i, EX_i,
+    EX0, with ES and EX their sums over bins), where rho = (256 + 4 alpha)
+    unit roundoffs covers powers (the rounded base costs alpha ulps),
+    pairwise summation depth and the tail formula.  The checks at
+    delta = 10, where the masses are least, keep every such relative error
+    under 1/2, where |log(1 + x)| <= 2 |x|.
+
+    1. Training outcome.  While ES/S and EX0/S stay under 1/4, the
+       screen's f and the float f that _train_lane computes differ by at
+       most err_f = (1 + |f|) (8 rho + 2 (ES + 2 EX0) / S~).  The lane
+       fails exactly when its f(10) <= 0, so f~(10) > err_f proves it
+       trains and f~(10) < -err_f proves it fails.
+    2. Where delta lands.  The trained delta_x has a float residual of at
+       most 2 TRAIN_RESIDUAL_TOL: its Newton phase stops below
+       TRAIN_RESIDUAL_TOL and the ulp walk moves at most 36 ulps (asserted
+       in infer_parameters for each such alpha it trains).  So |f(delta_x)| <= r
+       = 2 TRAIN_RESIDUAL_TOL + 4 rho + 8 EX0 / S~(10).  A Newton solve on
+       the screen's f gives delta_s; when f~ - err_f at delta_s - eps is
+       below -r and f~ + err_f at delta_s + eps is above r (a side beyond
+       the bracket needs no test), f being increasing puts delta_x within
+       eps of delta_s.
+    3. Per bin.  d log B_i / d delta and d log S / d delta both lie in
+       [-alpha / (1 + delta), 0], so |d log m_i / d delta| <= alpha /
+       (1 + delta).  The model's log value in an admissible bin then moves
+       between the screen and the exact fit by at most
+       Delta_i = 8 rho + 2 ES_i / B~_i + 2 ES / S~ + 4 EX_i / B~_i(10)
+       + 4 EX / S~(10) + eps alpha / (1 + delta_lo) + lambda_i,
+       lambda_i = 32 ulp-units (2 + |log v_i| + |log m~_i|) covering the
+       logs (at most 4 ulps each) and the subtraction.
+    4. Per loss term.  With gaps a, b, |a - b| <= Delta_i, clamped to 0
+       below the noise floor c: both above, |sqrt a - sqrt b| <=
+       sqrt(Delta_i); one above, sqrt(a) <= sqrt(c + Delta_i).  So each
+       term moves by at most sqrt(Delta_i + c), and
+       E = sum_i sqrt(Delta_i + c) + 4 (n + 1) u (loss~ + that sum)
+       covers the square roots and the two float sums as well.
+    """
+    d1 = data.values[0]
+    d_max = data.d_max
+    admissible = np.array(admissible_bins(data))
+    log_data = np.log(np.array(data.values)[admissible])
+    n = len(alphas)
+    lo_bound, hi_bound = TRAIN_DELTA_BOUNDS
+    loss = np.full(n, np.nan)
+    bound = np.full(n, np.inf)
+    verdict = np.zeros(n, dtype=np.int8)
+    if not n:
+        return _Screen(loss, bound, verdict)
+
+    rho = (256.0 + 4.0 * alphas) * _UNIT_ROUNDOFF
+    es, ex, ex0 = _sum_errors(alphas, d_max)
+    es_total = es.sum(axis=1)
+    ex_total = ex.sum(axis=1)
+
+    def training(rows: np.ndarray, deltas: np.ndarray):
+        """Bins, S~, f~, its slope and err_f for the given rows."""
+        alpha = alphas[rows]
+        bins, s1 = _screen_sums(alpha, deltas, d_max)
+        s0 = bins.sum(axis=1)
+        scale = d1 * (1.0 + deltas) ** alpha
+        f = scale * s0 - 1.0
+        grad = alpha * scale * (s0 / (1.0 + deltas) - s1)
+        err = (1.0 + np.abs(f)) * (
+            8.0 * rho[rows] + 2.0 * (es_total[rows] + 2.0 * ex0[rows]) / s0
+        )
+        return bins, s0, f, grad, err
+
+    with np.errstate(all="ignore"):
+        rows = np.arange(n)
+        bins10, s0_10, f10, _, err10 = training(rows, np.full(n, hi_bound))
+        sums_ok = rho + (es_total + ex_total + ex0) / s0_10 <= 0.25
+        verdict[sums_ok & (f10 < -err10)] = -1
+        bins_ok = (
+            rho[:, None] + (es + ex)[:, admissible] / bins10[:, admissible] <= 0.25
+        ).all(axis=1)
+        rows = np.flatnonzero(sums_ok & bins_ok & (f10 > err10))
+        if not len(rows):
+            return _Screen(loss, bound, verdict)
+
+        # Newton inside the sign bracket, bisecting when a step leaves it.
+        lo = np.full(len(rows), lo_bound)
+        hi = np.full(len(rows), hi_bound)
+        delta = np.full(len(rows), TRAIN_DELTA_START)
+        for _ in range(64):
+            _, _, f, grad, _ = training(rows, delta)
+            lo = np.where(f < 0.0, delta, lo)
+            hi = np.where(f > 0.0, delta, hi)
+            candidate = delta - f / grad
+            inside = (grad > 0.0) & (lo < candidate) & (candidate < hi)
+            candidate = np.where(inside, candidate, 0.5 * (lo + hi))
+            moving = np.abs(candidate - delta) > 1e-15 * (1.0 + delta)
+            delta = np.where(f != 0.0, candidate, delta)
+            if not moving.any():
+                break
+
+        bins, s0, f, grad, err = training(rows, delta)
+        r = (
+            2.0 * TRAIN_RESIDUAL_TOL
+            + 4.0 * rho[rows]
+            + 8.0 * ex0[rows] / s0_10[rows]
+        )
+        eps = np.maximum(4.0 * (err + r) / grad, 1e-15 * (1.0 + delta))
+        delta_lo = delta - eps
+        delta_hi = delta + eps
+        _, _, f_lo, _, err_lo = training(rows, np.maximum(delta_lo, lo_bound))
+        _, _, f_hi, _, err_hi = training(rows, np.minimum(delta_hi, hi_bound))
+        bracketed = (grad > 0.0) & ((delta_lo <= lo_bound) | (f_lo + err_lo < -r))
+        bracketed &= (delta_hi >= hi_bound) | (f_hi - err_hi > r)
+
+        alpha = alphas[rows]
+        log_model = np.log(bins[:, admissible] / s0[:, None])
+        gaps = np.abs(log_data - log_model)
+        terms = np.sqrt(np.where(gaps < LOG_GAP_NOISE_FLOOR, 0.0, gaps))
+        screened = terms.sum(axis=1)
+        moved = (
+            8.0 * rho[rows, None]
+            + 2.0 * es[rows][:, admissible] / bins[:, admissible]
+            + (2.0 * es_total[rows] / s0)[:, None]
+            + 4.0 * ex[rows][:, admissible] / bins10[rows][:, admissible]
+            + (4.0 * ex_total[rows] / s0_10[rows])[:, None]
+            + (eps * alpha / (1.0 + np.maximum(delta_lo, lo_bound)))[:, None]
+            + 32.0 * _UNIT_ROUNDOFF * (2.0 + np.abs(log_data) + np.abs(log_model))
+        )
+        spread = np.sqrt(moved + LOG_GAP_NOISE_FLOOR).sum(axis=1)
+        spread += 4.0 * (len(admissible) + 1) * _UNIT_ROUNDOFF * (screened + spread)
+        ok = bracketed & np.isfinite(screened) & np.isfinite(spread)
+        verdict[rows[ok]] = 1
+        loss[rows[ok]] = screened[ok]
+        bound[rows[ok]] = spread[ok]
+    return _Screen(loss, bound, verdict)
+
+
+def _admitted(
+    d1: float, alphas: Sequence[float], d_max: int
+) -> List[Tuple[float, _Sums]]:
+    """The alphas that pass _train_lane's bracket test at the lower bound,
+    each with the sums that decided it.  The test rejects most grid alphas,
+    so it is evaluated for the whole grid in one round."""
+    lo = TRAIN_DELTA_BOUNDS[0]
+    sums = _evaluate([(alpha, lo, "s0") for alpha in alphas], d_max)
+    return [
+        (alpha, got)
+        for alpha, got in zip(alphas, sums)
+        if _newton_values(d1, alpha, lo, got)[0] < 0.0
+    ]
+
+
 def infer_parameters(data: PooledDistribution, grid: AlphaGrid = DEFAULT_GRID) -> ZmFit:
     """Grid search over alpha with per-alpha delta training.
 
-    Every grid alpha is trained to match the data's degree-1 value, all alphas
-    in lock-step; candidates are scored by half_norm_loss and the smallest
-    loss wins, ties going to the smaller alpha.  Raises InferenceError when
-    the data is degenerate or no grid point can be trained.
+    Every grid alpha that can win is trained to match the data's degree-1
+    value, all of them in lock-step; candidates are scored by half_norm_loss
+    and the smallest loss wins, ties going to the smaller alpha.  Which
+    alphas can win is settled by _screen: an alpha is trained exactly when
+    the screen cannot decide it, or when its screened loss minus its bound
+    is at most the least screened loss plus bound among the alphas proven
+    trainable, so the exact winner is always among them.  When that leaves
+    CONFIRM_ALL_SHARE of the admitted alphas or more, all are trained.
+    Raises InferenceError when the data is degenerate or no grid point can
+    be trained.
     """
     d1 = data.values[0]
     if not 0.0 < d1 < 1.0:
@@ -485,25 +757,33 @@ def infer_parameters(data: PooledDistribution, grid: AlphaGrid = DEFAULT_GRID) -
     if not bins_used:
         raise InferenceError("no admissible bins to fit")
     d_max = data.d_max
-    # The bracket test at the lower bound rejects most grid alphas, so it is
-    # evaluated for the whole grid in one round and lanes are built only for
-    # the alphas it passes, their memos holding its answer.
-    lo = TRAIN_DELTA_BOUNDS[0]
-    alphas = grid.values
+    admitted = _admitted(d1, grid.values, d_max)
+    screen = _screen(data, np.array([alpha for alpha, _ in admitted]))
+    proven = screen.verdict == 1
+    best_bound = np.min(screen.loss[proven] + screen.bound[proven], initial=np.inf)
+    confirm = (screen.verdict == 0) | (
+        proven & (screen.loss - screen.bound <= best_bound)
+    )
+    if np.count_nonzero(confirm) >= CONFIRM_ALL_SHARE * len(admitted):
+        confirm[:] = True
     lanes = []
-    for alpha, sums in zip(alphas, _evaluate([(a, lo, "s0") for a in alphas], d_max)):
-        if _newton_values(d1, alpha, lo, sums)[0] < 0.0:
-            memo: Dict = {}
-            _remember(memo, lo, sums)
-            lanes.append((alpha, _train_lane(d1, alpha, memo=memo)))
-    results = _run_lanes([lane for _, lane in lanes], d_max)
+    for k in np.flatnonzero(confirm).tolist():
+        alpha, sums = admitted[k]
+        memo: Dict = {}
+        _remember(memo, TRAIN_DELTA_BOUNDS[0], sums)
+        lanes.append((k, alpha, _train_lane(d1, alpha, memo=memo)))
+    results = _run_lanes([lane for _, _, lane in lanes], d_max)
     best: Optional[ZmFit] = None
-    for (alpha, _), result in zip(lanes, results):
+    for (k, alpha, _), result in zip(lanes, results):
+        assert screen.verdict[k] != (1 if result is None else -1), alpha
         if result is None:
             continue
         trained, model_bins = result
         params = ZmParams(alpha=alpha, delta=trained.delta, d_max=d_max)
         loss = half_norm_loss(data, _pooled(params, model_bins))
+        if screen.verdict[k] == 1:
+            assert trained.residual <= 2.0 * TRAIN_RESIDUAL_TOL, alpha
+            assert abs(loss - screen.loss[k]) <= screen.bound[k], alpha
         if best is None or loss < best.loss:
             best = ZmFit(
                 params=params,

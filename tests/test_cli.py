@@ -2,10 +2,14 @@
 
 import gzip
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pktstats
 from pktstats import GeneratorSpec, generate_synthetic, write_packet_csv
 from pktstats.cli import (
     CliUsageError,
@@ -146,6 +150,24 @@ class TestAnalyze:
         assert len(fit_lines) == 5
         for line in fit_lines:
             assert ("alpha=" in line) or ("fit skipped (" in line)
+
+    def test_single_worker_run_imports_no_pool_or_masked_arrays(self, tmp_path):
+        stream = self.stream(tmp_path)
+        argv = ["analyze", "--input", stream, "--nv", "50",
+                "--out", str(tmp_path / "report"), "--workers", "1"]
+        probe = (
+            "import sys\n"
+            "from pktstats.cli import main\n"
+            f"code = main({argv!r})\n"
+            "heavy = ('numpy.ma', 'multiprocessing', 'concurrent.futures')\n"
+            "print(code, [name for name in heavy if name in sys.modules])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(pktstats.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.stdout.splitlines()[-1] == "0 []", result.stderr
 
     def test_quantity_subset_and_workers(self, tmp_path, capsys):
         stream = self.stream(tmp_path)

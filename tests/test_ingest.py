@@ -122,6 +122,34 @@ class TestReadPacketCsv:
             list(read_packet_csv(path))
         assert excinfo.value.line_number == 3
 
+    def test_undecodable_text_raises_parse_error(self, tmp_path):
+        path = tmp_path / "pkts.csv"
+        path.write_bytes(b"0,10.0.0.1,10.0.0.2,TCP,4\n1,10.0.0.\xff,10.0.0.2,TCP,4\n")
+        with pytest.raises(PacketParseError, match="undecodable text") as excinfo:
+            list(read_packet_csv(path))
+        # Text is decoded in blocks: the error names the first line not
+        # yet delivered, here the first.
+        assert excinfo.value.line_number == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "bad block type"])
+    def test_damaged_gzip_raises_parse_error(self, tmp_path, damage):
+        rows = b"".join(
+            b"%d,10.0.%d.%d,10.1.0.1,TCP,4\n" % (i, i >> 8 & 255, i & 255)
+            for i in range(5000)
+        )
+        data = bytearray(gzip.compress(rows, mtime=0))
+        if damage == "truncated":
+            del data[len(data) // 2 :]
+        else:
+            data[10] = 0b111  # the first deflate block (after a 10-byte header)
+        path = tmp_path / "pkts.csv.gz"
+        path.write_bytes(bytes(data))
+        records = []
+        with pytest.raises(PacketParseError, match="compressed data") as excinfo:
+            records.extend(read_packet_csv(path))
+        assert excinfo.value.line_number == len(records) + 1
+        assert [record.timestamp for record in records] == list(range(len(records)))
+
     @pytest.mark.parametrize(
         "bad, message",
         [

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pktstats import zm
@@ -291,6 +292,187 @@ class TestBatchedSolver:
         assert fit.params.alpha == 1.5
         assert batches[0] == len(grid.values) == 781
         assert len(batches) <= 60
+
+
+FINE_GRID = AlphaGrid(0.10, 4.00, 0.005)
+
+
+def noisy_pool(rng, params, samples, windows):
+    """Mean and spread of multinomial draws from a model's pooled values."""
+    model = np.array(model_distribution(params).values)
+    draws = rng.multinomial(samples, model / model.sum(), size=windows) / samples
+    sigmas = draws.std(axis=0) if windows > 1 else np.zeros(len(model))
+    return PooledDistribution(
+        bin_edges(params.d_max),
+        tuple(draws.mean(axis=0).tolist()),
+        tuple(sigmas.tolist()),
+        windows,
+        params.d_max,
+        "k",
+    )
+
+
+def tie_pool(d1, d_max, j, grid, k):
+    """A pool whose only admissible bins are 0 (value d1) and j, on which
+    grid alphas k and k + 1 have the same exact loss: bin j's value starts
+    at the geometric mean of their model values and moves by ulps until
+    the losses are equal.  None when no such value is found."""
+    models = []
+    for alpha in grid.values[k : k + 2]:
+        trained = train_delta(d1, alpha, d_max)
+        if trained is None:
+            return None
+        models.append(model_distribution(ZmParams(alpha, trained.delta, d_max)))
+    values = list(models[0].values)
+    values[0] = d1
+    sigmas = list(values)
+    sigmas[0] = sigmas[j] = 0.0
+    up = down = math.sqrt(models[0].values[j] * models[1].values[j])
+    for _ in range(64):
+        for value in (up, down):
+            values[j] = value
+            data = make_data(values, sigmas, d_max)
+            if half_norm_loss(data, models[0]) == half_norm_loss(data, models[1]):
+                return data
+        up = math.nextafter(up, 1.0)
+        down = math.nextafter(down, 0.0)
+    return None
+
+
+def generated_pools(kind, count, seed):
+    """``count`` pools of one kind: model pools, one-window or four-window
+    multinomial pools, engineered two-alpha ties, or model pools of a grid
+    alpha at the upper delta bound (whose training the screen cannot
+    decide), with d_max spread log-uniformly over 1..4096, each with the
+    grid it is fitted on."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        grid = (DEFAULT_GRID, FINE_GRID)[len(cases) % 2]
+        d_max = int(round(math.exp(rng.uniform(0.0, math.log(4096)))))
+        params = ZmParams(rng.uniform(0.2, 3.9), rng.uniform(0.0, 9.0), d_max)
+        if kind == "model":
+            data = model_distribution(params)
+        elif kind == "noisy":
+            data = noisy_pool(rng, params, int(rng.integers(20, 100_000)), 1)
+        elif kind == "windows":
+            data = noisy_pool(rng, params, int(rng.integers(20, 10_000)), 4)
+        elif kind == "boundary":
+            alpha = grid.values[int(rng.integers(0, len(grid.values)))]
+            upper = zm.TRAIN_DELTA_BOUNDS[1]
+            data = model_distribution(ZmParams(alpha, upper, d_max))
+        else:
+            bins = len(bin_edges(d_max))
+            if bins < 2:
+                continue
+            k = int(rng.integers(0, len(grid.values) - 1))
+            shifted = ZmParams(grid.values[k] + grid.step / 2, params.delta, d_max)
+            d1 = model_distribution(shifted).values[0]
+            data = tie_pool(d1, d_max, int(rng.integers(1, bins)), grid, k)
+            if data is None:
+                continue
+        cases.append((data, grid))
+    return cases
+
+
+def inference_outcome(data, grid):
+    try:
+        return infer_parameters(data, grid)
+    except InferenceError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def lane_counts(monkeypatch):
+    """The number of lanes of each _run_lanes call, in call order."""
+    counts = []
+    run_lanes = zm._run_lanes
+
+    def counted(lanes, d_max):
+        counts.append(len(lanes))
+        return run_lanes(lanes, d_max)
+
+    monkeypatch.setattr(zm, "_run_lanes", counted)
+    return counts
+
+
+class TestScreenedInference:
+    @pytest.mark.parametrize("kind", ["model", "noisy", "windows", "tie", "boundary"])
+    def test_matches_confirming_every_alpha(self, monkeypatch, kind):
+        outcomes = []
+        for data, grid in generated_pools(kind, 40, seed=20261018):
+            screened = inference_outcome(data, grid)
+            with monkeypatch.context() as patch:
+                patch.setattr(zm, "CONFIRM_ALL_SHARE", 0.0)
+                confirmed = inference_outcome(data, grid)
+            assert screened == confirmed, data
+            outcomes.append(screened)
+        fits = [fit for fit in outcomes if isinstance(fit, zm.ZmFit)]
+        assert len(fits) >= 25
+        assert len({fit.params.d_max for fit in fits}) >= 15
+
+    def test_tie_goes_to_the_smaller_alpha(self, lane_counts):
+        d1 = model_distribution(ZmParams(1.5025, 0.7, 1000)).values[0]
+        data = tie_pool(d1, 1000, 7, FINE_GRID, FINE_GRID.values.index(1.5))
+        lane_counts.clear()
+        fit = infer_parameters(data, FINE_GRID)
+        assert fit.params.alpha == 1.5
+        other = train_delta(d1, 1.505, 1000)
+        model = model_distribution(ZmParams(1.505, other.delta, 1000))
+        assert half_norm_loss(data, model) == fit.loss > 0.0
+        assert 2 <= lane_counts[0] <= 10
+
+    @pytest.mark.parametrize(
+        "exact_terms, sizes, grid",
+        [
+            (zm.EXACT_SUM_TERMS, (1, 2, 37, 300, 3000), FINE_GRID),
+            # _evaluate's head-and-tail path, which sums one alpha at a time.
+            (64, (65, 300), AlphaGrid(0.1, 4.0, 0.03)),
+        ],
+    )
+    def test_bound_holds_for_every_admitted_alpha(
+        self, monkeypatch, exact_terms, sizes, grid
+    ):
+        monkeypatch.setattr(zm, "EXACT_SUM_TERMS", exact_terms)
+        rng = np.random.default_rng(5)
+        verdicts = []
+        for d_max in sizes:
+            params = ZmParams(1.3, 0.6, d_max)
+            for data in (
+                model_distribution(params),
+                noisy_pool(rng, params, 5000, 1),
+                noisy_pool(rng, params, 500, 4),
+            ):
+                d1 = data.values[0]
+                admitted = zm._admitted(d1, grid.values, d_max)
+                alphas = np.array([alpha for alpha, _ in admitted])
+                screen = zm._screen(data, alphas)
+                lanes = [zm._train_lane(d1, alpha) for alpha in alphas]
+                results = zm._run_lanes(lanes, d_max)
+                for k, (alpha, result) in enumerate(zip(alphas, results)):
+                    verdict = screen.verdict[k]
+                    verdicts.append(verdict)
+                    if verdict == -1:
+                        assert result is None, alpha
+                    elif verdict == 1:
+                        assert result is not None, alpha
+                        trained, bins = result
+                        model = zm._pooled(ZmParams(alpha, trained.delta, d_max), bins)
+                        loss = half_norm_loss(data, model)
+                        assert abs(loss - screen.loss[k]) <= screen.bound[k], alpha
+        assert verdicts.count(1) >= 100 and verdicts.count(-1) >= 20
+
+    def test_falls_back_to_confirming_every_alpha(self, lane_counts):
+        # With only bin 0 admissible every trained alpha scores 0, so the
+        # screen rules out none of the three quarters of the admitted
+        # alphas it proves trainable.
+        model = model_distribution(ZmParams(1.5, 2.0, 64))
+        data = make_data(model.values, (0.0,) + model.values[1:], 64)
+        fit = infer_parameters(data, FINE_GRID)
+        assert fit.loss == 0.0
+        assert lane_counts == [len(zm._admitted(model.values[0], FINE_GRID.values, 64))]
+        infer_parameters(model, FINE_GRID)
+        assert lane_counts[1] < lane_counts[0] / 100
 
 
 class TestPayloads:
