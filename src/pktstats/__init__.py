@@ -9,164 +9,61 @@ categories.  The CLI entry points are ``pktstats generate`` and
 
 __version__ = "0.1.0"
 
-from .ingest import (
-    CANONICAL_FIELDS,
-    CANONICAL_FORMAT,
-    FormatSpec,
-    IngestSummary,
-    PacketParseError,
-    PacketRecord,
-    PacketWindow,
-    is_valid_packet,
-    iter_windows,
-    next_window,
-    parse_packet_line,
-    read_packet_csv,
-)
-from .matrix import (
-    AggregateSummary,
-    TrafficMatrix,
-    read_matrix_dump,
-    write_matrix_dump,
-)
+from .ingest import iter_windows, read_packet_csv
+from .matrix import TrafficMatrix
 from .netstats import (
     ALL_KINDS,
-    PooledDistribution,
     QuantityKind,
-    bin_edges,
     cumulative,
     degree_histogram,
     log_pool,
     network_quantity,
     pool_quantity,
     probability,
-    read_pooled_csv,
-    window_mean_std,
-    write_pooled_csv,
 )
 from .zm import (
-    AlphaGrid,
-    DEFAULT_GRID,
-    DeltaTraining,
-    InferenceError,
-    ZmFit,
     ZmParams,
-    half_norm_loss,
     infer_parameters,
-    leaf_parameter,
     model_distribution,
     rho,
     rho_grad_delta,
     rho_sum,
     train_delta,
-    write_fit_json,
 )
-from .topology import (
-    CategoryStats,
-    FanVectors,
-    TopologyBreakdown,
-    core_leaves,
-    core_membership,
-    core_stats,
-    fan_vectors,
-    find_supernodes,
-    isolated_links,
-    supernode_leaves,
-    topology_breakdown,
-    write_topology_csv,
-)
+from .topology import topology_breakdown
 from .generator import (
-    GeneratorConfigError,
     GeneratorSpec,
-    GroundTruth,
     generate_synthetic,
-    read_generator_spec,
     sample_zm_degrees,
     write_packet_csv,
 )
-from .pipeline import (
-    DEFAULT_WINDOW_SIZES,
-    EmptyRunError,
-    PipelineConfigError,
-    RunConfig,
-    RunReport,
-    WindowAnalysis,
-    analyze_window,
-    load_valid_records,
-    run_analyze,
-)
+from .pipeline import RunConfig, analyze_window, run_analyze
 
 __all__ = [
     "ALL_KINDS",
-    "AggregateSummary",
-    "AlphaGrid",
-    "CANONICAL_FIELDS",
-    "CANONICAL_FORMAT",
-    "CategoryStats",
-    "DEFAULT_GRID",
-    "DEFAULT_WINDOW_SIZES",
-    "DeltaTraining",
-    "EmptyRunError",
-    "FanVectors",
-    "FormatSpec",
-    "GeneratorConfigError",
     "GeneratorSpec",
-    "GroundTruth",
-    "IngestSummary",
-    "InferenceError",
-    "PacketParseError",
-    "PacketRecord",
-    "PacketWindow",
-    "PipelineConfigError",
-    "PooledDistribution",
     "QuantityKind",
     "RunConfig",
-    "RunReport",
-    "TopologyBreakdown",
     "TrafficMatrix",
-    "WindowAnalysis",
-    "ZmFit",
     "ZmParams",
     "analyze_window",
-    "bin_edges",
-    "core_leaves",
-    "core_membership",
-    "core_stats",
     "cumulative",
     "degree_histogram",
-    "fan_vectors",
-    "find_supernodes",
     "generate_synthetic",
-    "half_norm_loss",
     "infer_parameters",
-    "is_valid_packet",
-    "isolated_links",
     "iter_windows",
-    "leaf_parameter",
-    "load_valid_records",
     "log_pool",
     "model_distribution",
     "network_quantity",
-    "next_window",
-    "parse_packet_line",
     "pool_quantity",
     "probability",
-    "read_generator_spec",
-    "read_matrix_dump",
     "read_packet_csv",
-    "read_pooled_csv",
     "rho",
     "rho_grad_delta",
     "rho_sum",
     "run_analyze",
     "sample_zm_degrees",
-    "supernode_leaves",
     "topology_breakdown",
     "train_delta",
-    "window_mean_std",
-    "write_fit_json",
-    "write_matrix_dump",
     "write_packet_csv",
-    "write_pooled_csv",
-    "write_topology_csv",
 ]

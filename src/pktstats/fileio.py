@@ -32,12 +32,6 @@ class _GzipTextWriter(io.TextIOWrapper):
             self._binary.close()
 
 
-def open_text_read(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
-
-
 def open_text_write(path):
     if str(path).endswith(".gz"):
         return _GzipTextWriter(path)

@@ -1,15 +1,15 @@
 """Packet-record ingest: CSV parsing, validity filtering, and fixed-size windowing.
 
 A packet stream is a sequence of records ``(timestamp_us, src, dst, protocol,
-ip_version)``.  Only TCP-over-IPv4 records are *valid*; windowing groups every
-``n_valid`` consecutive valid records into an immutable window, skipping (but
-counting) invalid ones.  A trailing partial window is discarded.
-
-Valid packets can also be held as ``CodedPackets``: two integer arrays of
-source and destination codes into one sorted address table, so a window is a
-slice of the arrays and code order is lexicographic address order.
-``read_packet_keys`` reads a packet CSV as byte chunks and codes each dotted
-quad by its key, its index in ``DOTTED_QUADS``, with no str per packet.
+ip_version)``.  Only TCP-over-IPv4 records are *valid*.  Valid packets are
+held as ``CodedPackets``: two integer arrays of source and destination codes
+into one sorted address table, so code order is lexicographic address order.
+Windowing groups every ``n_valid`` consecutive valid records into one
+``CodedPackets`` window, skipping (but counting) invalid ones; a trailing
+partial window is discarded.  A coded stream is cut into windows by slicing
+its arrays.  ``read_packet_keys`` reads a packet CSV as byte chunks and codes
+each dotted quad by its key, its index in ``DOTTED_QUADS``, with no str per
+packet.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import ipaddress
 import operator
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
@@ -80,39 +80,21 @@ CANONICAL_FORMAT = FormatSpec()
 
 @dataclass
 class IngestSummary:
-    """Counters accumulated while consuming a stream."""
+    """Counters of the records a stream has delivered."""
 
     total_read: int = 0
     total_valid: int = 0
     total_skipped: int = 0
 
 
-@dataclass(frozen=True)
-class PacketWindow:
-    """Exactly ``n_valid`` consecutive valid packets, immutable once built."""
-
-    index: int
-    records: tuple
-    n_valid: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("window index must be >= 0")
-        if self.n_valid < 1:
-            raise ValueError("n_valid must be >= 1")
-        if len(self.records) != self.n_valid:
-            raise ValueError(
-                f"window holds {len(self.records)} records, expected {self.n_valid}"
-            )
-
-
 @dataclass(frozen=True, eq=False)
 class CodedPackets:
-    """Valid packets as codes into a sorted address table.
+    """Valid packets as codes into a sorted address table: a coded stream,
+    or one window of it (``index`` counts windows from 0).
 
-    Packet i goes from ``names[src[i]]`` to ``names[dst[i]]``.  A whole stream
-    and each of its windows share one table; ``window`` slices without copying.
-    The table is a tuple of the stream's addresses, or ``DOTTED_QUADS``.
+    Packet i goes from ``names[src[i]]`` to ``names[dst[i]]``.  A stream and
+    the windows ``window`` slices from it, without copying, share one table.
+    The table is a tuple of addresses, or ``DOTTED_QUADS``.
     """
 
     src: np.ndarray
@@ -515,40 +497,41 @@ def next_window(
     *,
     index: int = 0,
     summary: Optional[IngestSummary] = None,
-) -> Optional[PacketWindow]:
+) -> Optional[CodedPackets]:
     """Consume the stream until one complete window is filled.
 
+    The window's packets are coded by their own sorted address table.
     Returns None when the stream ends first (the partial batch is discarded;
     its records still count in the summary).
     """
     if n_valid < 1:
         raise ValueError("n_valid must be >= 1")
-    batch: list = []
-    append = batch.append
-    if summary is None:
-        for record in stream:
+    srcs: list = []
+    dsts: list = []
+    add_src, add_dst = srcs.append, dsts.append
+    read = 0
+    try:
+        for read, record in enumerate(stream, 1):
             if record[3] == "TCP" and record[4] == 4:
-                append(record)
-                if len(batch) == n_valid:
-                    return PacketWindow(index, tuple(batch), n_valid)
+                add_src(record[1])
+                add_dst(record[2])
+                if len(srcs) == n_valid:
+                    break
+    finally:
+        if summary is not None:
+            summary.total_read += read
+            summary.total_valid += len(srcs)
+            summary.total_skipped += read - len(srcs)
+    if len(srcs) < n_valid:
         return None
-    for record in stream:
-        summary.total_read += 1
-        if record[3] == "TCP" and record[4] == 4:
-            summary.total_valid += 1
-            append(record)
-            if len(batch) == n_valid:
-                return PacketWindow(index, tuple(batch), n_valid)
-        else:
-            summary.total_skipped += 1
-    return None
+    return replace(intern_addresses(srcs, dsts), index=index)
 
 
 def iter_windows(
     stream: Iterable,
     n_valid: int,
     summary: Optional[IngestSummary] = None,
-) -> Iterator[PacketWindow]:
+) -> Iterator[CodedPackets]:
     """Yield every complete window of the stream in order."""
     it = iter(stream)
     index = 0

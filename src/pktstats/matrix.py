@@ -5,20 +5,19 @@ stored entry is a positive packet count.  Both roles share one node id space:
 the window's addresses, compacted and numbered in lexicographic order, so id
 order is name order.  Entries are three integer arrays (row, col, count)
 sorted by (row, col); per-node fan and volume arrays are derived once at
-construction.  Name-keyed dict views are built from the arrays on request.
+construction.  A matrix is built in one step, from a window of
+``CodedPackets`` or from a {(src, dst): count} mapping, and is immutable.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import countOf, itemgetter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fileio import open_text_read, open_text_write
-from .ingest import CodedPackets, PacketWindow, intern_addresses, is_valid_packet
+from .ingest import CodedPackets, intern_addresses
 
 
 @dataclass(frozen=True)
@@ -52,46 +51,33 @@ def _cells(packets: CodedPackets, weights: Optional[Sequence[int]] = None) -> tu
     return packets.names, nodes, row, col, count
 
 
-_CELL_SLOTS = (
-    "_names",
-    "_nodes",
-    "row",
-    "col",
-    "count",
-    "out_degree",
-    "in_degree",
-    "out_volume",
-    "in_volume",
-    "total",
-)
-
-
 class TrafficMatrix:
     """Sparse nonnegative integer matrix over address-string keys.
 
-    ``TrafficMatrix()`` is open for ``accumulate`` until ``freeze()``, and
-    reading its entries before then raises ``ValueError``; the factory
-    methods return frozen matrices.  Equality is by content, so any
-    insertion order of the same multiset of triples yields equal matrices.
+    Built by ``from_window`` or ``from_counts`` and immutable afterwards.
+    Equality is by content, so any insertion order of the same multiset of
+    triples yields equal matrices.
 
     Arrays (read-only by convention): ``row``, ``col``, ``count`` per entry;
     ``out_degree``, ``in_degree``, ``out_volume``, ``in_volume`` per node id.
     """
 
-    __slots__ = ("_pending",) + _CELL_SLOTS
+    __slots__ = (
+        "_names",
+        "_nodes",
+        "row",
+        "col",
+        "count",
+        "out_degree",
+        "in_degree",
+        "out_volume",
+        "in_volume",
+        "total",
+    )
 
-    def __init__(self):
-        self._pending: Optional[Dict[Tuple[str, str], int]] = {}
-
-    def __getattr__(self, name):
-        # Reached only for slots that are still unset: the arrays of a
-        # matrix that has not been frozen yet.
-        if name in _CELL_SLOTS and self._pending is not None:
-            raise ValueError("matrix is not frozen")
-        raise AttributeError(name)
-
-    def _set_cells(self, names, nodes, row, col, count) -> None:
-        # names: a sorted address table; nodes: table index of each node id.
+    def __init__(self, names, nodes, row, col, count):
+        # The cells of _cells: names is a sorted address table, nodes the
+        # table index of each node id.
         self._names = names
         self._nodes = nodes
         self.row = row
@@ -106,54 +92,12 @@ class TrafficMatrix:
         self.in_volume = np.bincount(col, weights=count, minlength=n).astype(np.int64)
         self.total = int(count.sum())
 
-    @classmethod
-    def _from_cells(cls, names, nodes, row, col, count) -> "TrafficMatrix":
-        m = cls.__new__(cls)
-        m._pending = None
-        m._set_cells(names, nodes, row, col, count)
-        return m
-
     # -- construction ------------------------------------------------------
 
-    def accumulate(self, src: str, dst: str, count: int = 1) -> "TrafficMatrix":
-        """Add ``count`` packets to entry (src, dst); creates it if missing."""
-        if self._pending is None:
-            raise ValueError("matrix is frozen")
-        if not isinstance(count, int) or count < 1:
-            raise ValueError(f"count must be a positive integer, got {count!r}")
-        key = (src, dst)
-        self._pending[key] = self._pending.get(key, 0) + count
-        return self
-
-    def freeze(self) -> "TrafficMatrix":
-        if self._pending is not None:
-            pending, self._pending = self._pending, None
-            srcs = [src for src, _ in pending]
-            dsts = [dst for _, dst in pending]
-            coded = intern_addresses(srcs, dsts)
-            self._set_cells(*_cells(coded, list(pending.values())))
-        return self
-
     @classmethod
-    def from_window(cls, window) -> "TrafficMatrix":
-        """Build the matrix of one window; total entries equal window.n_valid.
-
-        ``window`` is a ``PacketWindow`` of records, whose addresses are coded
-        here, or ``CodedPackets`` whose packets are all valid.
-        """
-        if isinstance(window, PacketWindow):
-            records = window.records
-            n = len(records)
-            if (
-                countOf(map(itemgetter(3), records), "TCP") != n
-                or countOf(map(itemgetter(4), records), 4) != n
-            ):
-                bad = next(r for r in records if not is_valid_packet(r))
-                raise ValueError(f"window contains an invalid packet: {bad!r}")
-            srcs = list(map(itemgetter(1), records))
-            dsts = list(map(itemgetter(2), records))
-            window = intern_addresses(srcs, dsts)
-        m = cls._from_cells(*_cells(window))
+    def from_window(cls, window: CodedPackets) -> "TrafficMatrix":
+        """Build the matrix of one window; total entries equal window.n_valid."""
+        m = cls(*_cells(window))
         if m.total != window.n_valid:
             raise AssertionError(
                 f"conservation violated: {m.total} entries != {window.n_valid} packets"
@@ -162,11 +106,12 @@ class TrafficMatrix:
 
     @classmethod
     def from_counts(cls, counts: Dict[Tuple[str, str], int]) -> "TrafficMatrix":
-        """Build from a {(src, dst): count} mapping (test/tool convenience)."""
-        m = cls()
-        for (src, dst), count in counts.items():
-            m.accumulate(src, dst, count)
-        return m.freeze()
+        """Build from a {(src, dst): count} mapping of positive integer counts."""
+        for count in counts.values():
+            if not isinstance(count, int) or count < 1:
+                raise ValueError(f"count must be a positive integer, got {count!r}")
+        coded = intern_addresses([src for src, _ in counts], [dst for _, dst in counts])
+        return cls(*_cells(coded, list(counts.values())))
 
     # -- node ids ----------------------------------------------------------
 
@@ -199,38 +144,18 @@ class TrafficMatrix:
 
     # -- views -------------------------------------------------------------
 
-    def _nested(self, outer: np.ndarray, inner: np.ndarray) -> Dict[str, Dict[str, int]]:
-        names = self.node_names(range(self.n_nodes))
-        nested: Dict[str, Dict[str, int]] = {}
-        for i, j, count in zip(outer.tolist(), inner.tolist(), self.count.tolist()):
-            nested.setdefault(names[i], {})[names[j]] = count
-        return nested
-
     @property
     def rows(self) -> Dict[str, Dict[str, int]]:
         """Row-major view src -> dst -> count (built on each access)."""
-        return self._nested(self.row, self.col)
-
-    @property
-    def cols(self) -> Dict[str, Dict[str, int]]:
-        """Column-major view dst -> src -> count (built on each access)."""
-        return self._nested(self.col, self.row)
-
-    @property
-    def row_keys(self) -> Tuple[str, ...]:
-        return tuple(self.node_names(np.flatnonzero(self.out_degree)))
-
-    @property
-    def col_keys(self) -> Tuple[str, ...]:
-        return tuple(self.node_names(np.flatnonzero(self.in_degree)))
+        rows: Dict[str, Dict[str, int]] = {}
+        for src, dst, count in self.entries():
+            rows.setdefault(src, {})[dst] = count
+        return rows
 
     @property
     def nnz(self) -> int:
         """Number of stored entries (unique links)."""
         return len(self.count)
-
-    def entry(self, src: str, dst: str) -> int:
-        return self.rows.get(src, {}).get(dst, 0)
 
     def entries(self) -> Iterator[Tuple[str, str, int]]:
         """All (src, dst, count) triples in sorted (src, dst) order."""
@@ -258,19 +183,6 @@ class TrafficMatrix:
         nodes, values = self._reduction(axis, mode)
         return dict(zip(self.node_names(nodes), values.tolist()))
 
-    def submatrix(
-        self, row_keys: Optional[Set[str]], col_keys: Optional[Set[str]]
-    ) -> "TrafficMatrix":
-        """Restriction to the given key sets (None selects everything)."""
-        return TrafficMatrix.from_counts(
-            {
-                (src, dst): count
-                for src, dst, count in self.entries()
-                if (row_keys is None or src in row_keys)
-                and (col_keys is None or dst in col_keys)
-            }
-        )
-
     def aggregates(self) -> AggregateSummary:
         return AggregateSummary(
             valid_packets=self.total,
@@ -286,41 +198,13 @@ class TrafficMatrix:
             return NotImplemented
         return list(self.entries()) == list(other.entries())
 
-    __hash__ = None  # mutable-until-frozen; not hashable
+    __hash__ = None  # equal by content, unlike the default identity hash
 
     def __len__(self) -> int:
         return self.nnz
 
     def __repr__(self) -> str:
-        if self._pending is not None:
-            return f"TrafficMatrix(unfrozen, pending={len(self._pending)})"
         return (
             f"TrafficMatrix(links={self.nnz}, packets={self.total}, "
             f"sources={np.count_nonzero(self.out_degree)})"
         )
-
-
-def write_matrix_dump(path, matrix: TrafficMatrix) -> int:
-    """Write sorted ``src,dst,count`` triples; returns the row count."""
-    n = 0
-    with open_text_write(path) as fh:
-        for src, dst, count in matrix.entries():
-            fh.write(f"{src},{dst},{count}\n")
-            n += 1
-    return n
-
-
-def read_matrix_dump(path) -> TrafficMatrix:
-    """Read a triple-list dump back into a matrix."""
-    counts: Dict[Tuple[str, str], int] = {}
-    with open_text_read(path) as fh:
-        for line_number, line in enumerate(fh, 1):
-            parts = line.rstrip("\r\n").split(",")
-            if len(parts) != 3:
-                raise ValueError(f"line {line_number}: expected 3 fields")
-            src, dst, raw = parts
-            count = int(raw)
-            if count < 1:
-                raise ValueError(f"line {line_number}: count must be positive")
-            counts[(src, dst)] = counts.get((src, dst), 0) + count
-    return TrafficMatrix.from_counts(counts)

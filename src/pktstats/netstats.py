@@ -2,9 +2,9 @@
 
 Five quantities are extracted from a traffic matrix (source packets, source
 fan-out, link packets, destination fan-in, destination packets).  Their
-histograms are normalized to probabilities, accumulated, and pooled into
-power-of-two bins; bin 0 covers exactly degree 1 so leaf nodes stay separated
-from everything else.  Across windows, per-bin means and population standard
+histograms are normalized to probabilities, summed cumulatively, and pooled
+into power-of-two bins; bin 0 covers exactly degree 1 so leaf nodes stay
+separated from everything else.  Across windows, per-bin means and population standard
 deviations summarize the distribution.
 """
 
@@ -198,13 +198,6 @@ def window_mean_std(pools: Sequence[PooledDistribution]) -> PooledDistribution:
     )
 
 
-def observed_dmax(pooled: PooledDistribution) -> int:
-    """Largest raw degree observed (tracked alongside pooling, not a bin edge)."""
-    if not any(v > 0.0 for v in pooled.values):
-        raise ValueError("all-zero distribution has no observed maximum")
-    return pooled.d_max
-
-
 def pool_quantity(
     matrix: TrafficMatrix, kind: QuantityKind
 ) -> PooledDistribution:
@@ -235,38 +228,3 @@ def write_pooled_csv(path, pooled: PooledDistribution) -> int:
         for edge, mean, sigma in zip(pooled.bin_edges, pooled.values, pooled.sigmas):
             writer.writerow([pooled.kind, edge, repr(mean), repr(sigma), pooled.n_windows])
     return len(pooled.bin_edges)
-
-
-def read_pooled_csv(path, d_max: Optional[int] = None) -> PooledDistribution:
-    """Read a pooled CSV back.
-
-    The file format does not carry d_max, so callers may pass the exact value;
-    otherwise the largest bin edge with nonzero mass is assumed.
-    """
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if row == list(POOLED_CSV_HEADER):
-                continue
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: no pooled rows")
-    kinds = {row[0] for row in rows}
-    if len(kinds) != 1:
-        raise ValueError(f"{path}: mixed kinds {sorted(kinds)}")
-    edges = tuple(int(row[1]) for row in rows)
-    values = tuple(float(row[2]) for row in rows)
-    sigmas = tuple(float(row[3]) for row in rows)
-    n_windows = int(rows[0][4])
-    if d_max is None:
-        nonzero = [e for e, v in zip(edges, values) if v > 0.0]
-        d_max = nonzero[-1] if nonzero else edges[-1]
-    return PooledDistribution(
-        bin_edges=edges,
-        values=values,
-        sigmas=sigmas,
-        n_windows=n_windows,
-        d_max=d_max,
-        kind=rows[0][0],
-    )

@@ -18,7 +18,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .ingest import (
     DOTTED_QUADS,
     CodedPackets,
     IngestSummary,
-    PacketWindow,
     intern_addresses,
     read_packet_keys,
 )
@@ -148,7 +147,7 @@ class RunReport:
 
 
 def analyze_window(
-    window: Union[PacketWindow, CodedPackets],
+    window: CodedPackets,
     quantities: Sequence[QuantityKind] = ALL_KINDS,
     *,
     supernode_k: int = DEFAULT_SUPERNODE_COUNT,

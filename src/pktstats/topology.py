@@ -40,23 +40,6 @@ TOPOLOGY_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class FanVectors:
-    """Per-node connection counts of one matrix: fan-out for sources, fan-in
-    for destinations.  The category functions take it as an argument and
-    read the same counts from the matrix's ``out_degree``/``in_degree``."""
-
-    matrix: TrafficMatrix
-
-    @property
-    def d_out(self) -> Dict[str, int]:
-        return self.matrix.reduce("row", "nnz")
-
-    @property
-    def d_in(self) -> Dict[str, int]:
-        return self.matrix.reduce("col", "nnz")
-
-
 @dataclass(frozen=True)
 class CategoryStats:
     """Counts attributed to one topology category."""
@@ -109,11 +92,6 @@ class CategoryFractions:
                 raise ValueError(f"fraction {name} must be in [0, 1], got {value}")
 
 
-def fan_vectors(matrix: TrafficMatrix) -> FanVectors:
-    """Fan-out and fan-in for every source and destination in the matrix."""
-    return FanVectors(matrix)
-
-
 def _cell_stats(matrix: TrafficMatrix, cells: np.ndarray) -> CategoryStats:
     """Stats of the selected cells: distinct rows and columns, their sum.
 
@@ -147,7 +125,7 @@ def _sided_stats(
     )
 
 
-def isolated_links(matrix: TrafficMatrix, fans: FanVectors) -> CategoryStats:
+def isolated_links(matrix: TrafficMatrix) -> CategoryStats:
     """Links whose source has fan-out 1 and whose destination has fan-in 1.
 
     Structurally, isolated sources, links, and destinations are all equal:
@@ -203,7 +181,7 @@ def find_supernodes(
 
 
 def supernode_leaves(
-    matrix: TrafficMatrix, supernodes: Sequence[str], fans: FanVectors
+    matrix: TrafficMatrix, supernodes: Sequence[str]
 ) -> CategoryStats:
     """Degree-1 nodes whose only link touches a supernode.
 
@@ -236,7 +214,6 @@ def _core_masks(
 def core_membership(
     matrix: TrafficMatrix,
     supernodes: Sequence[str],
-    fans: FanVectors,
     *,
     strict_inequality: bool = False,
 ) -> Tuple[FrozenSet[str], FrozenSet[str]]:
@@ -257,7 +234,7 @@ def core_membership(
 def core_stats(
     matrix: TrafficMatrix, i_core: FrozenSet[str], j_core: FrozenSet[str]
 ) -> CategoryStats:
-    """Stats of the submatrix restricted to core sources and destinations."""
+    """Stats of the cells from a core source to a core destination."""
     return _core_stats(matrix, matrix.node_mask(i_core), matrix.node_mask(j_core))
 
 
@@ -271,7 +248,6 @@ def core_leaves(
     matrix: TrafficMatrix,
     i_core: FrozenSet[str],
     j_core: FrozenSet[str],
-    fans: FanVectors,
 ) -> CategoryStats:
     """Degree-1 nodes whose only link lands on (or comes from) a core node."""
     return _core_leaves(
@@ -365,13 +341,12 @@ def topology_breakdown(
             residual_packets=0,
             residual_links=0,
         )
-    fans = fan_vectors(matrix)
     supers = find_supernodes(matrix, k)
     is_super = matrix.node_mask(supers)
     i_core, j_core = _core_masks(matrix, supers, strict_core)
     categories = {
-        "isolated_links": isolated_links(matrix, fans),
-        "supernode_leaves": supernode_leaves(matrix, supers, fans),
+        "isolated_links": isolated_links(matrix),
+        "supernode_leaves": supernode_leaves(matrix, supers),
         "supernodes": _supernode_category(matrix, is_super, j_core, i_core),
         "core": _core_stats(matrix, i_core, j_core),
         "core_leaves": _core_leaves(matrix, i_core, j_core),
@@ -444,23 +419,3 @@ def write_topology_csv(path, breakdown: TopologyBreakdown) -> int:
             ]
         )
     return len(CATEGORY_ORDER) + 2
-
-
-def read_topology_csv(path) -> Dict[str, CategoryStats]:
-    """Category rows from a topology CSV (fractions are recomputable)."""
-    out: Dict[str, CategoryStats] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != TOPOLOGY_CSV_HEADER:
-            raise ValueError(f"unexpected topology CSV header: {header!r}")
-        for row in reader:
-            if row[0] == "residual":
-                continue
-            out[row[0]] = CategoryStats(
-                sources=int(row[1]),
-                packets=int(row[2]),
-                links=int(row[3]),
-                destinations=int(row[4]),
-            )
-    return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -106,11 +107,21 @@ class AlphaGrid:
             raise ValueError("grid step must be > 0")
         if self.stop < self.start:
             raise ValueError("grid stop must be >= start")
+        # Training evaluates (1 + delta)**alpha up to the upper delta bound,
+        # which is past the largest float for any larger alpha.
+        top = math.log(sys.float_info.max) / math.log1p(TRAIN_DELTA_BOUNDS[1])
+        if not self.stop <= top or self._value(self._count() - 1) > top:
+            raise ValueError(f"grid stop must be <= {top:.6f}")
+
+    def _count(self) -> int:
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+
+    def _value(self, k: int) -> float:
+        return round(self.start + k * self.step, 9)
 
     @property
     def values(self) -> Tuple[float, ...]:
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9))
-        return tuple(round(self.start + k * self.step, 9) for k in range(n + 1))
+        return tuple(self._value(k) for k in range(self._count()))
 
 
 DEFAULT_GRID = AlphaGrid()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pktstats import PacketWindow, TrafficMatrix
+from pktstats import TrafficMatrix
+from pktstats.ingest import CodedPackets, next_window
 
 # A small star plus a satellite source: s1 fans out to three destinations
 # (twice to d1), while s2 sends a single packet into d1.
@@ -38,8 +39,17 @@ def star_matrix() -> TrafficMatrix:
 
 
 @pytest.fixture
-def star_window() -> PacketWindow:
-    return PacketWindow(0, tuple(make_records(STAR_PAIRS)), 5)
+def star_window() -> CodedPackets:
+    return next_window(iter(make_records(STAR_PAIRS)), 5)
+
+
+def window_pairs(window: CodedPackets):
+    """The (src, dst) address pairs of a window's packets, in order."""
+    names = window.names
+    return [
+        (names[src], names[dst])
+        for src, dst in zip(window.src.tolist(), window.dst.tolist())
+    ]
 
 
 def random_cells(rng: np.random.Generator, max_side: int = 80, max_cells: int = 300):

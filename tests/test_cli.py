@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pktstats
-from pktstats import GeneratorSpec, generate_synthetic, write_packet_csv
+from pktstats import GeneratorSpec, ZmParams, generate_synthetic, write_packet_csv
 from pktstats.cli import (
     CliUsageError,
     main,
@@ -180,6 +180,24 @@ class TestAnalyze:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["quantities"] == ["source_fan_out", "link_packets"]
+
+    def test_alpha_grid_past_the_overflow_bound_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        # Training this stream's source fan-out at alpha 300 would overflow
+        # (1 + delta)**alpha at the upper delta bound.
+        spec = GeneratorSpec(degree_model=ZmParams(1.5, 0.5, 1024), seed=1)
+        stream = write_stream(tmp_path, spec, 3000)
+        out = tmp_path / "report"
+        code = main(
+            ["analyze", "--input", stream, "--nv", "3000", "--out", str(out),
+             "--quantities", "source_fan_out", "--alpha-grid", "290:300:5"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid stop must be <= 296.00")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_bad_quantity_name(self, tmp_path, capsys):
         stream = self.stream(tmp_path)

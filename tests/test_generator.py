@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 
 from pktstats import (
-    CategoryStats,
-    GeneratorConfigError,
     GeneratorSpec,
     TrafficMatrix,
     ZmParams,
     generate_synthetic,
-    is_valid_packet,
     iter_windows,
-    read_generator_spec,
     read_packet_csv,
     sample_zm_degrees,
     topology_breakdown,
     write_packet_csv,
 )
-from pktstats.generator import spec_from_mapping
-from pktstats.topology import ZERO_STATS
+from pktstats.generator import (
+    GeneratorConfigError,
+    read_generator_spec,
+    spec_from_mapping,
+)
+from pktstats.ingest import is_valid_packet
+from pktstats.topology import ZERO_STATS, CategoryStats
 
 
 def matrix_of(records):

@@ -6,22 +6,19 @@ from collections import Counter
 
 import pytest
 
-from pktstats import ingest
-from pktstats import (
+from pktstats import ingest, iter_windows, read_packet_csv
+from pktstats.ingest import (
     CANONICAL_FIELDS,
     FormatSpec,
     IngestSummary,
     PacketParseError,
     PacketRecord,
-    PacketWindow,
     is_valid_packet,
-    iter_windows,
     next_window,
     parse_packet_line,
-    read_packet_csv,
 )
 
-from conftest import make_records
+from conftest import make_records, window_pairs
 
 
 class TestParsePacketLine:
@@ -293,20 +290,24 @@ class TestReadPacketKeys:
 class TestWindows:
     def test_window_size_validation(self):
         with pytest.raises(ValueError):
-            PacketWindow(0, (), 1)
-        with pytest.raises(ValueError):
-            PacketWindow(-1, ((0, "a", "b", "TCP", 4),), 1)
-        with pytest.raises(ValueError):
             next_window(iter(()), 0)
 
     def test_exact_windows_and_discarded_tail(self):
-        records = make_records([("a", "b")] * 7)
+        records = make_records([(f"s{i}", f"d{i % 2}") for i in range(7)])
         windows = list(iter_windows(records, 3))
         assert [w.index for w in windows] == [0, 1]
-        assert all(w.n_valid == 3 and len(w.records) == 3 for w in windows)
+        assert all(w.n_valid == 3 and len(w) == 3 for w in windows)
         # 7 = 2 full windows + 1 leftover record, which is dropped.
-        assert windows[0].records == tuple(records[:3])
-        assert windows[1].records == tuple(records[3:6])
+        assert window_pairs(windows[0]) == [(r[1], r[2]) for r in records[:3]]
+        assert window_pairs(windows[1]) == [(r[1], r[2]) for r in records[3:6]]
+
+    def test_each_window_is_coded_by_its_own_table(self):
+        records = make_records([("b", "a"), ("c", "a"), ("a", "d"), ("e", "f")])
+        first, second = iter_windows(records, 2)
+        assert first.names == ("a", "b", "c")
+        assert (first.src.tolist(), first.dst.tolist()) == ([1, 2], [0, 0])
+        assert second.names == ("a", "d", "e", "f")
+        assert (second.src.tolist(), second.dst.tolist()) == ([0, 2], [1, 3])
 
     def test_invalid_packets_are_skipped_not_windowed(self):
         valid = make_records([("a", "b")] * 4)
@@ -315,7 +316,7 @@ class TestWindows:
         summary = IngestSummary()
         windows = list(iter_windows(interleaved, 2, summary))
         assert len(windows) == 2
-        assert all(rec[3] == "TCP" for w in windows for rec in w.records)
+        assert all(window_pairs(w) == [("a", "b")] * 2 for w in windows)
         assert summary.total_read == 7
         assert summary.total_valid == 4
         assert summary.total_skipped == 3
@@ -326,8 +327,21 @@ class TestWindows:
         assert next_window(iter(records), 5, summary=summary) is None
         assert summary.total_read == 2 and summary.total_valid == 2
 
+    def test_summary_counts_records_read_before_a_stream_error(self):
+        def stream():
+            yield from make_records([("a", "b")] * 2)
+            yield from make_records([("c", "d")], protocol="UDP")
+            raise PacketParseError("bad row", 4)
+
+        summary = IngestSummary()
+        with pytest.raises(PacketParseError):
+            next_window(stream(), 5, summary=summary)
+        assert (summary.total_read, summary.total_valid, summary.total_skipped) == (
+            3, 2, 1
+        )
+
     def test_windows_are_consecutive_slices(self):
         records = make_records([(f"s{i}", f"d{i}") for i in range(9)])
         windows = list(iter_windows(records, 3))
-        flat = [rec for w in windows for rec in w.records]
-        assert flat == records
+        flat = [pair for w in windows for pair in window_pairs(w)]
+        assert flat == [(r[1], r[2]) for r in records]

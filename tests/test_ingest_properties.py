@@ -11,18 +11,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from pktstats import (  # noqa: E402
-    CANONICAL_FIELDS,
-    FormatSpec,
-    PacketParseError,
-    parse_packet_line,
-    read_packet_csv,
-)
+from pktstats import read_packet_csv  # noqa: E402
 from pktstats.ingest import (  # noqa: E402
+    CANONICAL_FIELDS,
     CHUNK_BYTES,
     DOTTED_QUADS,
+    FormatSpec,
+    PacketParseError,
     _DOTTED_QUAD,
     _is_address,
+    parse_packet_line,
     quad_key,
     read_packet_keys,
 )

@@ -1,5 +1,6 @@
 """Quantity extraction, histogram normalization, and binary-log pooling."""
 
+import csv
 import math
 
 import numpy as np
@@ -7,24 +8,40 @@ import pytest
 
 from pktstats import (
     ALL_KINDS,
-    PooledDistribution,
     QuantityKind,
     TrafficMatrix,
-    bin_edges,
     cumulative,
     degree_histogram,
     log_pool,
     network_quantity,
     pool_quantity,
     probability,
-    read_pooled_csv,
+)
+from pktstats.netstats import (
+    POOLED_CSV_HEADER,
+    PooledDistribution,
+    bin_edges,
     window_mean_std,
     write_pooled_csv,
 )
-from pktstats.netstats import observed_dmax
 
 import dense_oracle
 from conftest import random_cells
+
+
+def read_pooled_csv(path, d_max):
+    """A written pooled CSV as a PooledDistribution; the file holds no d_max."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == POOLED_CSV_HEADER
+    return PooledDistribution(
+        bin_edges=tuple(int(row[1]) for row in rows),
+        values=tuple(float(row[2]) for row in rows),
+        sigmas=tuple(float(row[3]) for row in rows),
+        n_windows=int(rows[0][4]),
+        d_max=d_max,
+        kind=rows[0][0],
+    )
 
 
 class TestNetworkQuantity:
@@ -222,14 +239,6 @@ class TestPooledCsv:
         again = read_pooled_csv(path, d_max=3)
         assert again == pooled
 
-    def test_d_max_inferred_from_top_nonzero_edge(self, tmp_path):
-        pooled = PooledDistribution(
-            (1, 2, 4), (0.5, 0.25, 0.25), (0.0,) * 3, 1, 4, "k"
-        )
-        path = tmp_path / "pool.csv"
-        write_pooled_csv(path, pooled)
-        assert read_pooled_csv(path) == pooled
-
     def test_kind_required_for_writing(self, tmp_path):
         pooled = PooledDistribution((1,), (1.0,), (0.0,), 1, 1, None)
         with pytest.raises(ValueError):
@@ -239,9 +248,11 @@ class TestPooledCsv:
 class TestObservedDmax:
     def test_tracks_pool_maximum(self, star_matrix):
         pooled = pool_quantity(star_matrix, QuantityKind.DESTINATION_PACKETS)
-        assert observed_dmax(pooled) == 3
+        assert pooled.d_max == 3
+        assert pooled.bin_edges[-1] == 4
 
     def test_rejects_empty_mass(self):
-        pooled = PooledDistribution((1,), (0.0,), (0.0,), 1, 1, "k")
-        with pytest.raises(ValueError):
-            observed_dmax(pooled)
+        empty = TrafficMatrix.from_counts({})
+        for kind in ALL_KINDS:
+            with pytest.raises(ValueError):
+                pool_quantity(empty, kind)

@@ -10,13 +10,7 @@ import pytest
 
 from pktstats import (
     ALL_KINDS,
-    AlphaGrid,
-    CategoryStats,
-    EmptyRunError,
     GeneratorSpec,
-    PacketParseError,
-    PacketWindow,
-    PipelineConfigError,
     QuantityKind,
     RunConfig,
     TrafficMatrix,
@@ -26,20 +20,25 @@ from pktstats import (
     degree_histogram,
     generate_synthetic,
     iter_windows,
-    load_valid_records,
     log_pool,
     network_quantity,
     probability,
     read_packet_csv,
     run_analyze,
     write_packet_csv,
-    write_topology_csv,
 )
-from pktstats.pipeline import _effective_sizes
-from pktstats.topology import CATEGORY_ORDER
+from pktstats.ingest import PacketParseError, next_window
+from pktstats.pipeline import (
+    EmptyRunError,
+    PipelineConfigError,
+    _effective_sizes,
+    load_valid_records,
+)
+from pktstats.topology import CATEGORY_ORDER, CategoryStats, write_topology_csv
+from pktstats.zm import AlphaGrid
 
 import dense_oracle
-from conftest import make_records, random_cells
+from conftest import make_records, random_cells, window_pairs
 
 SMALL_GRID = AlphaGrid(1.0, 2.5, 0.05)
 
@@ -176,17 +175,13 @@ class TestEdgeCases:
             assert str(excinfo.value) == error
             return
         stream, summary = load_valid_records(paths)
-        names = stream.names
-        assert [
-            (names[src], names[dst])
-            for src, dst in zip(stream.src.tolist(), stream.dst.tolist())
-        ] == pairs
+        assert window_pairs(stream) == pairs
         assert summary.total_read == n_read
         assert summary.total_valid == len(pairs)
         assert summary.total_skipped == n_read - len(pairs)
         if pairs:
             coded = analyze_window(stream.window(0, len(pairs)))
-            assert coded == analyze_window(PacketWindow(0, tuple(valid), len(pairs)))
+            assert coded == analyze_window(next_window(iter(records), len(pairs)))
 
 
 class TestAnalyzeWindow:
@@ -391,7 +386,7 @@ class TestCodedWindows:
         path = tmp_path / "ties.csv"
         write_packet_csv(path, records)
 
-        expected = analyze_window(PacketWindow(0, tuple(records), 6), supernode_k=1)
+        expected = analyze_window(next_window(iter(records), 6), supernode_k=1)
         assert expected.topology.supernode_ids == ("10.0.0.10",)
         leaves = expected.topology.categories["supernode_leaves"]
         assert leaves == CategoryStats(3, 3, 3, 0)
@@ -448,7 +443,7 @@ class TestCodedWindows:
                 window_records = records[index * size : (index + 1) * size]
                 window = stream.window(index, size)
                 coded = analyze_window(window, supernode_k=k)
-                record_window = PacketWindow(index, tuple(window_records), size)
+                record_window = next_window(iter(window_records), size, index=index)
                 assert coded == analyze_window(record_window, supernode_k=k)
 
                 cells = Counter((r[1], r[2]) for r in window_records)

@@ -2,29 +2,33 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from pktstats import zm
 from pktstats import (
-    AlphaGrid,
-    DEFAULT_GRID,
-    InferenceError,
-    PooledDistribution,
     ZmParams,
-    bin_edges,
-    half_norm_loss,
     infer_parameters,
-    leaf_parameter,
     model_distribution,
     rho,
     rho_grad_delta,
     rho_sum,
     train_delta,
+    zm,
+)
+from pktstats.netstats import PooledDistribution, bin_edges
+from pktstats.zm import (
+    DEFAULT_GRID,
+    AlphaGrid,
+    InferenceError,
+    admissible_bins,
+    failure_payload,
+    fit_payload,
+    half_norm_loss,
+    leaf_parameter,
     write_fit_json,
 )
-from pktstats.zm import admissible_bins, failure_payload, fit_payload
 
 
 class TestParams:
@@ -57,6 +61,32 @@ class TestParams:
             AlphaGrid(1.0, 0.5, 0.1)
         with pytest.raises(ValueError):
             AlphaGrid(1.0, 2.0, 0.0)
+
+    def test_alpha_grid_stops_where_training_powers_stay_finite(self):
+        # Training evaluates (1 + delta)**alpha up to the upper delta bound.
+        base = 1.0 + zm.TRAIN_DELTA_BOUNDS[1]
+        top = math.log(sys.float_info.max) / math.log(base)
+        assert math.isfinite(base**top)
+        with pytest.raises(OverflowError):
+            base ** math.nextafter(top, math.inf)
+        for stop in (math.nextafter(top, math.inf), 300.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="grid stop must be <="):
+                AlphaGrid(290.0, stop, 5.0)
+        # The last point, rounded to 9 decimals, would lie past the bound.
+        with pytest.raises(ValueError):
+            AlphaGrid(top - 10.0, top, 5.0)
+
+    def test_alpha_grid_just_under_the_bound_is_accepted_and_trains(
+        self, monkeypatch
+    ):
+        grid = AlphaGrid(286.0, 296.0, 5.0)
+        assert grid.values == (286.0, 291.0, 296.0)
+        # Every alpha is admitted at delta = 0; training them all makes each
+        # lane evaluate the upper delta bound, where no delta solves.
+        monkeypatch.setattr(zm, "CONFIRM_ALL_SHARE", 0.0)
+        pool = model_distribution(ZmParams(1.5, 0.5, 1024))
+        with pytest.raises(InferenceError, match="no grid alpha admitted"):
+            infer_parameters(pool, grid)
 
 
 class TestDensity:
