@@ -9,7 +9,7 @@ Windowing groups every ``n_valid`` consecutive valid records into one
 partial window is discarded.  A coded stream is cut into windows by slicing
 its arrays.  ``read_packet_keys`` reads a packet CSV as byte chunks and codes
 each dotted quad by its key, its index in ``DOTTED_QUADS``, with no str per
-packet.
+packet; rows of plain IPv6 text are checked there as arrays too.
 """
 
 from __future__ import annotations
@@ -234,16 +234,20 @@ def _learn_address(known: Dict[str, str], text: str) -> Optional[str]:
     return None
 
 
-def _line_parser(fmt: FormatSpec) -> Callable[[str, int], PacketRecord]:
+def _line_parser(
+    fmt: FormatSpec, known: Optional[Dict[str, str]] = None
+) -> Callable[[str, int], PacketRecord]:
     """A parser of one file's lines: ``parse(line, line_number)``.
 
     Each distinct address is validated once per parser, and every record
-    that holds it shares one str object.  A line that fails any check is
-    handed to parse_packet_line, which raises its error.
+    that holds it shares one str object.  ``known`` maps each address
+    already validated to that object; the caller may add addresses it has
+    validated itself.  A line that fails any check is handed to
+    parse_packet_line, which raises its error.
     """
     n_fields = len(CANONICAL_FIELDS)
     pick = operator.itemgetter(*(fmt.fields.index(name) for name in CANONICAL_FIELDS))
-    known: Dict[str, str] = {}
+    known = {} if known is None else known
 
     def parse(line: str, line_number: int) -> PacketRecord:
         parts = line.rstrip("\r\n").split(",")
@@ -306,9 +310,12 @@ CHUNK_BYTES = 1 << 18
 
 # The non-digit bytes of a canonical line up to its protocol field.
 _SEPARATORS = np.frombuffer(b",...,...,", dtype=np.uint8)
-_LF, _CR = b"\n\r"
-# Chunks are padded so that 8 bytes can be read from any offset.
-_PADDING = bytes(8)
+_LF, _CR, _COMMA = b"\n\r,"
+# The widest plain IPv6 text: eight groups of four hex digits.
+_ADDRESS_WIDTH = 39
+# Chunks are padded so that an address field and the byte on each side of
+# it can be read from any offset.
+_PADDING = bytes(_ADDRESS_WIDTH + 1)
 
 
 def _octet_lookup() -> np.ndarray:
@@ -361,14 +368,26 @@ class KeyBatch(NamedTuple):
     texts: Tuple[Tuple[int, str, str], ...]
 
 
+def _scan_tails(buf: np.ndarray, at: np.ndarray, stops: np.ndarray):
+    """(known, tcp_v4) of each tail ``buf[at:stop]``: whether it is one of
+    _TAIL_CODES, and whether it is ``TCP,4``."""
+    width = np.clip(stops - at, 0, 255).astype(np.uint64)
+    tails = buf[at[:, None] + np.arange(8)].view("<u8")[:, 0]
+    tails = tails & _MASKS[np.minimum(width, 8)] | width << np.uint64(56)
+    return (tails[:, None] == _TAIL_CODES).any(axis=1), tails == _TCP_V4_CODE
+
+
 def _scan_canonical(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """(canonical, tcp_v4, src key, dst key) of each line ``buf[start:stop]``.
+    """(canonical, tcp_v4, src key, dst key, digits end) of each line
+    ``buf[start:stop]``.
 
     A canonical line is ``timestamp,quad,quad,protocol,version``: a timestamp
     of ASCII digits, dotted quads whose octets are among the 256 octet
     strings (1-3 digits, no leading zero, value <= 255), one of the four
     protocol names, and ``4`` or ``6``.  ``buf`` ends with LF and then
-    ``_PADDING``.  Keys of other lines are arbitrary.
+    ``_PADDING``.  Keys of other lines are arbitrary.  The digits end of a
+    line is the position in ``buf`` of its first byte that is no ASCII
+    digit.
     """
     # Up to the protocol, a canonical line's non-digit bytes are exactly the
     # separators.  Indices clipped past the last line land on its LF, a
@@ -387,50 +406,137 @@ def _scan_canonical(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     ranks = _OCTET_LOOKUP[index]
     ok &= (ranks < 256).all(axis=1)
 
-    # The tail, ``protocol,version``, as its _text_code.
-    at = seps[:, 8] + 1
-    width = np.clip(stops - at, 0, 255).astype(np.uint64)
-    tails = buf[at[:, None] + np.arange(8)].view("<u8")[:, 0]
-    tails = tails & _MASKS[np.minimum(width, 8)] | width << np.uint64(56)
-    ok &= np.isin(tails, _TAIL_CODES)
+    known, tcp_v4 = _scan_tails(buf, seps[:, 8] + 1, stops)
+    ok &= known
 
     ranks <<= np.array([24, 16, 8, 0] * 2, np.uint32)
     keys = np.bitwise_or.reduce(ranks.reshape(len(starts), 2, 4), axis=2)
-    return ok, tails == _TCP_V4_CODE, keys[:, 0], keys[:, 1]
+    return ok, tcp_v4, keys[:, 0], keys[:, 1], seps[:, 0]
+
+
+def _plain_addresses(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each text ``buf[lo:hi]`` is a dotted quad or plain IPv6 text.
+
+    Plain IPv6 text is eight groups of 1-4 hex digits joined by colons, or
+    at most seven such groups and one ``::``, which may start or end the
+    text.  ipaddress accepts every text this accepts.  It rejects some that
+    ipaddress accepts (an embedded IPv4 tail, a scope), which are left to
+    it.  ``buf`` holds ``_PADDING`` after the last text, and each text
+    follows at least one byte.
+    """
+    width = hi - lo
+    windows = np.lib.stride_tricks.sliding_window_view(buf, _ADDRESS_WIDTH + 2)
+    # Column j holds byte j of the text, from 1; the zeros of column 0 and
+    # of every column past the text mark its ends.
+    columns = np.arange(_ADDRESS_WIDTH + 2)
+    outside = (columns == 0) | (columns > width[:, None])
+    grid = np.where(outside, np.uint8(0), windows[lo - 1])
+    digit = grid - np.uint8(ord("0")) < 10
+    hexdigit = digit | ((grid | 32) - np.uint8(ord("a")) < 6)
+    colon = grid == ord(":")
+    dot = grid == ord(".")
+
+    # Four runs of 1-3 digits between three dots: no empty run, no fourth
+    # digit in a row, no leading zero, no value above 255.
+    ends = dot | outside
+    # Runs of three digits, by the column before them, and their values.
+    three = ends[:, :-3] & digit[:, 1:-2] & digit[:, 2:-1] & digit[:, 3:]
+    values = grid.astype(np.int16) - ord("0")
+    values = values[:, 1:-2] * 100 + values[:, 2:-1] * 10 + values[:, 3:]
+    quad = (
+        (digit | dot | outside).all(axis=1)
+        & (dot.sum(axis=1) == 3)
+        & ~(dot[:, 1:-1] & (ends[:, :-2] | ends[:, 2:])).any(axis=1)
+        & ~(three[:, :-1] & digit[:, 4:]).any(axis=1)
+        & ~(ends[:, :-2] & (grid[:, 1:-1] == ord("0")) & digit[:, 2:]).any(axis=1)
+        & ~(three & (values > 255)).any(axis=1)
+    )
+
+    # Groups of at most four hex digits; at most one "::"; a colon at either
+    # end only as part of "::"; eight groups, or at most seven with "::".
+    four = hexdigit[:, :-4] & hexdigit[:, 1:-3] & hexdigit[:, 2:-2] & hexdigit[:, 3:-1]
+    doubles = (colon[:, :-1] & colon[:, 1:]).sum(axis=1)
+    lone = colon[:, 1:-1] & (
+        (outside[:, :-2] & ~colon[:, 2:]) | (outside[:, 2:] & ~colon[:, :-2])
+    )
+    groups = (hexdigit[:, 1:] & ~hexdigit[:, :-1]).sum(axis=1)
+    plain_v6 = (
+        (hexdigit | colon | outside).all(axis=1)
+        & ~(four & hexdigit[:, 4:]).any(axis=1)
+        & (doubles <= 1)
+        & ~lone.any(axis=1)
+        & np.where(doubles == 1, groups <= 7, groups == 8)
+    )
+    return (width <= _ADDRESS_WIDTH) & (quad | plain_v6)
+
+
+def _scan_plain(
+    buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, digits_end: np.ndarray
+):
+    """(plain, tcp_v4, accepted, lo, hi) of each line ``buf[start:stop]``.
+
+    A plain line is ``timestamp,address,address,protocol,version`` with a
+    timestamp of ASCII digits, addresses that ``_plain_addresses`` accepts,
+    and a tail in _TAIL_CODES.  ``accepted`` holds that verdict for the
+    (src, dst) texts ``buf[lo:hi]`` of each line with five fields; it is
+    False for every other line.  ``digits_end`` is as _scan_canonical
+    gives it.
+    """
+    body = buf[: -len(_PADDING)]
+    # The last LF stands in for the commas that the last lines lack.
+    commas = np.append(np.flatnonzero(body == _COMMA), len(body) - 1)
+    first = np.searchsorted(commas, starts)
+    at = np.take(commas, first[:, None] + np.arange(3), mode="clip")
+    fields = np.searchsorted(commas, stops) - first == 4
+    lo, hi = at[:, :2] + 1, at[:, 1:]
+    accepted = _plain_addresses(buf, lo.ravel(), hi.ravel()).reshape(-1, 2)
+    accepted &= fields[:, None]
+    known, tcp_v4 = _scan_tails(buf, at[:, 2] + 1, stops)
+    plain = (
+        accepted.all(axis=1) & known & (digits_end == at[:, 0]) & (at[:, 0] > starts)
+    )
+    return plain, tcp_v4, accepted, lo, hi
 
 
 def _chunk_batch(
-    data: bytes, first: int, parse: Callable[[str, int], PacketRecord]
+    data: bytes,
+    first: int,
+    parse: Callable[[str, int], PacketRecord],
+    known: Dict[str, str],
 ) -> Tuple[KeyBatch, Optional[PacketParseError]]:
     """The valid packets of ``data``, whole lines numbered from ``first``.
 
-    Canonical lines are checked and keyed as arrays; every other line goes
-    through ``parse``.  Text mode also ends a line at a CR that no LF
-    follows, so a chunk holding such a CR is split as text mode splits it
-    and parsed line by line.  At the first bad line the batch stops, and
-    that line's error is returned beside it.
+    Canonical lines are checked and keyed as arrays.  Plain lines that are
+    not TCP over IPv4 are checked as arrays and skipped.  Every other line
+    goes through ``parse``, whose table ``known`` first gets each address
+    of those lines that ``_plain_addresses`` accepts.  Text mode also ends
+    a line at a CR that no LF follows, so such a CR is read as an LF.  At
+    the first bad line the batch stops, and that line's error is returned
+    beside it.
     """
     if data.count(b"\r") != data.count(b"\r\n"):
-        lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")[:-1]
-        n = len(lines)
-        canonical = tcp_v4 = np.zeros(n, dtype=bool)
-        src = np.zeros(n, np.uint32)
-        dst = np.zeros(n, np.uint32)
-    else:
-        lines = None
-        buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
-        ends = np.flatnonzero(buf[: len(data)] == _LF)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        stops = ends - (buf[ends - 1] == _CR)
-        canonical, tcp_v4, src, dst = _scan_canonical(buf, starts, stops)
-        n = len(ends)
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
+    ends = np.flatnonzero(buf[: len(data)] == _LF)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    stops = ends - (buf[ends - 1] == _CR)
+    canonical, tcp_v4, src, dst, digits_end = _scan_canonical(buf, starts, stops)
     valid = canonical & tcp_v4
+    rest = np.flatnonzero(~canonical)
+    plain, plain_v4, accepted, lo, hi = _scan_plain(
+        buf, starts[rest], stops[rest], digits_end[rest]
+    )
+    by_line = ~plain | plain_v4
+    seeded = accepted & by_line[:, None]
+    for a, b in zip(lo[seeded].tolist(), hi[seeded].tolist()):
+        text = data[a:b].decode("ascii")
+        known.setdefault(text, text)
+    n = len(ends)
     texts = []
     error = None
-    for i in np.flatnonzero(~canonical).tolist():
-        line = data[starts[i] : ends[i]] if lines is None else lines[i]
+    for i in rest[by_line].tolist():
         try:
-            record = parse(line.decode("utf-8"), first + i)
+            record = parse(data[starts[i] : ends[i]].decode("utf-8"), first + i)
         except UnicodeDecodeError as exc:
             error = PacketParseError(f"undecodable text ({exc})", first + i)
         except PacketParseError as exc:
@@ -457,11 +563,13 @@ def read_packet_keys(path, *, _chunk_size: int = CHUNK_BYTES) -> Iterator[KeyBat
 
     The file (gzip-transparent by suffix) is read as byte chunks cut at
     their last LF.  Reads, skips, records, errors and line numbers are those
-    of ``read_packet_csv``, whose line logic handles every line that is not
-    canonical.  Undecodable input raises PacketParseError as well.
+    of ``read_packet_csv``, whose line logic handles every line that
+    neither array pass of ``_chunk_batch`` accepts.  Undecodable input
+    raises PacketParseError as well.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
-    parse = _line_parser(CANONICAL_FORMAT)
+    known: Dict[str, str] = {}
+    parse = _line_parser(CANONICAL_FORMAT, known)
     first = 1
     carry = b""
     with opener(path, "rb") as fh:
@@ -484,7 +592,7 @@ def read_packet_keys(path, *, _chunk_size: int = CHUNK_BYTES) -> Iterator[KeyBat
                 data, carry = carry + b"\n", b""
             else:
                 return
-            batch, error = _chunk_batch(data, first, parse)
+            batch, error = _chunk_batch(data, first, parse, known)
             yield batch
             if error is not None:
                 raise error

@@ -37,10 +37,16 @@ def _cells(packets: CodedPackets, weights: Optional[Sequence[int]] = None) -> tu
     summing ``weights`` when every pair occurs once.
     """
     n = len(packets.src)
-    # Sorting the window's own codes keeps the work O(n log n) in the window,
-    # whatever the size of a stream-wide table.
     codes = np.concatenate((packets.src, packets.dst))
-    nodes, ids = np.unique(codes, return_inverse=True)
+    names = packets.names
+    if len(names) <= 2 * n and np.bincount(codes, minlength=len(names)).all():
+        # Every name is used (a window coded by its own table): the codes
+        # already are the node ids.
+        nodes, ids = np.arange(len(names)), codes.astype(np.intp, copy=False)
+    else:
+        # Sorting the window's own codes keeps the work O(n log n) in the
+        # window, whatever the size of a stream-wide table.
+        nodes, ids = np.unique(codes, return_inverse=True)
     keys = ids[:n] * len(nodes) + ids[n:]
     if weights is None:
         cells, count = np.unique(keys, return_counts=True)
@@ -48,7 +54,7 @@ def _cells(packets: CodedPackets, weights: Optional[Sequence[int]] = None) -> tu
         order = np.argsort(keys)
         cells, count = keys[order], np.asarray(weights, dtype=np.int64)[order]
     row, col = np.divmod(cells, max(len(nodes), 1))
-    return packets.names, nodes, row, col, count
+    return names, nodes, row, col, count
 
 
 class TrafficMatrix:

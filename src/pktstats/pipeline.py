@@ -277,12 +277,16 @@ def _analyze_all_windows(
             from concurrent.futures import ProcessPoolExecutor
 
             context = multiprocessing.get_context("fork")
+            # A few runs of consecutive windows per worker, not one round
+            # trip per window.
+            chunksize = -(-len(tasks) // (4 * cfg.workers))
             with ProcessPoolExecutor(
                 max_workers=cfg.workers, mp_context=context
             ) as pool:
-                for (size, _), analysis in zip(
-                    tasks, pool.map(_window_task, [args for _, args in tasks])
-                ):
+                analyses = pool.map(
+                    _window_task, [args for _, args in tasks], chunksize=chunksize
+                )
+                for (size, _), analysis in zip(tasks, analyses):
                     results[size].append(analysis)
     finally:
         _SHARED_STREAM = None

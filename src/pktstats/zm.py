@@ -194,8 +194,11 @@ class _Sums(NamedTuple):
     bins: Optional[List[float]]
 
 
-def _block_sums(alphas: np.ndarray, deltas: np.ndarray, d_max: int) -> List[_Sums]:
-    """Every sum for each row (alpha, delta) from one 2-D power.
+def _block_sums(
+    alphas: np.ndarray, deltas: np.ndarray, d_max: int, bins: bool
+) -> List[_Sums]:
+    """The Newton sums, and the bin sums if ``bins``, for each row
+    (alpha, delta) from one 2-D power.
 
     Row sums and bin-slice sums of the 2-D array equal the 1-D sums of the
     same terms bit for bit.
@@ -208,11 +211,13 @@ def _block_sums(alphas: np.ndarray, deltas: np.ndarray, d_max: int) -> List[_Sum
     if ones.any():
         powers[ones] = 1.0 / base[ones]
     s0 = powers.sum(axis=1).tolist()
-    bins = np.stack(
-        [powers[:, lo:hi].sum(axis=1) for lo, hi in _bin_ranges(d_max)], axis=1
-    ).tolist()
+    masses = [None] * len(alphas)
+    if bins:
+        masses = np.stack(
+            [powers[:, lo:hi].sum(axis=1) for lo, hi in _bin_ranges(d_max)], axis=1
+        ).tolist()
     s1 = np.divide(powers, base, out=powers).sum(axis=1).tolist()
-    return [_Sums(*row) for row in zip(s0, s1, bins)]
+    return [_Sums(*row) for row in zip(s0, s1, masses)]
 
 
 def _head_tail_sums(alpha: float, delta: float, d_max: int, need: str) -> _Sums:
@@ -235,14 +240,18 @@ def _evaluate(
     requests: Sequence[Tuple[float, float, str]], d_max: int
 ) -> List[_Sums]:
     """Sums for each (alpha, delta, need) request, need being "s0" (Newton
-    sums) or "bins"; for d_max up to EXACT_SUM_TERMS every part is computed."""
+    sums) or "bins"; for d_max up to EXACT_SUM_TERMS the Newton sums are
+    always computed, and the bins of every block that holds a "bins"
+    request."""
     if d_max > EXACT_SUM_TERMS:
         return [_head_tail_sums(a, delta, d_max, need) for a, delta, need in requests]
     rows = max(1, EVAL_BLOCK_ELEMENTS // d_max)
     sums: List[_Sums] = []
     for start in range(0, len(requests), rows):
-        alphas, deltas, _ = zip(*requests[start : start + rows])
-        sums.extend(_block_sums(np.array(alphas), np.array(deltas), d_max))
+        alphas, deltas, needs = zip(*requests[start : start + rows])
+        sums.extend(
+            _block_sums(np.array(alphas), np.array(deltas), d_max, "bins" in needs)
+        )
     return sums
 
 

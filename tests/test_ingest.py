@@ -230,7 +230,7 @@ class TestReadPacketCsv:
 
 
 class TestReadPacketKeys:
-    def test_each_distinct_address_is_validated_once_per_file(
+    def test_ipaddress_sees_each_text_the_arrays_reject_once_per_file(
         self, tmp_path, monkeypatch
     ):
         calls = Counter()
@@ -241,30 +241,34 @@ class TestReadPacketKeys:
             return ip_address(text)
 
         monkeypatch.setattr(ipaddress, "ip_address", counted)
-        v6 = ["2001:db8::1", "fe80::2", "::ffff:10.0.0.1"]
+        plain = ["2001:db8::1", "fe80::2", "FD00:0:0:0:0:0:0:A"]
+        other = ["::ffff:10.0.0.1", "fe80::1%eth0"]
+        v6 = plain + other
         lines = [
-            f"{i},{v6[i % 3]},{v6[(i + 1) % 3]},TCP,6\n"
+            f"{i},{v6[i % 5]},{v6[(i + 1) % 5]},TCP,6\n"
             f"{i},10.0.0.{i % 9},192.168.1.1,UDP,4\n"
+            f"{i},{plain[i % 3]},10.0.0.1,TCP,4\n"
             for i in range(300)
         ]
         path = tmp_path / "pkts.csv"
         path.write_text("".join(lines))
         # Chunks of 7 bytes hold one line or none; the table spans them all.
+        # Plain IPv6 text is checked as arrays, even on the rows that take
+        # the line path, so only the other texts reach ipaddress.
         for chunk_size in (7, ingest.CHUNK_BYTES):
             calls.clear()
             batches = list(ingest.read_packet_keys(path, _chunk_size=chunk_size))
-            assert sum(batch.n_read for batch in batches) == 600
-            assert calls == Counter(v6)
+            assert sum(batch.n_read for batch in batches) == 900
+            assert calls == Counter(other)
 
-
-    def test_only_lines_that_are_not_canonical_take_the_line_path(
+    def test_only_lines_that_no_array_pass_accepts_take_the_line_path(
         self, tmp_path, monkeypatch
     ):
         parsed = []
         line_parser = ingest._line_parser
 
-        def recording(fmt):
-            parse = line_parser(fmt)
+        def recording(*args):
+            parse = line_parser(*args)
 
             def recorded(line, line_number):
                 parsed.append(line_number)
@@ -278,13 +282,18 @@ class TestReadPacketKeys:
             b"0,10.0.0.1,10.0.0.2,TCP,4\n"
             b"1,0.0.0.0,255.255.255.255,UDP,6\r\n"
             b"2,2001:db8::1,10.0.0.1,TCP,6\n"
-            b"3,192.168.100.10,10.0.0.1,ICMP,4\n"
-            b"4,10.0.0.1,10.0.0.2,TCP,5\n"
-            b"5,10.0.0.1,10.0.0.2,OTHER,4"
+            b"3,192.168.100.10,10.0.0.1,ICMP,4\r"
+            b"4,::,1:2:3:4:5:6:7:8,OTHER,6\n"
+            b"5,fd00::1,fd00::2,TCP,4\n"
+            b"6,::ffff:10.0.0.1,fd00::2,UDP,6\n"
+            b"7,fe80::1%eth0,fd00::2,UDP,6\n"
+            b"8,fd00:::1,fd00::2,UDP,6\n"
+            b"9,10.0.0.1,10.0.0.2,TCP,5\n"
+            b"10,10.0.0.1,10.0.0.2,OTHER,4"
         )
-        with pytest.raises(PacketParseError, match="line 5: unknown ip_version 5"):
+        with pytest.raises(PacketParseError, match="line 9: invalid src address"):
             list(ingest.read_packet_keys(path))
-        assert parsed == [3, 5]
+        assert parsed == [6, 7, 8, 9]
 
 
 class TestWindows:

@@ -6,6 +6,7 @@ import ipaddress
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -19,7 +20,9 @@ from pktstats.ingest import (  # noqa: E402
     FormatSpec,
     PacketParseError,
     _DOTTED_QUAD,
+    _PADDING,
     _is_address,
+    _plain_addresses,
     parse_packet_line,
     quad_key,
     read_packet_keys,
@@ -85,6 +88,80 @@ def test_text_with_a_colon_is_accepted_as_ipaddress_does(text):
     assert ":" in text
     assert _DOTTED_QUAD.fullmatch(text) is None
     assert _is_address(text) == _accepted(text)
+
+
+def _plain(texts):
+    """The verdict of _plain_addresses on each text, each after a comma."""
+    data, lo, hi = b"", [], []
+    for text in texts:
+        data += b","
+        lo.append(len(data))
+        data += text.encode("utf-8")
+        hi.append(len(data))
+    buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
+    return _plain_addresses(buf, np.array(lo, np.intp), np.array(hi, np.intp)).tolist()
+
+
+def _accepted_v6(text: str) -> bool:
+    try:
+        ipaddress.IPv6Address(text)
+    except ValueError:
+        return False
+    return True
+
+
+PLAIN_ALPHABET = "0123456789abcdefABCDEF:"
+GRAMMAR_TEXT = st.one_of(
+    COLON_TEXT,
+    DOTTED,
+    st.text(max_size=45),
+    st.text(alphabet=PLAIN_ALPHABET, max_size=41),
+    st.lists(HEX_GROUP, min_size=1, max_size=10).map(":".join),
+    st.lists(st.sampled_from(["", "0", "1", "ffff", "FfFf", "12345"]), max_size=10).map(":".join),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(GRAMMAR_TEXT, min_size=1, max_size=8))
+def test_plain_grammar_accepts_only_what_ipaddress_accepts(texts):
+    for text, plain in zip(texts, _plain(texts)):
+        if ":" in text:
+            # Complete, too, on text of hex digits and colons.
+            if set(text) <= set(PLAIN_ALPHABET):
+                assert plain == _accepted_v6(text), text
+            elif plain:
+                assert _accepted_v6(text), text
+        else:
+            assert plain == (_DOTTED_QUAD.fullmatch(text) is not None), text
+
+
+EDGE_TEXTS = [
+    "::", ":", ":::", "1::", "::1", ":1", "1:", "1:::2", "1::2::3", ":1::2", "1::2:",
+    "1:2:3:4::5:6:7::8", "::1:2:3:4:5:6:7", "1:2:3:4:5:6:7::", "1:2:3::4:5:6:7",
+    "::1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8::", "1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7",
+    "1:2:3:4:5:6:7:8:9", "12345::", "::fffff", "0000:0000:0000:0000:0000:0000:0000:0000",
+    "0000:0000:0000:0000:0000:0000:0000:00000", "1.2.3.4", "01.2.3.4", "1.2.3.256",
+    "255.255.255.255", "1..2.3", ".1.2.3", "1.2.3.", "1.2.3.4.5", "1.2.3", "1.2.3.4:",
+    "::1.2.3.4", "fe80::1%eth0", "1:2:3:4:5:6:7:8\x00", "", "1\x00::",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
+def test_plain_grammar_on_edge_texts(text):
+    (plain,) = _plain([text])
+    if ":" in text and set(text) <= set(PLAIN_ALPHABET):
+        assert plain == _accepted_v6(text)
+    else:
+        assert plain == (_DOTTED_QUAD.fullmatch(text) is not None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.ip_addresses(v=6), min_size=1, max_size=8))
+def test_plain_grammar_accepts_every_plain_form_of_an_address(addresses):
+    forms = []
+    for address in addresses:
+        forms += [address.compressed, address.exploded, address.compressed.upper()]
+    assert _plain(forms) == [True] * len(forms)
 
 
 def _mostly(good, bad):
@@ -227,7 +304,33 @@ ROWS = st.tuples(
     ),
     _rarely(st.sampled_from(["4", "4", "6"]), st.sampled_from(["", "5", "04", " 4", "+4"]), 12),
 ).map(",".join)
-LINES = st.one_of(*[ROWS] * 6, csv_lines(CANONICAL_FIELDS), st.just(""))
+# IPv6 rows: plain text that the arrays skip, rows that take the line path
+# (TCP over IPv4, an embedded IPv4 tail, a scope), and rarely bad text.
+V6_TEXTS = st.one_of(
+    st.ip_addresses(v=6).flatmap(
+        lambda a: st.sampled_from([a.compressed, a.exploded, a.exploded.upper()])
+    ),
+    st.sampled_from(["fd00::1", "fd00::2", "::", "1:2:3:4:5:6:7:8"]),
+)
+V6_ROW_ADDRESSES = st.one_of(
+    *[V6_TEXTS] * 6,
+    st.sampled_from(["10.0.0.1", "::ffff:10.0.0.1", "fe80::1%eth0", "1::2.3.4.5"]),
+    _rarely(
+        V6_TEXTS,
+        st.sampled_from(
+            ["fd00:::1", "12345::1", "1:2:3:4:5:6:7:8:9", ":1::2", "1::2::3", "::g", "1:2"]
+        ),
+        8,
+    ),
+)
+V6_ROWS = st.tuples(
+    _rarely(st.integers(0, 10**6).map(str), st.sampled_from(["", "-1", "1a", " 1"]), 20),
+    V6_ROW_ADDRESSES,
+    V6_ROW_ADDRESSES,
+    st.sampled_from(["TCP", "UDP", "ICMP", "OTHER"]),
+    st.sampled_from(["6", "6", "6", "4"]),
+).map(",".join)
+LINES = st.one_of(*[ROWS] * 6, *[V6_ROWS] * 4, csv_lines(CANONICAL_FIELDS), st.just(""))
 
 
 @st.composite
@@ -235,8 +338,7 @@ def packet_files(draw):
     """File bytes: rows that parse, rows that do not, and blank lines, with
     LF, CRLF or lone-CR ends and sometimes no end on the last line."""
     lines = draw(st.lists(LINES, max_size=40))
-    # A lone CR sends its whole chunk down the line path, so most files
-    # have none.
+    # Most files have no lone CR, which makes its chunk be split anew.
     ends = ["\n", "\n", "\r\n"]
     if draw(st.integers(0, 3)) == 0:
         ends.append("\r")
@@ -285,7 +387,7 @@ def test_chunked_reader_matches_read_packet_csv(data, chunk_size):
         path.write_bytes(data)
         expected = _by_lines(path)
         # Chunks of a few bytes split lines, CRLF pairs and octets.
-        for size in (1, 2, 3, chunk_size, CHUNK_BYTES):
+        for size in (1, 2, 3, 7, chunk_size, CHUNK_BYTES):
             assert _by_chunks(path, size) == expected
 
 
@@ -307,13 +409,30 @@ NEAR_MISSES = [
     "0,1.2.3.4,5.6.7.8,OTHERS,4",
     "0,1.2.3.4,5.6.7.8,,4",
     "0,1.2.3.4,fd00::1,TCP,4",
+    # IPv6 rows that the arrays skip, take the line path, or reject.
+    "0,fd00::1,fd00::2,TCP,4",
+    "0,fd00::1,10.0.0.1,TCP,4",
+    "0,::ffff:10.0.0.1,fd00::2,UDP,6",
+    "0,fe80::1%eth0,fd00::2,UDP,6",
+    "0,fd00::1,fe80::1%eth0,TCP,4",
+    "0,fd00:::1,fd00::2,UDP,6",
+    "0,12345::1,fd00::2,UDP,6",
+    "0,fd00::2,1:2:3:4:5:6:7:8:9,TCP,6",
+    "0,fd00::1,fd00::2,TCP,5",
+    "x,fd00::1,fd00::2,TCP,6",
+    ",fd00::1,fd00::2,TCP,6",
+    "0,fd00::1,fd00::2,tcp,6",
+    "0,fd00::1,fd00::2,TCP,6,",
 ]
 
 
 @pytest.mark.parametrize("line", NEAR_MISSES)
 def test_near_canonical_lines_read_alike(tmp_path, line):
     path = tmp_path / "pkts.csv"
-    path.write_bytes(f"1,10.0.0.1,10.0.0.2,TCP,4\n{line}\n2,10.0.0.2,10.0.0.1,TCP,4\n".encode())
+    path.write_bytes(
+        f"1,10.0.0.1,10.0.0.2,TCP,4\n1,fd00::1,10.0.0.2,UDP,6\n{line}\r\n"
+        f"2,::2,fd00::1,ICMP,6\n2,10.0.0.2,10.0.0.1,TCP,4\n".encode()
+    )
     expected = _by_lines(path)
-    for size in (1, CHUNK_BYTES):
+    for size in (1, 7, CHUNK_BYTES):
         assert _by_chunks(path, size) == expected
