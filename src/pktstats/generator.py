@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -215,8 +216,7 @@ def _expand_records(
     order = rng.permutation(np.repeat(np.arange(len(links)), counts))
     srcs = src_arr[order].tolist()
     dsts = dst_arr[order].tolist()
-    n = len(srcs)
-    return list(zip(range(n), srcs, dsts, ["TCP"] * n, [4] * n))
+    return list(zip(range(len(srcs)), srcs, dsts, repeat("TCP"), repeat(4)))
 
 
 def _structural_truth(

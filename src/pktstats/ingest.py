@@ -1,15 +1,16 @@
 """Packet-record ingest: CSV parsing, validity filtering, and fixed-size windowing.
 
 A packet stream is a sequence of records ``(timestamp_us, src, dst, protocol,
-ip_version)``.  Only TCP-over-IPv4 records are *valid*.  Valid packets are
-held as ``CodedPackets``: two integer arrays of source and destination codes
-into one sorted address table, so code order is lexicographic address order.
-Windowing groups every ``n_valid`` consecutive valid records into one
-``CodedPackets`` window, skipping (but counting) invalid ones; a trailing
-partial window is discarded.  A coded stream is cut into windows by slicing
-its arrays.  ``read_packet_keys`` reads a packet CSV as byte chunks and codes
-each dotted quad by its key, its index in ``DOTTED_QUADS``, with no str per
-packet; rows of plain IPv6 text are checked there as arrays too.
+ip_version)``.  Only TCP-over-IPv4 records are *valid*.  Windowing groups
+every ``n_valid`` consecutive valid records into one window, skipping (but
+counting) invalid ones; a trailing partial window is discarded.  Every
+window is a ``CodedPackets``: two integer arrays of source and destination
+codes into the sorted table of exactly that window's addresses, so code
+order is lexicographic address order.  ``read_packet_keys`` reads a packet
+CSV as byte chunks and keys each dotted quad by a uint32 whose order is its
+text order, with no str per packet; rows of plain IPv6 text are checked
+there as arrays too.  ``KeyBatch.window`` cuts a window from such keys and
+codes it by its own keys.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import ipaddress
 import operator
 import re
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import (
     Callable,
@@ -39,6 +41,9 @@ _PROTOCOL_NAMES = {name: name for name in PROTOCOLS}
 IP_VERSIONS = frozenset({4, 6})
 
 CANONICAL_FIELDS = ("timestamp", "src", "dst", "protocol", "ip_version")
+# A timestamp field longer than this is a bad timestamp; every nonnegative
+# int64 fits.
+MAX_TIMESTAMP_DIGITS = 19
 
 
 class PacketParseError(ValueError):
@@ -89,12 +94,11 @@ class IngestSummary:
 
 @dataclass(frozen=True, eq=False)
 class CodedPackets:
-    """Valid packets as codes into a sorted address table: a coded stream,
-    or one window of it (``index`` counts windows from 0).
+    """One window of valid packets (``index`` counts windows from 0).
 
-    Packet i goes from ``names[src[i]]`` to ``names[dst[i]]``.  A stream and
-    the windows ``window`` slices from it, without copying, share one table.
-    The table is a tuple of addresses, or ``DOTTED_QUADS``.
+    Packet i goes from ``names[src[i]]`` to ``names[dst[i]]``.  ``names`` is
+    the sorted table of exactly the window's addresses, so the codes are
+    0..len(names)-1 and each of them is used.
     """
 
     src: np.ndarray
@@ -108,12 +112,6 @@ class CodedPackets:
 
     def __len__(self) -> int:
         return len(self.src)
-
-    def window(self, index: int, size: int) -> "CodedPackets":
-        """The index-th run of ``size`` consecutive packets."""
-        start = index * size
-        stop = start + size
-        return CodedPackets(self.src[start:stop], self.dst[start:stop], self.names, index)
 
 
 def intern_addresses(srcs: Sequence[str], dsts: Sequence[str]) -> CodedPackets:
@@ -133,38 +131,36 @@ _OCTET_RANKS = [_OCTET_TEXTS.index(str(value)) for value in range(256)]
 
 
 def quad_key(text: str) -> int:
-    """The key of a dotted quad: its index in ``DOTTED_QUADS``."""
+    """The key of a dotted quad: keys sort as the texts do."""
     key = 0
     for octet in text.split("."):
         key = key << 8 | _OCTET_RANKS[int(octet)]
     return key
 
 
-class _DottedQuads:
-    """All 2**32 dotted quads in text order, built on request: item k is the
-    quad whose key is k.  It serves as the sorted address table of a stream
-    of keys, so bisecting it for a name works as for a tuple of names."""
+def quad_text(key: int) -> str:
+    """The dotted quad whose key is ``key``."""
+    texts = _OCTET_TEXTS
+    return (
+        f"{texts[key >> 24]}.{texts[key >> 16 & 255]}."
+        f"{texts[key >> 8 & 255]}.{texts[key & 255]}"
+    )
 
-    __slots__ = ()
+
+class _QuadTexts:
+    """The dotted quads of sorted distinct keys, built on request: a sorted
+    address table that holds no str until one is asked for."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
 
     def __len__(self) -> int:
-        return 1 << 32
+        return len(self.keys)
 
-    def __getitem__(self, key) -> str:
-        key = operator.index(key)
-        if not 0 <= key < 1 << 32:
-            raise IndexError("dotted-quad key out of range")
-        texts = _OCTET_TEXTS
-        return (
-            f"{texts[key >> 24]}.{texts[key >> 16 & 255]}."
-            f"{texts[key >> 8 & 255]}.{texts[key & 255]}"
-        )
-
-    def __repr__(self) -> str:
-        return "DOTTED_QUADS"
-
-
-DOTTED_QUADS = _DottedQuads()
+    def __getitem__(self, index) -> str:
+        return quad_text(int(self.keys[index]))
 
 
 _OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
@@ -198,9 +194,14 @@ def parse_packet_line(
     by_name = dict(zip(fmt.fields, parts))
     raw_ts = by_name["timestamp"]
     try:
+        if len(raw_ts) > MAX_TIMESTAMP_DIGITS:
+            raise ValueError
         timestamp = int(raw_ts)
     except ValueError:
-        raise PacketParseError(f"bad timestamp {raw_ts!r}", line_number) from None
+        shown = repr(raw_ts[:32])
+        if len(raw_ts) > 32:
+            shown += f"... ({len(raw_ts)} characters)"
+        raise PacketParseError(f"bad timestamp {shown}", line_number) from None
     if timestamp < 0:
         raise PacketParseError(f"negative timestamp {timestamp}", line_number)
     src = by_name["src"]
@@ -256,7 +257,7 @@ def _line_parser(
             src = known.get(src) or _learn_address(known, src)
             dst = known.get(dst) or _learn_address(known, dst)
             protocol = _PROTOCOL_NAMES.get(protocol)
-            if src and dst and protocol:
+            if src and dst and protocol and len(raw_ts) <= MAX_TIMESTAMP_DIGITS:
                 try:
                     timestamp = int(raw_ts)
                     ip_version = int(raw_ver)
@@ -354,18 +355,44 @@ _TAIL_CODES = np.array(
 _TCP_V4_CODE = _text_code(b"TCP,4")
 
 
-class KeyBatch(NamedTuple):
-    """The valid packets of one chunk's lines, as dotted-quad keys.
+@dataclass(frozen=True, eq=False)
+class KeyBatch:
+    """Valid packets as dotted-quad keys: those of one chunk's lines, or of
+    a whole stream, read from ``n_read`` lines.
 
     A valid packet with an address that is not a dotted quad (text mode
     takes ``0,fd00::1,fd00::2,TCP,4`` as TCP over IPv4) has keys 0 here and
-    is listed in ``texts`` as (position in the batch, src, dst).
+    is listed in ``texts`` as (position in the batch, src, dst), in
+    position order.
     """
 
     src: np.ndarray
     dst: np.ndarray
     n_read: int
     texts: Tuple[Tuple[int, str, str], ...]
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def window(self, index: int, size: int) -> CodedPackets:
+        """The index-th run of ``size`` consecutive packets, coded by its
+        own address table: its sorted distinct keys, or, when ``texts`` has
+        packets in the window, its sorted distinct address texts."""
+        start = index * size
+        stop = start + size
+        src, dst = self.src[start:stop], self.dst[start:stop]
+        first = bisect_left(self.texts, (start,))
+        last = bisect_left(self.texts, (stop,))
+        if first == last:
+            keys, codes = np.unique(np.concatenate((src, dst)), return_inverse=True)
+            n = len(src)
+            return CodedPackets(codes[:n], codes[n:], _QuadTexts(keys), index)
+        srcs = list(map(quad_text, src.tolist()))
+        dsts = list(map(quad_text, dst.tolist()))
+        for at, src_text, dst_text in self.texts[first:last]:
+            srcs[at - start] = src_text
+            dsts[at - start] = dst_text
+        return replace(intern_addresses(srcs, dsts), index=index)
 
 
 def _scan_tails(buf: np.ndarray, at: np.ndarray, stops: np.ndarray):
@@ -382,12 +409,12 @@ def _scan_canonical(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     ``buf[start:stop]``.
 
     A canonical line is ``timestamp,quad,quad,protocol,version``: a timestamp
-    of ASCII digits, dotted quads whose octets are among the 256 octet
-    strings (1-3 digits, no leading zero, value <= 255), one of the four
-    protocol names, and ``4`` or ``6``.  ``buf`` ends with LF and then
-    ``_PADDING``.  Keys of other lines are arbitrary.  The digits end of a
-    line is the position in ``buf`` of its first byte that is no ASCII
-    digit.
+    of 1 to MAX_TIMESTAMP_DIGITS ASCII digits, dotted quads whose octets are
+    among the 256 octet strings (1-3 digits, no leading zero, value <= 255),
+    one of the four protocol names, and ``4`` or ``6``.  ``buf`` ends with LF
+    and then ``_PADDING``.  Keys of other lines are arbitrary.  The digits
+    end of a line is the position in ``buf`` of its first byte that is no
+    ASCII digit.
     """
     # Up to the protocol, a canonical line's non-digit bytes are exactly the
     # separators.  Indices clipped past the last line land on its LF, a
@@ -396,7 +423,9 @@ def _scan_canonical(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     nondigits = np.flatnonzero(body - np.uint8(ord("0")) > 9)
     first = np.searchsorted(nondigits, starts)
     seps = np.take(nondigits, first[:, None] + np.arange(9), mode="clip")
-    ok = (buf[seps] == _SEPARATORS).all(axis=1) & (seps[:, 0] > starts)
+    digits = seps[:, 0] - starts
+    ok = (buf[seps] == _SEPARATORS).all(axis=1) & (digits > 0)
+    ok &= digits <= MAX_TIMESTAMP_DIGITS
 
     # The eight octets, four per address, lie between the separators.
     lo = seps[:, :-1] + 1
@@ -476,11 +505,11 @@ def _scan_plain(
     """(plain, tcp_v4, accepted, lo, hi) of each line ``buf[start:stop]``.
 
     A plain line is ``timestamp,address,address,protocol,version`` with a
-    timestamp of ASCII digits, addresses that ``_plain_addresses`` accepts,
-    and a tail in _TAIL_CODES.  ``accepted`` holds that verdict for the
-    (src, dst) texts ``buf[lo:hi]`` of each line with five fields; it is
-    False for every other line.  ``digits_end`` is as _scan_canonical
-    gives it.
+    timestamp of 1 to MAX_TIMESTAMP_DIGITS ASCII digits, addresses that
+    ``_plain_addresses`` accepts, and a tail in _TAIL_CODES.  ``accepted``
+    holds that verdict for the (src, dst) texts ``buf[lo:hi]`` of each line
+    with five fields; it is False for every other line.  ``digits_end`` is
+    as _scan_canonical gives it.
     """
     body = buf[: -len(_PADDING)]
     # The last LF stands in for the commas that the last lines lack.
@@ -492,9 +521,9 @@ def _scan_plain(
     accepted = _plain_addresses(buf, lo.ravel(), hi.ravel()).reshape(-1, 2)
     accepted &= fields[:, None]
     known, tcp_v4 = _scan_tails(buf, at[:, 2] + 1, stops)
-    plain = (
-        accepted.all(axis=1) & known & (digits_end == at[:, 0]) & (at[:, 0] > starts)
-    )
+    digits = at[:, 0] - starts
+    plain = accepted.all(axis=1) & known & (digits_end == at[:, 0]) & (digits > 0)
+    plain &= digits <= MAX_TIMESTAMP_DIGITS
     return plain, tcp_v4, accepted, lo, hi
 
 
@@ -514,12 +543,16 @@ def _chunk_batch(
     the first bad line the batch stops, and that line's error is returned
     beside it.
     """
-    if data.count(b"\r") != data.count(b"\r\n"):
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
     ends = np.flatnonzero(buf[: len(data)] == _LF)
+    crlf = buf[ends - 1] == _CR
+    if data.count(b"\r") > np.count_nonzero(crlf):
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
+        ends = np.flatnonzero(buf[: len(data)] == _LF)
+        crlf = np.zeros(len(ends), dtype=bool)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    stops = ends - (buf[ends - 1] == _CR)
+    stops = ends - crlf
     canonical, tcp_v4, src, dst, digits_end = _scan_canonical(buf, starts, stops)
     valid = canonical & tcp_v4
     rest = np.flatnonzero(~canonical)

@@ -2,11 +2,12 @@
 
 A matrix row is a source address, a column a destination address, and each
 stored entry is a positive packet count.  Both roles share one node id space:
-the window's addresses, compacted and numbered in lexicographic order, so id
-order is name order.  Entries are three integer arrays (row, col, count)
-sorted by (row, col); per-node fan and volume arrays are derived once at
-construction.  A matrix is built in one step, from a window of
-``CodedPackets`` or from a {(src, dst): count} mapping, and is immutable.
+the window's own address table, whose codes already number its addresses in
+lexicographic order, so node ids are those codes and id order is name order.
+Entries are three integer arrays (row, col, count) sorted by (row, col);
+per-node fan and volume arrays are derived once at construction.  A matrix
+is built in one step, from a window of ``CodedPackets`` or from a
+{(src, dst): count} mapping, and is immutable.
 """
 
 from __future__ import annotations
@@ -31,30 +32,21 @@ class AggregateSummary:
 
 
 def _cells(packets: CodedPackets, weights: Optional[Sequence[int]] = None) -> tuple:
-    """(names, nodes, row, col, count) of the coded packets' matrix.
+    """(names, row, col, count) of the coded packets' matrix.
 
     Each distinct (src, dst) pair is one entry counting its packets, or
     summing ``weights`` when every pair occurs once.
     """
-    n = len(packets.src)
-    codes = np.concatenate((packets.src, packets.dst))
     names = packets.names
-    if len(names) <= 2 * n and np.bincount(codes, minlength=len(names)).all():
-        # Every name is used (a window coded by its own table): the codes
-        # already are the node ids.
-        nodes, ids = np.arange(len(names)), codes.astype(np.intp, copy=False)
-    else:
-        # Sorting the window's own codes keeps the work O(n log n) in the
-        # window, whatever the size of a stream-wide table.
-        nodes, ids = np.unique(codes, return_inverse=True)
-    keys = ids[:n] * len(nodes) + ids[n:]
+    side = max(len(names), 1)
+    keys = packets.src.astype(np.intp, copy=False) * side + packets.dst
     if weights is None:
         cells, count = np.unique(keys, return_counts=True)
     else:
         order = np.argsort(keys)
         cells, count = keys[order], np.asarray(weights, dtype=np.int64)[order]
-    row, col = np.divmod(cells, max(len(nodes), 1))
-    return names, nodes, row, col, count
+    row, col = np.divmod(cells, side)
+    return names, row, col, count
 
 
 class TrafficMatrix:
@@ -70,7 +62,6 @@ class TrafficMatrix:
 
     __slots__ = (
         "_names",
-        "_nodes",
         "row",
         "col",
         "count",
@@ -81,15 +72,13 @@ class TrafficMatrix:
         "total",
     )
 
-    def __init__(self, names, nodes, row, col, count):
-        # The cells of _cells: names is a sorted address table, nodes the
-        # table index of each node id.
+    def __init__(self, names, row, col, count):
+        # The cells of _cells: node id i is the address names[i].
         self._names = names
-        self._nodes = nodes
         self.row = row
         self.col = col
         self.count = count
-        n = len(nodes)
+        n = len(names)
         self.out_degree = np.bincount(row, minlength=n)
         self.in_degree = np.bincount(col, minlength=n)
         # Weighted bincount sums in float64: exact while a node's packets
@@ -123,11 +112,11 @@ class TrafficMatrix:
 
     @property
     def n_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self._names)
 
     def node_names(self, nodes: Iterable[int]) -> list:
-        names, table = self._names, self._nodes
-        return [names[table[i]] for i in nodes]
+        names = self._names
+        return [names[i] for i in nodes]
 
     def node_mask(self, names: Iterable[str]) -> np.ndarray:
         """Boolean mask over node ids selecting the given names (unknown
@@ -140,11 +129,8 @@ class TrafficMatrix:
         return mask
 
     def _node_id(self, name: str) -> Optional[int]:
-        at = bisect_left(self._names, name)
-        if at == len(self._names) or self._names[at] != name:
-            return None
-        node = int(np.searchsorted(self._nodes, at))
-        if node == self.n_nodes or self._nodes[node] != at:
+        node = bisect_left(self._names, name)
+        if node == self.n_nodes or self._names[node] != name:
             return None
         return node
 

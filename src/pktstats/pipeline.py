@@ -1,10 +1,11 @@
 """End-to-end analysis runs: ingest, window, analyze, fit, report.
 
-A run ingests packet CSVs, cuts the valid stream into fixed-size windows,
-analyzes each window (matrix build, per-quantity pooled distributions,
-topology decomposition), averages pooled distributions across windows,
-fits the degree model to each averaged distribution, and writes a report
-directory of CSV/JSON files plus a manifest.
+A run ingests packet CSVs into one stream of address keys, cuts it into
+fixed-size windows, each coded by its own address table, analyzes each
+window (matrix build, per-quantity pooled distributions, topology
+decomposition), averages pooled distributions across windows, fits the
+degree model to each averaged distribution, and writes a report directory
+of CSV/JSON files plus a manifest.
 
 Reports are deterministic: files depend only on the input data and the
 configuration, never on worker count, timing, or output location.  Wall-time
@@ -15,6 +16,7 @@ contract.
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,13 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .ingest import (
-    DOTTED_QUADS,
-    CodedPackets,
-    IngestSummary,
-    intern_addresses,
-    read_packet_keys,
-)
+from .ingest import CodedPackets, IngestSummary, KeyBatch, read_packet_keys
 from .matrix import AggregateSummary, TrafficMatrix
 from .netstats import (
     ALL_KINDS,
@@ -165,29 +161,25 @@ def analyze_window(
     )
 
 
-# Workers inherit the coded stream by fork; tasks carry only window offsets.
-_SHARED_STREAM: Optional[CodedPackets] = None
+# Workers inherit the key stream and the run's configuration by fork, so a
+# task is only (size, index).
+_SHARED: Optional[Tuple[KeyBatch, RunConfig]] = None
 
 
-def _window_task(args: tuple) -> WindowAnalysis:
-    index, size, kind_values, supernode_k, strict_core = args
-    window = _SHARED_STREAM.window(index, size)
-    kinds = tuple(QuantityKind(value) for value in kind_values)
+def _window_task(task: Tuple[int, int]) -> WindowAnalysis:
+    size, index = task
+    stream, cfg = _SHARED
     return analyze_window(
-        window, kinds, supernode_k=supernode_k, strict_core=strict_core
+        stream.window(index, size),
+        cfg.quantities,
+        supernode_k=cfg.supernode_k,
+        strict_core=cfg.strict_core,
     )
 
 
-def load_valid_records(
-    inputs: Sequence[str],
-) -> Tuple[CodedPackets, IngestSummary]:
-    """All valid packets from the input files, in order, plus counters.
-
-    Addresses are coded by their dotted-quad keys, so ``DOTTED_QUADS`` is
-    the stream's sorted address table.  A stream in which any valid packet
-    has another address (IPv6 text in a row marked IPv4) is coded by the
-    rank of each address text in its own sorted table instead.
-    """
+def load_valid_records(inputs: Sequence[str]) -> Tuple[KeyBatch, IngestSummary]:
+    """All valid packets from the input files, in order, as one key batch,
+    plus counters."""
     summary = IngestSummary()
     srcs: List[np.ndarray] = [np.zeros(0, np.uint32)]
     dsts: List[np.ndarray] = [np.zeros(0, np.uint32)]
@@ -196,20 +188,14 @@ def load_valid_records(
         for batch in read_packet_keys(path):
             texts.extend((summary.total_valid + i, s, d) for i, s, d in batch.texts)
             summary.total_read += batch.n_read
-            summary.total_valid += len(batch.src)
+            summary.total_valid += len(batch)
             srcs.append(batch.src)
             dsts.append(batch.dst)
     summary.total_skipped = summary.total_read - summary.total_valid
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    if not texts:
-        return CodedPackets(src, dst, DOTTED_QUADS), summary
-    src_texts = [DOTTED_QUADS[key] for key in src.tolist()]
-    dst_texts = [DOTTED_QUADS[key] for key in dst.tolist()]
-    for i, src_text, dst_text in texts:
-        src_texts[i] = src_text
-        dst_texts[i] = dst_text
-    return intern_addresses(src_texts, dst_texts), summary
+    stream = KeyBatch(
+        np.concatenate(srcs), np.concatenate(dsts), summary.total_read, tuple(texts)
+    )
+    return stream, summary
 
 
 def _effective_sizes(
@@ -221,55 +207,51 @@ def _effective_sizes(
 
 
 def _prepare_out_dir(out_dir: Path, force: bool) -> None:
-    if out_dir.exists():
-        if any(out_dir.iterdir()):
-            if not force:
-                raise PipelineConfigError(
-                    f"output directory {out_dir} is not empty; pass force to replace"
-                )
-            for child in sorted(out_dir.iterdir(), reverse=True):
-                _remove_tree(child)
-    else:
+    """Make ``out_dir`` an empty directory.  A non-empty one is emptied only
+    with ``force``, and only if it holds a pktstats report manifest."""
+    if not out_dir.exists():
         out_dir.mkdir(parents=True)
+        return
+    if not any(out_dir.iterdir()):
+        return
+    if not force:
+        raise PipelineConfigError(
+            f"output directory {out_dir} is not empty; pass force to replace"
+        )
+    if not _holds_report(out_dir):
+        raise PipelineConfigError(
+            f"output directory {out_dir} is not a pktstats report "
+            '(no manifest.json with a "files" key); refusing to replace it'
+        )
+    for child in out_dir.iterdir():
+        if child.is_dir() and not child.is_symlink():
+            shutil.rmtree(child)
+        else:
+            child.unlink()
 
 
-def _remove_tree(path: Path) -> None:
-    if path.is_dir() and not path.is_symlink():
-        for child in path.iterdir():
-            _remove_tree(child)
-        path.rmdir()
-    else:
-        path.unlink()
+def _holds_report(out_dir: Path) -> bool:
+    """Whether ``out_dir/manifest.json`` is a JSON object with a "files" key."""
+    try:
+        with open(out_dir / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):
+        return False
+    return isinstance(manifest, dict) and "files" in manifest
 
 
 def _analyze_all_windows(
-    stream: CodedPackets,
+    stream: KeyBatch,
     sizes: Sequence[int],
     cfg: RunConfig,
 ) -> Dict[int, List[WindowAnalysis]]:
-    """Per-size window analyses, reduced in window-index order."""
-    global _SHARED_STREAM
-    tasks = []
-    for size in sizes:
-        for index in range(len(stream) // size):
-            tasks.append(
-                (
-                    size,
-                    (
-                        index,
-                        size,
-                        tuple(kind.value for kind in cfg.quantities),
-                        cfg.supernode_k,
-                        cfg.strict_core,
-                    ),
-                )
-            )
-    results: Dict[int, List[WindowAnalysis]] = {size: [] for size in sizes}
-    _SHARED_STREAM = stream
+    """Per-size window analyses in window-index order."""
+    global _SHARED
+    tasks = [(size, index) for size in sizes for index in range(len(stream) // size)]
+    _SHARED = (stream, cfg)
     try:
         if cfg.workers == 1:
-            for size, args in tasks:
-                results[size].append(_window_task(args))
+            analyses = list(map(_window_task, tasks))
         else:
             # Imported here: with what they pull in (socket, logging,
             # selectors) they cost a single-worker run tens of ms at start.
@@ -283,15 +265,13 @@ def _analyze_all_windows(
             with ProcessPoolExecutor(
                 max_workers=cfg.workers, mp_context=context
             ) as pool:
-                analyses = pool.map(
-                    _window_task, [args for _, args in tasks], chunksize=chunksize
-                )
-                for (size, _), analysis in zip(tasks, analyses):
-                    results[size].append(analysis)
+                analyses = list(pool.map(_window_task, tasks, chunksize=chunksize))
     finally:
-        _SHARED_STREAM = None
-    for size in sizes:
-        results[size].sort(key=lambda analysis: analysis.index)
+        _SHARED = None
+    # Both paths return the analyses in task order.
+    results: Dict[int, List[WindowAnalysis]] = {size: [] for size in sizes}
+    for (size, _), analysis in zip(tasks, analyses):
+        results[size].append(analysis)
     return results
 
 

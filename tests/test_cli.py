@@ -1,6 +1,7 @@
 """Command-line behavior: flags, config files, exit codes, printed summary."""
 
 import gzip
+import hashlib
 import json
 import os
 import subprocess
@@ -64,6 +65,36 @@ class TestGenerate:
         message = capsys.readouterr().out
         assert "wrote 10 records" in message
         assert "5 links" in message
+
+    @pytest.mark.parametrize(
+        "spec_text, packets, digest",
+        [
+            (
+                "n_isolated_pairs = 50\nsupernode_leaf_count = 40\ncore_size = 8\n"
+                "core_density = 0.5\ncore_leaf_count = 12\nseed = 3\n",
+                600,
+                "9040412636fa7aa570595f227c241b1c486aeb2f58c7758f16224105003c05b7",
+            ),
+            (
+                "degree_model_alpha = 1.5\ndegree_model_delta = 0.5\n"
+                "degree_model_d_max = 64\nseed = 5\n",
+                500,
+                "70dce60354a53a542fdf9398e992e5817f4b7481f0698e6e39210306826780b7",
+            ),
+        ],
+    )
+    def test_output_bytes_are_frozen(
+        self, tmp_path, capsys, spec_text, packets, digest
+    ):
+        # A seed gives the same file in every release: a structural mixture
+        # and a degree-model stream.
+        spec = write_spec(tmp_path, spec_text)
+        out = tmp_path / "pkts.csv"
+        code = main(
+            ["generate", "--spec", spec, "--packets", str(packets), "--out", str(out)]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "n_isolated_pairs = 5\n")
@@ -213,11 +244,31 @@ class TestAnalyze:
         out = tmp_path / "report"
         out.mkdir()
         (out / "stale").write_text("x")
+        (out / "manifest.json").write_text('{"files": {"stale": 1}}')
         base = ["analyze", "--input", stream, "--nv", "50", "--out", str(out),
                 "--alpha-grid", "1.0:2.0:0.5"]
         assert main(base) == 1
         assert main(base + ["--force"]) == 0
         assert not (out / "stale").exists()
+
+    def test_force_without_a_manifest_is_refused(self, tmp_path, capsys):
+        stream = self.stream(tmp_path)
+        out = tmp_path / "home"
+        (out / "sub").mkdir(parents=True)
+        (out / "notes.txt").write_text("mine")
+        (out / "sub" / "more.txt").write_text("also mine")
+        code = main(
+            ["analyze", "--input", stream, "--nv", "50", "--out", str(out),
+             "--alpha-grid", "1.0:2.0:0.5", "--force"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "not a pktstats report" in err and err.count("\n") == 1
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "notes.txt", "sub", "sub/more.txt"
+        ]
+        assert (out / "notes.txt").read_text() == "mine"
+        assert (out / "sub" / "more.txt").read_text() == "also mine"
 
     def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         code = main(

@@ -61,6 +61,12 @@ class TestParsePacketLine:
         with pytest.raises(PacketParseError):
             parse_packet_line(line)
 
+    def test_timestamps_have_at_most_nineteen_digits(self):
+        record = parse_packet_line("9" * 19 + ",10.0.0.1,10.0.0.2,TCP,4")
+        assert record.timestamp == 10**19 - 1
+        with pytest.raises(PacketParseError, match="bad timestamp"):
+            parse_packet_line("0" * 20 + ",10.0.0.1,10.0.0.2,TCP,4")
+
     def test_error_carries_line_number(self):
         with pytest.raises(PacketParseError) as excinfo:
             parse_packet_line("bad", line_number=42)
@@ -158,6 +164,12 @@ class TestReadPacketCsv:
             ("1,10.0.0.1,10.0.0.2,GRE,4", "unknown protocol 'GRE'"),
             ("1,10.0.0.1,10.0.0.2,TCP,four", "bad ip_version 'four'"),
             ("1,10.0.0.1,10.0.0.2,TCP,5", "unknown ip_version 5"),
+            ("1" * 20 + ",10.0.0.1,10.0.0.2,TCP,4", f"bad timestamp '{'1' * 20}'"),
+            pytest.param(
+                "1" * 5000 + ",10.0.0.1,10.0.0.2,TCP,4",
+                f"bad timestamp '{'1' * 32}'... (5000 characters)",
+                id="5000-digit timestamp",
+            ),
         ],
     )
     def test_malformed_line_after_good_lines(self, tmp_path, bad, message):

@@ -16,7 +16,7 @@ from pktstats import read_packet_csv  # noqa: E402
 from pktstats.ingest import (  # noqa: E402
     CANONICAL_FIELDS,
     CHUNK_BYTES,
-    DOTTED_QUADS,
+    MAX_TIMESTAMP_DIGITS,
     FormatSpec,
     PacketParseError,
     _DOTTED_QUAD,
@@ -25,6 +25,7 @@ from pktstats.ingest import (  # noqa: E402
     _plain_addresses,
     parse_packet_line,
     quad_key,
+    quad_text,
     read_packet_keys,
 )
 
@@ -272,7 +273,7 @@ def test_quad_keys_sort_as_the_texts_do(pair):
     a, b = pair
     assert (quad_key(a) < quad_key(b)) == (a < b)
     assert (quad_key(a) == quad_key(b)) == (a == b)
-    assert DOTTED_QUADS[quad_key(a)] == a
+    assert quad_text(quad_key(a)) == a
 
 
 def _rarely(good, bad, one_in):
@@ -280,6 +281,15 @@ def _rarely(good, bad, one_in):
     return st.integers(0, one_in - 1).flatmap(lambda i: bad if i == 0 else good)
 
 
+# Timestamps at and past MAX_TIMESTAMP_DIGITS, up to more digits than int()
+# reads by default.
+LONG_TIMESTAMPS = [
+    "9" * MAX_TIMESTAMP_DIGITS,
+    "0" * MAX_TIMESTAMP_DIGITS,
+    "1" * (MAX_TIMESTAMP_DIGITS + 1),
+    "0" * (MAX_TIMESTAMP_DIGITS + 1),
+    "1" * 5000,
+]
 # Rows that are canonical but for a rare field or octet just outside the
 # canonical form, so that files read many lines before any error.
 ROW_OCTETS = _rarely(
@@ -292,7 +302,9 @@ ROW_ADDRESSES = st.one_of(
 ROWS = st.tuples(
     _rarely(
         st.integers(0, 10**20).map(str),
-        st.sampled_from(["", "+1", " 7", "1_0", "-0", "-1", "٣", "1.5"]),
+        st.sampled_from(
+            ["", "+1", " 7", "1_0", "-0", "-1", "٣", "1.5"] + LONG_TIMESTAMPS
+        ),
         12,
     ),
     ROW_ADDRESSES,
@@ -324,7 +336,11 @@ V6_ROW_ADDRESSES = st.one_of(
     ),
 )
 V6_ROWS = st.tuples(
-    _rarely(st.integers(0, 10**6).map(str), st.sampled_from(["", "-1", "1a", " 1"]), 20),
+    _rarely(
+        st.integers(0, 10**6).map(str),
+        st.sampled_from(["", "-1", "1a", " 1"] + LONG_TIMESTAMPS),
+        20,
+    ),
     V6_ROW_ADDRESSES,
     V6_ROW_ADDRESSES,
     st.sampled_from(["TCP", "UDP", "ICMP", "OTHER"]),
@@ -367,7 +383,7 @@ def _by_chunks(path, chunk_size):
     try:
         for batch in read_packet_keys(path, _chunk_size=chunk_size):
             texts = [
-                (DOTTED_QUADS[src], DOTTED_QUADS[dst])
+                (quad_text(src), quad_text(dst))
                 for src, dst in zip(batch.src.tolist(), batch.dst.tolist())
             ]
             for i, src, dst in batch.texts:
@@ -401,6 +417,9 @@ NEAR_MISSES = [
     ",1.2.3.4,5.6.7.8,TCP,4",
     "00,0.0.0.0,255.255.255.255,OTHER,6",
     "99999999999999999999,1.2.3.4,5.6.7.8,TCP,4",
+    "9999999999999999999,1.2.3.4,5.6.7.8,TCP,4",
+    pytest.param("1" * 5000 + ",1.2.3.4,5.6.7.8,TCP,4", id="5000-digit ts,TCP,4"),
+    pytest.param("1" * 5000 + ",1.2.3.4,5.6.7.8,UDP,4", id="5000-digit ts,UDP,4"),
     "0,1.2.3.4,5.6.7.8,TCP,44",
     "0,1.2.3.4,5.6.7.8,TCP,4,",
     "0,1.2.3.4,5.6.7.8,TCP,4\x00",
@@ -423,6 +442,9 @@ NEAR_MISSES = [
     ",fd00::1,fd00::2,TCP,6",
     "0,fd00::1,fd00::2,tcp,6",
     "0,fd00::1,fd00::2,TCP,6,",
+    "9999999999999999999,fd00::1,fd00::2,UDP,6",
+    "1" * 20 + ",fd00::1,fd00::2,UDP,6",
+    pytest.param("1" * 5000 + ",fd00::1,fd00::2,UDP,6", id="5000-digit ts,ipv6"),
 ]
 
 

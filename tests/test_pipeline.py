@@ -175,7 +175,7 @@ class TestEdgeCases:
             assert str(excinfo.value) == error
             return
         stream, summary = load_valid_records(paths)
-        assert window_pairs(stream) == pairs
+        assert window_pairs(stream.window(0, len(stream))) == pairs
         assert summary.total_read == n_read
         assert summary.total_valid == len(pairs)
         assert summary.total_skipped == n_read - len(pairs)
@@ -281,6 +281,12 @@ class TestRunAnalyze:
         out = tmp_path / "out"
         (out / "deep").mkdir(parents=True)
         (out / "deep" / "stale.txt").write_text("old")
+        (out / "manifest.json").write_text('{"files": {}}')
+        # A link to a directory elsewhere is removed, not followed.
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "data.txt").write_text("keep")
+        (out / "link").symlink_to(kept, target_is_directory=True)
         spec = GeneratorSpec(n_isolated_pairs=10)
         path, _ = write_stream(tmp_path, spec, 20)
         cfg = RunConfig(
@@ -292,7 +298,29 @@ class TestRunAnalyze:
         )
         run_analyze(cfg)
         assert not (out / "deep").exists()
-        assert (out / "manifest.json").is_file()
+        assert not (out / "link").exists()
+        assert (kept / "data.txt").read_text() == "keep"
+        assert "files" in json.loads((out / "manifest.json").read_text())
+
+    @pytest.mark.parametrize(
+        "manifest", [None, "not json", "[]", '{"version": "0.1.0"}']
+    )
+    def test_force_refuses_a_directory_that_is_no_report(self, tmp_path, manifest):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine")
+        if manifest is not None:
+            (out / "manifest.json").write_text(manifest)
+        before = sorted(p.name for p in out.iterdir())
+        spec = GeneratorSpec(n_isolated_pairs=10)
+        path, _ = write_stream(tmp_path, spec, 20)
+        cfg = RunConfig(
+            inputs=(str(path),), out_dir=str(out), window_sizes=(10,), force=True
+        )
+        with pytest.raises(PipelineConfigError, match="not a pktstats report"):
+            run_analyze(cfg)
+        assert sorted(p.name for p in out.iterdir()) == before
+        assert (out / "notes.txt").read_text() == "mine"
 
     def test_empty_run_raises_with_summary(self, tmp_path):
         spec = GeneratorSpec(n_isolated_pairs=3)
@@ -410,11 +438,61 @@ class TestCodedWindows:
             written = out / "nv_000000006" / "window_000000.topology.csv"
             assert written.read_bytes() == expected_csv.read_bytes()
 
+    def test_text_rows_code_only_their_own_window_by_text(self, tmp_path):
+        # Window 1 of 4 starts and ends with a TCP/IPv4 row of IPv6 text;
+        # "1::" sorts before every quad and "fd00::2" after.  Every window,
+        # whichever table codes it, must match the window of its records.
+        rng = np.random.Generator(np.random.Philox(key=11))
+        size = 40
+        pool = [f"10.0.{i}.{j}" for i in (0, 1, 10) for j in (1, 2, 9, 10, 100)]
+        pairs = [
+            tuple(pool[i] for i in rng.integers(0, len(pool), size=2))
+            for _ in range(4 * size + 7)
+        ]
+        pairs[size] = ("1::", pairs[size][1])
+        pairs[2 * size - 1] = (pairs[2 * size - 1][0], "fd00::2")
+        records = make_records(pairs)
+        noise = make_records(pairs[:9], protocol="UDP")
+        path = tmp_path / "mixed.csv"
+        write_packet_csv(path, records[:size] + noise + records[size:])
+        stream, _ = load_valid_records([str(path)])
+        assert [at for at, _, _ in stream.texts] == [size, 2 * size - 1]
+        for index in range(4):
+            window_records = records[index * size : (index + 1) * size]
+            window = stream.window(index, size)
+            expected = next_window(iter(window_records), size, index=index)
+            assert window_pairs(window) == [(r[1], r[2]) for r in window_records]
+            assert list(window.names) == list(expected.names)
+            for strict_core in (False, True):
+                assert analyze_window(
+                    window, supernode_k=2, strict_core=strict_core
+                ) == analyze_window(expected, supernode_k=2, strict_core=strict_core)
+
+        for strict_core in (False, True):
+            reports = {}
+            for workers in (1, 2):
+                out = tmp_path / f"out_w{workers}_{strict_core}"
+                cfg = RunConfig(
+                    inputs=(str(path),),
+                    out_dir=str(out),
+                    window_sizes=(size, 3 * size),
+                    grid=SMALL_GRID,
+                    workers=workers,
+                    strict_core=strict_core,
+                    supernode_k=2,
+                )
+                run_analyze(cfg)
+                reports[workers] = {
+                    p.relative_to(out).as_posix(): p.read_bytes()
+                    for p in sorted(out.rglob("*"))
+                    if p.is_file() and p.name != "timings.json"
+                }
+            assert reports[1] == reports[2]
+
     def test_coded_windows_match_record_windows_and_dense_oracle(self, tmp_path):
-        # Two windows per stream, so a window's addresses are coded by a
-        # table that also holds the other window's addresses.  In every other
-        # stream a trailing partial window of fresh addresses makes the table
-        # larger than a window's own endpoint list.
+        # Two windows per stream over partly shared addresses.  In every
+        # other stream a trailing partial window of fresh addresses follows,
+        # which no window's table may hold.
         rng = np.random.Generator(np.random.Philox(key=20261018))
         for trial in range(200):
             draws = []
@@ -442,6 +520,13 @@ class TestCodedWindows:
             for index in range(2):
                 window_records = records[index * size : (index + 1) * size]
                 window = stream.window(index, size)
+                # Codes 0..len(names)-1 into the sorted table of exactly the
+                # window's own addresses.
+                names = list(window.names)
+                codes = np.concatenate((window.src, window.dst))
+                assert (names == sorted(names), codes.min(), codes.max() + 1) == (
+                    True, 0, len(names)
+                ) and len(names) == len(np.unique(codes))
                 coded = analyze_window(window, supernode_k=k)
                 record_window = next_window(iter(window_records), size, index=index)
                 assert coded == analyze_window(record_window, supernode_k=k)
