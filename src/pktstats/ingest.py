@@ -6,32 +6,24 @@ every ``n_valid`` consecutive valid records into one window, skipping (but
 counting) invalid ones; a trailing partial window is discarded.  Every
 window is a ``CodedPackets``: two integer arrays of source and destination
 codes into the sorted table of exactly that window's addresses, so code
-order is lexicographic address order.  ``read_packet_keys`` reads a packet
-CSV as byte chunks and keys each dotted quad by a uint32 whose order is its
-text order, with no str per packet; rows of plain IPv6 text are checked
-there as arrays too.  ``KeyBatch.window`` cuts a window from such keys and
-codes it by its own keys.
+order is lexicographic address order.  ``parse_packet_line`` is the one
+parser of a CSV line.  ``read_packet_csv`` runs it on every line;
+``read_packet_keys`` reads a packet CSV as byte chunks, keys each dotted
+quad by a uint32 whose order is its text order, with no str per packet,
+checks rows of plain IPv6 text as arrays too, and runs it only on the
+lines that neither array pass accepts.  ``KeyBatch.window`` cuts a window
+from such keys and codes it by its own keys.
 """
 
 from __future__ import annotations
 
 import gzip
 import ipaddress
-import operator
 import re
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +31,7 @@ PROTOCOLS = frozenset({"TCP", "UDP", "ICMP", "OTHER"})
 # Each protocol name maps to itself, so parsed records share one str per name.
 _PROTOCOL_NAMES = {name: name for name in PROTOCOLS}
 IP_VERSIONS = frozenset({4, 6})
+_IP_VERSIONS = {str(version): version for version in IP_VERSIONS}
 
 CANONICAL_FIELDS = ("timestamp", "src", "dst", "protocol", "ip_version")
 # A timestamp field longer than this is a bad timestamp; every nonnegative
@@ -66,21 +59,6 @@ class PacketRecord(NamedTuple):
     dst: str
     protocol: str
     ip_version: int
-
-
-@dataclass(frozen=True)
-class FormatSpec:
-    """Column layout of a packet CSV file."""
-
-    fields: tuple = CANONICAL_FIELDS
-    header: bool = False
-
-    def __post_init__(self):
-        if sorted(self.fields) != sorted(CANONICAL_FIELDS):
-            raise ValueError(f"fields must be a permutation of {CANONICAL_FIELDS}")
-
-
-CANONICAL_FORMAT = FormatSpec()
 
 
 @dataclass
@@ -130,14 +108,6 @@ _OCTET_TEXTS = tuple(sorted(map(str, range(256))))
 _OCTET_RANKS = [_OCTET_TEXTS.index(str(value)) for value in range(256)]
 
 
-def quad_key(text: str) -> int:
-    """The key of a dotted quad: keys sort as the texts do."""
-    key = 0
-    for octet in text.split("."):
-        key = key << 8 | _OCTET_RANKS[int(octet)]
-    return key
-
-
 def quad_text(key: int) -> str:
     """The dotted quad whose key is ``key``."""
     texts = _OCTET_TEXTS
@@ -178,48 +148,61 @@ def _is_address(text: str) -> bool:
     return True
 
 
-def parse_packet_line(
-    line: str, line_number: int = 0, fmt: FormatSpec = CANONICAL_FORMAT
-) -> PacketRecord:
-    """Parse one CSV line into a PacketRecord.
+def _validated(known: Dict[str, str], text: str, label: str, line_number: int) -> str:
+    """An address not yet in ``known``, validated and added to it."""
+    if not text or not _is_address(text):
+        raise PacketParseError(f"invalid {label} address {text!r}", line_number)
+    known[text] = text
+    return text
 
-    Raises PacketParseError on wrong field count, malformed timestamp or
-    addresses, unknown protocol, or unknown IP version.
+
+def _timestamp_error(raw: str) -> str:
+    """Why ``raw`` is no timestamp of 1 to MAX_TIMESTAMP_DIGITS ASCII digits."""
+    digits = raw[1:]
+    if raw[:1] == "-" and digits.isascii() and digits.isdigit():
+        if len(digits) <= MAX_TIMESTAMP_DIGITS and int(digits):
+            return f"negative timestamp -{int(digits)}"
+    shown = repr(raw[:32])
+    if len(raw) > 32:
+        shown += f"... ({len(raw)} characters)"
+    return f"bad timestamp {shown}"
+
+
+def parse_packet_line(
+    line: str, line_number: int = 0, known: Optional[Dict[str, str]] = None
+) -> PacketRecord:
+    """Parse one CSV line ``timestamp,src,dst,protocol,ip_version``.
+
+    The timestamp is 1 to MAX_TIMESTAMP_DIGITS ASCII digits, src and dst
+    are addresses, the protocol is one of PROTOCOLS and ip_version is
+    exactly ``4`` or ``6``.  ``known`` maps each address already validated
+    to the str that records share; an address not in it is validated and
+    added, so a file's parser validates each distinct address once.
+    Raises PacketParseError naming the first field that fails.
     """
     parts = line.rstrip("\r\n").split(",")
     if len(parts) != len(CANONICAL_FIELDS):
         raise PacketParseError(
             f"expected {len(CANONICAL_FIELDS)} fields, got {len(parts)}", line_number
         )
-    by_name = dict(zip(fmt.fields, parts))
-    raw_ts = by_name["timestamp"]
-    try:
-        if len(raw_ts) > MAX_TIMESTAMP_DIGITS:
-            raise ValueError
-        timestamp = int(raw_ts)
-    except ValueError:
-        shown = repr(raw_ts[:32])
-        if len(raw_ts) > 32:
-            shown += f"... ({len(raw_ts)} characters)"
-        raise PacketParseError(f"bad timestamp {shown}", line_number) from None
-    if timestamp < 0:
-        raise PacketParseError(f"negative timestamp {timestamp}", line_number)
-    src = by_name["src"]
-    dst = by_name["dst"]
-    for label, addr in (("src", src), ("dst", dst)):
-        if not addr or not _is_address(addr):
-            raise PacketParseError(f"invalid {label} address {addr!r}", line_number)
-    protocol = by_name["protocol"]
-    if protocol not in PROTOCOLS:
+    raw_ts, src, dst, protocol, raw_ver = parts
+    if not (
+        raw_ts.isascii() and raw_ts.isdigit() and len(raw_ts) <= MAX_TIMESTAMP_DIGITS
+    ):
+        raise PacketParseError(_timestamp_error(raw_ts), line_number)
+    if known is None:
+        known = {}
+    src = known.get(src) or _validated(known, src, "src", line_number)
+    dst = known.get(dst) or _validated(known, dst, "dst", line_number)
+    name = _PROTOCOL_NAMES.get(protocol)
+    if name is None:
         raise PacketParseError(f"unknown protocol {protocol!r}", line_number)
-    raw_ver = by_name["ip_version"]
-    try:
-        ip_version = int(raw_ver)
-    except ValueError:
-        raise PacketParseError(f"bad ip_version {raw_ver!r}", line_number) from None
-    if ip_version not in IP_VERSIONS:
-        raise PacketParseError(f"unknown ip_version {ip_version}", line_number)
-    return PacketRecord(timestamp, src, dst, protocol, ip_version)
+    ip_version = _IP_VERSIONS.get(raw_ver)
+    if ip_version is None:
+        if raw_ver.isascii() and raw_ver.isdigit():
+            raise PacketParseError(f"unknown ip_version {raw_ver}", line_number)
+        raise PacketParseError(f"bad ip_version {raw_ver!r}", line_number)
+    return PacketRecord(int(raw_ts), src, dst, name, ip_version)
 
 
 def is_valid_packet(record) -> bool:
@@ -227,51 +210,7 @@ def is_valid_packet(record) -> bool:
     return record[3] == "TCP" and record[4] == 4
 
 
-def _learn_address(known: Dict[str, str], text: str) -> Optional[str]:
-    """Validate an address not yet in known; a valid one is added and returned."""
-    if _is_address(text):
-        known[text] = text
-        return text
-    return None
-
-
-def _line_parser(
-    fmt: FormatSpec, known: Optional[Dict[str, str]] = None
-) -> Callable[[str, int], PacketRecord]:
-    """A parser of one file's lines: ``parse(line, line_number)``.
-
-    Each distinct address is validated once per parser, and every record
-    that holds it shares one str object.  ``known`` maps each address
-    already validated to that object; the caller may add addresses it has
-    validated itself.  A line that fails any check is handed to
-    parse_packet_line, which raises its error.
-    """
-    n_fields = len(CANONICAL_FIELDS)
-    pick = operator.itemgetter(*(fmt.fields.index(name) for name in CANONICAL_FIELDS))
-    known = {} if known is None else known
-
-    def parse(line: str, line_number: int) -> PacketRecord:
-        parts = line.rstrip("\r\n").split(",")
-        if len(parts) == n_fields:
-            raw_ts, src, dst, protocol, raw_ver = pick(parts)
-            src = known.get(src) or _learn_address(known, src)
-            dst = known.get(dst) or _learn_address(known, dst)
-            protocol = _PROTOCOL_NAMES.get(protocol)
-            if src and dst and protocol and len(raw_ts) <= MAX_TIMESTAMP_DIGITS:
-                try:
-                    timestamp = int(raw_ts)
-                    ip_version = int(raw_ver)
-                except ValueError:
-                    pass
-                else:
-                    if timestamp >= 0 and ip_version in IP_VERSIONS:
-                        return PacketRecord(timestamp, src, dst, protocol, ip_version)
-        return parse_packet_line(line, line_number, fmt)
-
-    return parse
-
-
-def read_packet_csv(path, fmt: FormatSpec = CANONICAL_FORMAT) -> Iterator[PacketRecord]:
+def read_packet_csv(path) -> Iterator[PacketRecord]:
     """Stream records from a packet CSV file (gzip-transparent by suffix).
 
     Each distinct address is validated once per file, and every record that
@@ -281,7 +220,7 @@ def read_packet_csv(path, fmt: FormatSpec = CANONICAL_FORMAT) -> Iterator[Packet
     blocks, so the error names the first line not yet delivered.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
-    parse = _line_parser(fmt)
+    known: Dict[str, str] = {}
     with opener(path, "rt", encoding="utf-8") as fh:
         lines = iter(fh)
         line_number = 0
@@ -301,8 +240,7 @@ def read_packet_csv(path, fmt: FormatSpec = CANONICAL_FORMAT) -> Iterator[Packet
                     line_number + 1,
                 ) from None
             line_number += 1
-            if line_number > 1 or not fmt.header:
-                yield parse(line, line_number)
+            yield parse_packet_line(line, line_number, known)
 
 
 # Bytes read per step of read_packet_keys.  Every per-line array of a chunk
@@ -360,10 +298,10 @@ class KeyBatch:
     """Valid packets as dotted-quad keys: those of one chunk's lines, or of
     a whole stream, read from ``n_read`` lines.
 
-    A valid packet with an address that is not a dotted quad (text mode
-    takes ``0,fd00::1,fd00::2,TCP,4`` as TCP over IPv4) has keys 0 here and
-    is listed in ``texts`` as (position in the batch, src, dst), in
-    position order.
+    A valid packet of a line that no array pass accepts has an address
+    that is not a dotted quad (text mode takes ``0,fd00::1,fd00::2,TCP,4``
+    as TCP over IPv4).  Its keys here are arbitrary, and it is listed in
+    ``texts`` as (position in the batch, src, dst), in position order.
     """
 
     src: np.ndarray
@@ -502,14 +440,12 @@ def _plain_addresses(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
 def _scan_plain(
     buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, digits_end: np.ndarray
 ):
-    """(plain, tcp_v4, accepted, lo, hi) of each line ``buf[start:stop]``.
+    """(plain, tcp_v4) of each line ``buf[start:stop]``.
 
     A plain line is ``timestamp,address,address,protocol,version`` with a
     timestamp of 1 to MAX_TIMESTAMP_DIGITS ASCII digits, addresses that
-    ``_plain_addresses`` accepts, and a tail in _TAIL_CODES.  ``accepted``
-    holds that verdict for the (src, dst) texts ``buf[lo:hi]`` of each line
-    with five fields; it is False for every other line.  ``digits_end`` is
-    as _scan_canonical gives it.
+    ``_plain_addresses`` accepts, and a tail in _TAIL_CODES.  ``digits_end``
+    is as _scan_canonical gives it.
     """
     body = buf[: -len(_PADDING)]
     # The last LF stands in for the commas that the last lines lack.
@@ -517,31 +453,26 @@ def _scan_plain(
     first = np.searchsorted(commas, starts)
     at = np.take(commas, first[:, None] + np.arange(3), mode="clip")
     fields = np.searchsorted(commas, stops) - first == 4
-    lo, hi = at[:, :2] + 1, at[:, 1:]
-    accepted = _plain_addresses(buf, lo.ravel(), hi.ravel()).reshape(-1, 2)
-    accepted &= fields[:, None]
+    addresses = _plain_addresses(buf, (at[:, :2] + 1).ravel(), at[:, 1:].ravel())
     known, tcp_v4 = _scan_tails(buf, at[:, 2] + 1, stops)
     digits = at[:, 0] - starts
-    plain = accepted.all(axis=1) & known & (digits_end == at[:, 0]) & (digits > 0)
-    plain &= digits <= MAX_TIMESTAMP_DIGITS
-    return plain, tcp_v4, accepted, lo, hi
+    plain = addresses.reshape(-1, 2).all(axis=1) & fields & known
+    plain &= (digits_end == at[:, 0]) & (digits > 0) & (digits <= MAX_TIMESTAMP_DIGITS)
+    return plain, tcp_v4
 
 
 def _chunk_batch(
-    data: bytes,
-    first: int,
-    parse: Callable[[str, int], PacketRecord],
-    known: Dict[str, str],
+    data: bytes, first: int, known: Dict[str, str]
 ) -> Tuple[KeyBatch, Optional[PacketParseError]]:
     """The valid packets of ``data``, whole lines numbered from ``first``.
 
     Canonical lines are checked and keyed as arrays.  Plain lines that are
     not TCP over IPv4 are checked as arrays and skipped.  Every other line
-    goes through ``parse``, whose table ``known`` first gets each address
-    of those lines that ``_plain_addresses`` accepts.  Text mode also ends
-    a line at a CR that no LF follows, so such a CR is read as an LF.  At
-    the first bad line the batch stops, and that line's error is returned
-    beside it.
+    goes through parse_packet_line with the file's address table
+    ``known``; a valid one has an address that is not a dotted quad, so it
+    is listed in the batch's ``texts``.  Text mode also ends a line at a CR
+    that no LF follows, so such a CR is read as an LF.  At the first bad
+    line the batch stops, and that line's error is returned beside it.
     """
     buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
     ends = np.flatnonzero(buf[: len(data)] == _LF)
@@ -556,20 +487,14 @@ def _chunk_batch(
     canonical, tcp_v4, src, dst, digits_end = _scan_canonical(buf, starts, stops)
     valid = canonical & tcp_v4
     rest = np.flatnonzero(~canonical)
-    plain, plain_v4, accepted, lo, hi = _scan_plain(
-        buf, starts[rest], stops[rest], digits_end[rest]
-    )
-    by_line = ~plain | plain_v4
-    seeded = accepted & by_line[:, None]
-    for a, b in zip(lo[seeded].tolist(), hi[seeded].tolist()):
-        text = data[a:b].decode("ascii")
-        known.setdefault(text, text)
+    plain, plain_v4 = _scan_plain(buf, starts[rest], stops[rest], digits_end[rest])
     n = len(ends)
     texts = []
     error = None
-    for i in rest[by_line].tolist():
+    for i in rest[~plain | plain_v4].tolist():
         try:
-            record = parse(data[starts[i] : ends[i]].decode("utf-8"), first + i)
+            line = data[starts[i] : ends[i]].decode("utf-8")
+            record = parse_packet_line(line, first + i, known)
         except UnicodeDecodeError as exc:
             error = PacketParseError(f"undecodable text ({exc})", first + i)
         except PacketParseError as exc:
@@ -579,11 +504,7 @@ def _chunk_batch(
             break
         if is_valid_packet(record):
             valid[i] = True
-            if _DOTTED_QUAD.fullmatch(record[1]) and _DOTTED_QUAD.fullmatch(record[2]):
-                src[i] = quad_key(record[1])
-                dst[i] = quad_key(record[2])
-            else:
-                texts.append((i, record[1], record[2]))
+            texts.append((i, record[1], record[2]))
     valid = valid[:n]
     if texts:
         positions = np.cumsum(valid) - 1
@@ -596,13 +517,12 @@ def read_packet_keys(path, *, _chunk_size: int = CHUNK_BYTES) -> Iterator[KeyBat
 
     The file (gzip-transparent by suffix) is read as byte chunks cut at
     their last LF.  Reads, skips, records, errors and line numbers are those
-    of ``read_packet_csv``, whose line logic handles every line that
-    neither array pass of ``_chunk_batch`` accepts.  Undecodable input
+    of ``read_packet_csv``: its parser, parse_packet_line, reads every line
+    that neither array pass of ``_chunk_batch`` accepts.  Undecodable input
     raises PacketParseError as well.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     known: Dict[str, str] = {}
-    parse = _line_parser(CANONICAL_FORMAT, known)
     first = 1
     carry = b""
     with opener(path, "rb") as fh:
@@ -625,7 +545,7 @@ def read_packet_keys(path, *, _chunk_size: int = CHUNK_BYTES) -> Iterator[KeyBat
                 data, carry = carry + b"\n", b""
             else:
                 return
-            batch, error = _chunk_batch(data, first, parse, known)
+            batch, error = _chunk_batch(data, first, known)
             yield batch
             if error is not None:
                 raise error

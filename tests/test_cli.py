@@ -287,6 +287,16 @@ class TestAnalyze:
         assert code == 2
         assert "malformed input" in capsys.readouterr().err
 
+    def test_non_ascii_digit_timestamp_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\u0663,10.0.0.1,10.0.0.2,TCP,4\n", encoding="utf-8")
+        out = tmp_path / "report"
+        code = main(["analyze", "--input", str(bad), "--nv", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: malformed input: line 1: bad timestamp '\u0663'\n"
+        assert not (out / "manifest.json").exists()
+
     def test_undecodable_text_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"0,10.0.0.1,10.0.0.2,TCP,4\n1,10.0.0.\xff,10.0.0.2,TCP,4\n")

@@ -9,7 +9,6 @@ import pytest
 from pktstats import ingest, iter_windows, read_packet_csv
 from pktstats.ingest import (
     CANONICAL_FIELDS,
-    FormatSpec,
     IngestSummary,
     PacketParseError,
     PacketRecord,
@@ -72,15 +71,6 @@ class TestParsePacketLine:
             parse_packet_line("bad", line_number=42)
         assert excinfo.value.line_number == 42
 
-    def test_reordered_fields(self):
-        fmt = FormatSpec(fields=("src", "dst", "timestamp", "protocol", "ip_version"))
-        rec = parse_packet_line("10.0.0.1,10.0.0.2,9,ICMP,4", fmt=fmt)
-        assert rec == PacketRecord(9, "10.0.0.1", "10.0.0.2", "ICMP", 4)
-
-    def test_format_fields_must_be_permutation(self):
-        with pytest.raises(ValueError):
-            FormatSpec(fields=("timestamp", "src", "dst", "protocol"))
-
 
 class TestValidity:
     def test_only_tcp_over_ipv4_is_valid(self):
@@ -111,12 +101,6 @@ class TestReadPacketCsv:
         with gzip.open(path, "wt", encoding="utf-8") as fh:
             fh.write(self.LINES)
         assert len(list(read_packet_csv(path))) == 2
-
-    def test_header_skipped(self, tmp_path):
-        path = tmp_path / "pkts.csv"
-        path.write_text("timestamp,src,dst,protocol,ip_version\n" + self.LINES)
-        fmt = FormatSpec(header=True)
-        assert len(list(read_packet_csv(path, fmt))) == 2
 
     def test_malformed_line_raises_with_position(self, tmp_path):
         path = tmp_path / "pkts.csv"
@@ -164,6 +148,15 @@ class TestReadPacketCsv:
             ("1,10.0.0.1,10.0.0.2,GRE,4", "unknown protocol 'GRE'"),
             ("1,10.0.0.1,10.0.0.2,TCP,four", "bad ip_version 'four'"),
             ("1,10.0.0.1,10.0.0.2,TCP,5", "unknown ip_version 5"),
+            ("1,10.0.0.1,10.0.0.2,TCP,04", "unknown ip_version 04"),
+            ("\u0663,10.0.0.1,10.0.0.2,TCP, 4", "bad timestamp '\u0663'"),
+            ("1_0,10.0.0.2,10.0.0.3,TCP,+4", "bad timestamp '1_0'"),
+            (" 7 ,10.0.0.1,10.0.0.2,TCP,4", "bad timestamp ' 7 '"),
+            ("+7,10.0.0.1,10.0.0.2,TCP,4", "bad timestamp '+7'"),
+            ("-0,10.0.0.1,10.0.0.2,TCP,4", "bad timestamp '-0'"),
+            ("1,10.0.0.1,10.0.0.2,TCP, 4", "bad ip_version ' 4'"),
+            ("1,10.0.0.1,10.0.0.2,TCP,+4", "bad ip_version '+4'"),
+            ("1,10.0.0.1,10.0.0.2,TCP,\u0664", "bad ip_version '\u0664'"),
             ("1" * 20 + ",10.0.0.1,10.0.0.2,TCP,4", f"bad timestamp '{'1' * 20}'"),
             pytest.param(
                 "1" * 5000 + ",10.0.0.1,10.0.0.2,TCP,4",
@@ -177,30 +170,13 @@ class TestReadPacketCsv:
         good = "".join(
             f"{i},10.0.0.{i % 7},10.0.1.{i % 5},TCP,4\n" for i in range(1000)
         )
-        path.write_text(good + bad + "\n" + good)
+        path.write_text(good + bad + "\n" + good, encoding="utf-8")
         records = []
         with pytest.raises(PacketParseError) as excinfo:
             records.extend(read_packet_csv(path))
         assert len(records) == 1000
         assert excinfo.value.line_number == 1001
         assert str(excinfo.value) == f"line 1001: {message}"
-
-    def test_permuted_fields_with_header(self, tmp_path):
-        fmt = FormatSpec(
-            fields=("ip_version", "dst", "protocol", "timestamp", "src"), header=True
-        )
-        path = tmp_path / "pkts.csv"
-        path.write_text(
-            "ip_version,dst,protocol,timestamp,src\n"
-            "4,10.0.0.2,TCP,0,10.0.0.1\n"
-            "6,::1,UDP,1,fe80::2\n"
-            "4,10.0.0.1,ICMP,2,10.0.0.2\n"
-        )
-        assert list(read_packet_csv(path, fmt)) == [
-            PacketRecord(0, "10.0.0.1", "10.0.0.2", "TCP", 4),
-            PacketRecord(1, "fe80::2", "::1", "UDP", 6),
-            PacketRecord(2, "10.0.0.2", "10.0.0.1", "ICMP", 4),
-        ]
 
     def test_repeated_values_share_one_object(self, tmp_path):
         path = tmp_path / "pkts.csv"
@@ -260,35 +236,32 @@ class TestReadPacketKeys:
             f"{i},{v6[i % 5]},{v6[(i + 1) % 5]},TCP,6\n"
             f"{i},10.0.0.{i % 9},192.168.1.1,UDP,4\n"
             f"{i},{plain[i % 3]},10.0.0.1,TCP,4\n"
+            f"{i},fd00::{i % 4},2001:db8::99,UDP,6\n"
             for i in range(300)
         ]
         path = tmp_path / "pkts.csv"
         path.write_text("".join(lines))
         # Chunks of 7 bytes hold one line or none; the table spans them all.
-        # Plain IPv6 text is checked as arrays, even on the rows that take
-        # the line path, so only the other texts reach ipaddress.
+        # Rows of plain IPv6 text that are not TCP over IPv4 are skipped as
+        # arrays, so fd00::0-3 and 2001:db8::99 never reach ipaddress; every
+        # other IPv6 text reaches it once per file, on its first line-path row.
         for chunk_size in (7, ingest.CHUNK_BYTES):
             calls.clear()
             batches = list(ingest.read_packet_keys(path, _chunk_size=chunk_size))
-            assert sum(batch.n_read for batch in batches) == 900
-            assert calls == Counter(other)
+            assert sum(batch.n_read for batch in batches) == 1200
+            assert calls == Counter(v6)
 
     def test_only_lines_that_no_array_pass_accepts_take_the_line_path(
         self, tmp_path, monkeypatch
     ):
         parsed = []
-        line_parser = ingest._line_parser
+        parse_packet_line = ingest.parse_packet_line
 
-        def recording(*args):
-            parse = line_parser(*args)
+        def recording(line, line_number, known):
+            parsed.append(line_number)
+            return parse_packet_line(line, line_number, known)
 
-            def recorded(line, line_number):
-                parsed.append(line_number)
-                return parse(line, line_number)
-
-            return recorded
-
-        monkeypatch.setattr(ingest, "_line_parser", recording)
+        monkeypatch.setattr(ingest, "parse_packet_line", recording)
         path = tmp_path / "pkts.csv"
         path.write_bytes(
             b"0,10.0.0.1,10.0.0.2,TCP,4\n"
