@@ -5,65 +5,52 @@ heavy-tailed network quantity distributions with logarithmic pooling, fits a
 two-parameter degree model, and decomposes traffic into structural topology
 categories.  The CLI entry points are ``pktstats generate`` and
 ``pktstats analyze``.
+
+The names below load their module on first use, so ``import pktstats``
+imports no numpy until one of them is needed.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .ingest import iter_windows, read_packet_csv
-from .matrix import TrafficMatrix
-from .netstats import (
-    ALL_KINDS,
-    QuantityKind,
-    cumulative,
-    degree_histogram,
-    log_pool,
-    network_quantity,
-    pool_quantity,
-    probability,
-)
-from .zm import (
-    ZmParams,
-    infer_parameters,
-    model_distribution,
-    rho,
-    rho_grad_delta,
-    rho_sum,
-    train_delta,
-)
-from .topology import topology_breakdown
-from .generator import (
-    GeneratorSpec,
-    generate_synthetic,
-    sample_zm_degrees,
-    write_packet_csv,
-)
-from .pipeline import RunConfig, analyze_window, run_analyze
+_MODULE_OF = {
+    "ALL_KINDS": "netstats",
+    "GeneratorSpec": "generator",
+    "QuantityKind": "netstats",
+    "RunConfig": "pipeline",
+    "TrafficMatrix": "matrix",
+    "ZmParams": "zm",
+    "analyze_window": "pipeline",
+    "cumulative": "netstats",
+    "degree_histogram": "netstats",
+    "generate_synthetic": "generator",
+    "infer_parameters": "zm",
+    "iter_windows": "ingest",
+    "log_pool": "netstats",
+    "model_distribution": "zm",
+    "network_quantity": "netstats",
+    "pool_quantity": "netstats",
+    "probability": "netstats",
+    "read_packet_csv": "ingest",
+    "rho": "zm",
+    "rho_grad_delta": "zm",
+    "rho_sum": "zm",
+    "run_analyze": "pipeline",
+    "sample_zm_degrees": "generator",
+    "topology_breakdown": "topology",
+    "train_delta": "zm",
+    "write_packet_csv": "generator",
+}
 
-__all__ = [
-    "ALL_KINDS",
-    "GeneratorSpec",
-    "QuantityKind",
-    "RunConfig",
-    "TrafficMatrix",
-    "ZmParams",
-    "analyze_window",
-    "cumulative",
-    "degree_histogram",
-    "generate_synthetic",
-    "infer_parameters",
-    "iter_windows",
-    "log_pool",
-    "model_distribution",
-    "network_quantity",
-    "pool_quantity",
-    "probability",
-    "read_packet_csv",
-    "rho",
-    "rho_grad_delta",
-    "rho_sum",
-    "run_analyze",
-    "sample_zm_degrees",
-    "topology_breakdown",
-    "train_delta",
-    "write_packet_csv",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on configuration errors (bad flags, infeasible
 specs, refused output directories), 2 on I/O errors (missing or unreadable
-files, unwritable outputs, malformed packet data).
+files, unwritable outputs, malformed packet data) and on a window worker that
+died without delivering its analyses.
 
 Both subcommands accept ``--config FILE`` holding flat ``key=value`` lines
 that mirror the long flag names; explicit flags override file values.
@@ -11,8 +12,14 @@ that mirror the long flag names; explicit flags override file values.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Dict, List, Optional, Sequence
+
+# pktstats makes no BLAS call, yet importing numpy starts an OpenBLAS thread
+# pool whose threads spin for about 0.1 CPU-s per process.  This runs before
+# the first import of numpy; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .generator import (
     GeneratorConfigError,
@@ -22,7 +29,12 @@ from .generator import (
 )
 from .ingest import PacketParseError
 from .netstats import ALL_KINDS, QuantityKind
-from .pipeline import PipelineConfigError, RunConfig, run_analyze
+from .pipeline import (
+    PipelineConfigError,
+    RunConfig,
+    WindowWorkerError,
+    run_analyze,
+)
 from .zm import AlphaGrid, DEFAULT_GRID
 
 
@@ -254,7 +266,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PacketParseError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, WindowWorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -151,9 +151,18 @@ def _is_address(text: str) -> bool:
 def _validated(known: Dict[str, str], text: str, label: str, line_number: int) -> str:
     """An address not yet in ``known``, validated and added to it."""
     if not text or not _is_address(text):
-        raise PacketParseError(f"invalid {label} address {text!r}", line_number)
+        raise PacketParseError(f"invalid {label} address {_echo(text)}", line_number)
     known[text] = text
     return text
+
+
+def _echo(field: str, show=repr) -> str:
+    """``show`` of at most the first 32 characters of a bad field, plus the
+    field's length when it is longer, so an error stays one short line."""
+    shown = show(field[:32])
+    if len(field) > 32:
+        shown += f"... ({len(field)} characters)"
+    return shown
 
 
 def _timestamp_error(raw: str) -> str:
@@ -162,10 +171,7 @@ def _timestamp_error(raw: str) -> str:
     if raw[:1] == "-" and digits.isascii() and digits.isdigit():
         if len(digits) <= MAX_TIMESTAMP_DIGITS and int(digits):
             return f"negative timestamp -{int(digits)}"
-    shown = repr(raw[:32])
-    if len(raw) > 32:
-        shown += f"... ({len(raw)} characters)"
-    return f"bad timestamp {shown}"
+    return f"bad timestamp {_echo(raw)}"
 
 
 def parse_packet_line(
@@ -196,12 +202,14 @@ def parse_packet_line(
     dst = known.get(dst) or _validated(known, dst, "dst", line_number)
     name = _PROTOCOL_NAMES.get(protocol)
     if name is None:
-        raise PacketParseError(f"unknown protocol {protocol!r}", line_number)
+        raise PacketParseError(f"unknown protocol {_echo(protocol)}", line_number)
     ip_version = _IP_VERSIONS.get(raw_ver)
     if ip_version is None:
         if raw_ver.isascii() and raw_ver.isdigit():
-            raise PacketParseError(f"unknown ip_version {raw_ver}", line_number)
-        raise PacketParseError(f"bad ip_version {raw_ver!r}", line_number)
+            raise PacketParseError(
+                f"unknown ip_version {_echo(raw_ver, str)}", line_number
+            )
+        raise PacketParseError(f"bad ip_version {_echo(raw_ver)}", line_number)
     return PacketRecord(int(raw_ts), src, dst, name, ip_version)
 
 

@@ -16,11 +16,14 @@ contract.
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import shutil
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +67,10 @@ DEFAULT_WINDOW_SIZES = (
 
 class PipelineConfigError(ValueError):
     """Invalid run configuration (bad sizes, refused output directory, ...)."""
+
+
+class WindowWorkerError(RuntimeError):
+    """A forked window worker ended without delivering its analyses."""
 
 
 class EmptyRunError(PipelineConfigError):
@@ -250,29 +257,77 @@ def _analyze_all_windows(
     tasks = [(size, index) for size in sizes for index in range(len(stream) // size)]
     _SHARED = (stream, cfg)
     try:
-        if cfg.workers == 1:
-            analyses = list(map(_window_task, tasks))
-        else:
-            # Imported here: with what they pull in (socket, logging,
-            # selectors) they cost a single-worker run tens of ms at start.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = multiprocessing.get_context("fork")
-            # A few runs of consecutive windows per worker, not one round
-            # trip per window.
-            chunksize = -(-len(tasks) // (4 * cfg.workers))
-            with ProcessPoolExecutor(
-                max_workers=cfg.workers, mp_context=context
-            ) as pool:
-                analyses = list(pool.map(_window_task, tasks, chunksize=chunksize))
+        analyses = _forked_map(tasks, cfg.workers)
     finally:
         _SHARED = None
-    # Both paths return the analyses in task order.
     results: Dict[int, List[WindowAnalysis]] = {size: [] for size in sizes}
     for (size, _), analysis in zip(tasks, analyses):
         results[size].append(analysis)
     return results
+
+
+def _forked_map(tasks: List[Tuple[int, int]], workers: int) -> List[WindowAnalysis]:
+    """``_window_task`` over ``tasks``, returned in task order.
+
+    With n = min(workers, len(tasks)), share i is every n-th task from task
+    i.  This process forks one child for each of shares 1..n-1, analyzes
+    share 0 itself, then reads each child's pipe to EOF and reaps it.  A
+    child still running when this function leaves is killed and reaped.
+    """
+    n = min(workers, len(tasks))
+    pipes: Dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for share in range(1, n):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child_share(tasks[share::n], write_fd)
+            os.close(write_fd)
+            pipes[pid] = read_fd
+        analyses: List[Optional[WindowAnalysis]] = [None] * len(tasks)
+        analyses[0::n] = map(_window_task, tasks[0::n])
+        for share, pid in enumerate(list(pipes), 1):
+            with open(pipes[pid], "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(pipes.pop(pid))
+            analyses[share::n] = _delivered(pid, status, payload)
+        return analyses
+    finally:
+        for pid, read_fd in pipes.items():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child_share(share: List[Tuple[int, int]], write_fd: int) -> NoReturn:
+    """In a forked child: analyze ``share``, write the pickled outcome (the
+    analyses, or the exception that stopped them) to ``write_fd`` and exit.
+    Exit status 0 means the whole outcome was written."""
+    status = 1
+    try:
+        try:
+            outcome = (True, list(map(_window_task, share)))
+        except Exception as exc:
+            outcome = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _delivered(pid: int, status: int, payload: bytes) -> List[WindowAnalysis]:
+    """The analyses a reaped child wrote; raises the exception it wrote."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise WindowWorkerError(f"window worker {pid} was killed by signal {-code}")
+    if code:
+        raise WindowWorkerError(f"window worker {pid} exited with status {code}")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
 
 
 def run_analyze(cfg: RunConfig) -> RunReport:

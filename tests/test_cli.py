@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import pktstats
 from pktstats import GeneratorSpec, ZmParams, generate_synthetic, write_packet_csv
+from pktstats import pipeline
 from pktstats.cli import (
     CliUsageError,
     main,
@@ -24,6 +26,21 @@ def write_spec(tmp_path, text, name="spec.txt"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def fresh_python(code, **env_changes):
+    """Last stdout line of ``code`` run by a new interpreter that imports
+    pktstats from this checkout, with OPENBLAS_NUM_THREADS unset unless
+    ``env_changes`` sets it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pktstats.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_changes)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
 
 
 def write_stream(tmp_path, spec, n_packets, name="stream.csv"):
@@ -184,21 +201,18 @@ class TestAnalyze:
 
     def test_single_worker_run_imports_no_pool_or_masked_arrays(self, tmp_path):
         stream = self.stream(tmp_path)
-        argv = ["analyze", "--input", stream, "--nv", "50",
-                "--out", str(tmp_path / "report"), "--workers", "1"]
-        probe = (
-            "import sys\n"
-            "from pktstats.cli import main\n"
-            f"code = main({argv!r})\n"
-            "heavy = ('numpy.ma', 'multiprocessing', 'concurrent.futures')\n"
-            "print(code, [name for name in heavy if name in sys.modules])\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(pktstats.__file__).parents[1]))
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert result.stdout.splitlines()[-1] == "0 []", result.stderr
+        # The stream holds two windows of 50, so two workers fork one child.
+        for workers in ("1", "2"):
+            argv = ["analyze", "--input", stream, "--nv", "50",
+                    "--out", str(tmp_path / f"report{workers}"), "--workers", workers]
+            probe = (
+                "import sys\n"
+                "from pktstats.cli import main\n"
+                f"code = main({argv!r})\n"
+                "heavy = ('numpy.ma', 'multiprocessing', 'concurrent.futures')\n"
+                "print(code, [name for name in heavy if name in sys.modules])\n"
+            )
+            assert fresh_python(probe) == "0 []", workers
 
     def test_quantity_subset_and_workers(self, tmp_path, capsys):
         stream = self.stream(tmp_path)
@@ -297,6 +311,63 @@ class TestAnalyze:
         assert err == "error: malformed input: line 1: bad timestamp '\u0663'\n"
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1" * 5000 + ",10.0.0.1,10.0.0.2,TCP,4",
+             f"bad timestamp '{'1' * 32}'... (5000 characters)"),
+            ("1," + "9" * 5000 + ",10.0.0.2,TCP,4",
+             f"invalid src address '{'9' * 32}'... (5000 characters)"),
+            ("1,10.0.0.1," + "9" * 5000 + ",TCP,4",
+             f"invalid dst address '{'9' * 32}'... (5000 characters)"),
+            ("1,10.0.0.1,10.0.0.2," + "P" * 5000 + ",4",
+             f"unknown protocol '{'P' * 32}'... (5000 characters)"),
+            ("1,10.0.0.1,10.0.0.2,TCP," + "4" * 5000,
+             f"unknown ip_version {'4' * 32}... (5000 characters)"),
+            ("1,10.0.0.1,10.0.0.2,TCP," + "v" * 5000,
+             f"bad ip_version '{'v' * 32}'... (5000 characters)"),
+        ],
+        ids=["timestamp", "src", "dst", "protocol", "ip_version digits",
+             "ip_version text"],
+    )
+    def test_long_bad_field_is_echoed_in_one_short_line(
+        self, tmp_path, capsys, row, message
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(row + "\n")
+        out = tmp_path / "report"
+        code = main(["analyze", "--input", str(bad), "--nv", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: malformed input: line 1: {message}\n"
+        assert len(err) < 120
+        assert not (out / "manifest.json").exists()
+
+    def test_killed_worker_is_one_line_io_error(self, tmp_path, capsys, monkeypatch):
+        analyze = pipeline.analyze_window
+        parent = os.getpid()
+
+        def dying(window, *args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return analyze(window, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "analyze_window", dying)
+        stream = self.stream(tmp_path)
+        out = tmp_path / "report"
+        code = main(
+            ["analyze", "--input", stream, "--nv", "50", "--out", str(out),
+             "--workers", "2", "--alpha-grid", "1.0:2.0:0.5"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: window worker ")
+        assert err.endswith(" was killed by signal 9\n")
+        assert err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_undecodable_text_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"0,10.0.0.1,10.0.0.2,TCP,4\n1,10.0.0.\xff,10.0.0.2,TCP,4\n")
@@ -364,3 +435,36 @@ class TestAnalyze:
              "--out", str(tmp_path / "report")]
         )
         assert code == 1
+
+
+class TestStartup:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+    )
+    def test_cli_import_starts_no_thread(self):
+        probe = "import os, pktstats.cli\nprint(len(os.listdir('/proc/self/task')))"
+        assert fresh_python(probe) == "1"
+
+    def test_package_import_loads_no_numpy_and_leaves_the_environment(self):
+        probe = (
+            "import os, sys, pktstats\n"
+            "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        assert fresh_python(probe) == "False None"
+
+    def test_cli_sets_one_blas_thread_unless_the_user_chose(self):
+        probe = "import os, pktstats.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert fresh_python(probe) == "1"
+        assert fresh_python(probe, OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_every_exported_name_imports_from_the_package(self):
+        probe = (
+            "import pktstats\n"
+            "for name in pktstats.__all__:\n"
+            "    exec(f'from pktstats import {name}')\n"
+            "try:\n"
+            "    from pktstats import no_such_name\n"
+            "except ImportError:\n"
+            "    print(len(pktstats.__all__))\n"
+        )
+        assert fresh_python(probe) == "26"

@@ -163,6 +163,41 @@ class TestReadPacketCsv:
                 f"bad timestamp '{'1' * 32}'... (5000 characters)",
                 id="5000-digit timestamp",
             ),
+            pytest.param(
+                "1," + "9" * 5000 + ",10.0.0.2,TCP,4",
+                f"invalid src address '{'9' * 32}'... (5000 characters)",
+                id="5000-character src",
+            ),
+            pytest.param(
+                "1,10.0.0.1," + "9" * 5000 + ",TCP,4",
+                f"invalid dst address '{'9' * 32}'... (5000 characters)",
+                id="5000-character dst",
+            ),
+            pytest.param(
+                "1,10.0.0.1,10.0.0.2," + "P" * 5000 + ",4",
+                f"unknown protocol '{'P' * 32}'... (5000 characters)",
+                id="5000-character protocol",
+            ),
+            pytest.param(
+                "1,10.0.0.1,10.0.0.2," + "P" * 32 + ",4",
+                f"unknown protocol '{'P' * 32}'",
+                id="32-character protocol",
+            ),
+            pytest.param(
+                "1,10.0.0.1,10.0.0.2," + "P" * 33 + ",4",
+                f"unknown protocol '{'P' * 32}'... (33 characters)",
+                id="33-character protocol",
+            ),
+            pytest.param(
+                "1,10.0.0.1,10.0.0.2,TCP," + "4" * 5000,
+                f"unknown ip_version {'4' * 32}... (5000 characters)",
+                id="5000-digit ip_version",
+            ),
+            pytest.param(
+                "1,10.0.0.1,10.0.0.2,TCP," + "v" * 5000,
+                f"bad ip_version '{'v' * 32}'... (5000 characters)",
+                id="5000-character ip_version",
+            ),
         ],
     )
     def test_malformed_line_after_good_lines(self, tmp_path, bad, message):

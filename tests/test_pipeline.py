@@ -2,6 +2,8 @@
 
 import gzip
 import json
+import os
+import signal
 from collections import Counter
 from pathlib import Path
 
@@ -27,10 +29,12 @@ from pktstats import (
     run_analyze,
     write_packet_csv,
 )
+from pktstats import pipeline
 from pktstats.ingest import PacketParseError, next_window
 from pktstats.pipeline import (
     EmptyRunError,
     PipelineConfigError,
+    WindowWorkerError,
     _effective_sizes,
     load_valid_records,
 )
@@ -395,6 +399,76 @@ class TestWorkerDeterminism:
                 if p.is_file() and p.name != "timings.json"
             }
         assert reports[1] == reports[3]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    """Four windows of 75; with two workers this process analyzes windows
+    0 and 2 and one forked child analyzes windows 1 and 3."""
+
+    def config(self, tmp_path, workers):
+        spec = GeneratorSpec(n_isolated_pairs=30, supernode_leaf_count=8, seed=17)
+        path, _ = write_stream(tmp_path, spec, 300)
+        return RunConfig(
+            inputs=(str(path),),
+            out_dir=str(tmp_path / "out"),
+            window_sizes=(75,),
+            grid=SMALL_GRID,
+            workers=workers,
+        )
+
+    @pytest.mark.parametrize("bad_index", [1, 2], ids=["in a child", "in this process"])
+    def test_window_errors_reach_the_caller(self, tmp_path, monkeypatch, bad_index):
+        analyze = pipeline.analyze_window
+
+        def failing(window, *args, **kwargs):
+            if window.index == bad_index:
+                raise ArithmeticError(f"window {window.index} is bad")
+            return analyze(window, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "analyze_window", failing)
+        with pytest.raises(ArithmeticError) as excinfo:
+            run_analyze(self.config(tmp_path, workers=2))
+        assert type(excinfo.value) is ArithmeticError
+        assert str(excinfo.value) == f"window {bad_index} is bad"
+        assert_no_child_left()
+
+    def test_forks_at_most_one_child_per_task_beyond_the_first(
+        self, tmp_path, monkeypatch
+    ):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        report = run_analyze(self.config(tmp_path, workers=8))
+        assert len(forks) == 3
+        assert report.manifest["window_counts"] == {"75": 4}
+        assert_no_child_left()
+
+    def test_killed_worker_raises_a_worker_error(self, tmp_path, monkeypatch):
+        analyze = pipeline.analyze_window
+        parent = os.getpid()
+
+        def dying(window, *args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return analyze(window, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "analyze_window", dying)
+        with pytest.raises(WindowWorkerError, match="killed by signal 9$"):
+            run_analyze(self.config(tmp_path, workers=3))
+        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert_no_child_left()
 
 
 def _address(name: str) -> str:
