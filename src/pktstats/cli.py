@@ -12,9 +12,10 @@ that mirror the long flag names; explicit flags override file values.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 # pktstats makes no BLAS call, yet importing numpy starts an OpenBLAS thread
 # pool whose threads spin for about 0.1 CPU-s per process.  This runs before
@@ -27,15 +28,10 @@ from .generator import (
     read_generator_spec,
     write_packet_csv,
 )
-from .ingest import PacketParseError
-from .netstats import ALL_KINDS, QuantityKind
-from .pipeline import (
-    PipelineConfigError,
-    RunConfig,
-    WindowWorkerError,
-    run_analyze,
-)
-from .zm import AlphaGrid, DEFAULT_GRID
+
+if TYPE_CHECKING:
+    from .netstats import QuantityKind
+    from .zm import AlphaGrid
 
 
 class CliUsageError(ValueError):
@@ -106,7 +102,12 @@ def read_config_file(path) -> Dict[str, str]:
                     f"{path}:{line_number}: expected key=value, got {line!r}"
                 )
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise CliUsageError(
+                    f"{path}:{line_number}: duplicate key {key!r}"
+                )
+            values[key] = value.strip()
     return values
 
 
@@ -118,6 +119,8 @@ def _merge(flag_value, config: Dict[str, str], key: str):
 
 
 def parse_alpha_grid(text: str) -> AlphaGrid:
+    from .zm import AlphaGrid
+
     parts = text.split(":")
     if len(parts) != 3:
         raise CliUsageError(
@@ -153,6 +156,8 @@ def _parse_bool(text: str, what: str) -> bool:
 
 
 def _parse_quantities(text: str) -> List[QuantityKind]:
+    from .netstats import ALL_KINDS
+
     by_value = {kind.value: kind for kind in ALL_KINDS}
     kinds: List[QuantityKind] = []
     for name in text.split(","):
@@ -178,8 +183,18 @@ def _cmd_generate(args) -> int:
         raise CliUsageError("generate requires --out")
     n_packets = _parse_positive_int(packets_text, "packets")
     spec = read_generator_spec(spec_path)
-    records, truth = generate_synthetic(spec, n_packets)
-    rows = write_packet_csv(out_path, records)
+    # The records are one tuple per packet and hold no reference cycles, so
+    # the cyclic collector would only re-examine millions of them.  They are
+    # freed before it resumes, which leaves it nothing to catch up on.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        records, truth = generate_synthetic(spec, n_packets)
+        rows = write_packet_csv(out_path, records)
+        del records
+    finally:
+        if collecting:
+            gc.enable()
     print(
         f"wrote {rows} records ({truth.n_links} links, "
         f"{truth.n_sources} sources, {truth.n_destinations} destinations) "
@@ -189,6 +204,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .netstats import ALL_KINDS
+    from .pipeline import RunConfig, run_analyze
+    from .zm import DEFAULT_GRID
+
     config = read_config_file(args.config) if args.config else {}
     inputs = args.input
     if inputs is None and "input" in config:
@@ -253,22 +272,38 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _error(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _run_analyze(args) -> int:
+    """``analyze`` with its own errors mapped to exit codes; the analysis
+    modules load here, so ``generate`` never imports them."""
+    from .ingest import PacketParseError
+    from .pipeline import PipelineConfigError, WindowWorkerError
+
+    try:
+        return _cmd_analyze(args)
+    except PipelineConfigError as exc:
+        return _error(exc, 1)
+    except PacketParseError as exc:
+        return _error(f"malformed input: {exc}", 2)
+    except WindowWorkerError as exc:
+        return _error(exc, 2)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "generate":
             return _cmd_generate(args)
-        return _cmd_analyze(args)
-    except (CliUsageError, GeneratorConfigError, PipelineConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PacketParseError as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, WindowWorkerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _run_analyze(args)
+    except (CliUsageError, GeneratorConfigError) as exc:
+        return _error(exc, 1)
+    except OSError as exc:
+        return _error(exc, 2)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import gzip
 import io
+import os
+from contextlib import contextmanager, suppress
 
 
 class _GzipTextWriter(io.TextIOWrapper):
@@ -32,7 +34,26 @@ class _GzipTextWriter(io.TextIOWrapper):
             self._binary.close()
 
 
+@contextmanager
 def open_text_write(path):
-    if str(path).endswith(".gz"):
-        return _GzipTextWriter(path)
-    return open(path, "w", encoding="utf-8", newline="")
+    """Text file for writing at ``path``, gzip when it ends in ``.gz``.
+
+    The text goes to a temporary sibling that replaces ``path`` only when
+    the block finishes without error, so a failed or killed run never
+    leaves a truncated file there.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        if name.endswith(".gz"):
+            fh = _GzipTextWriter(temporary)
+        else:
+            fh = open(temporary, "w", encoding="utf-8", newline="")
+        with fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temporary)
+        raise

@@ -7,22 +7,38 @@ inverse CDF.  Alongside the records it returns the exact per-category counts
 the construction implies, which downstream decompositions can be checked
 against.  Streams are bit-reproducible for a fixed seed: all randomness comes
 from a counter-based generator.
+
+Links are built as arrays of integer node ids, each category one range of
+links, and address texts are made from the ids with an octet table.  Only
+the final records are Python tuples.  ``write_packet_csv`` writes them as
+unquoted CRLF rows through a temporary file that replaces the target only
+when complete.  ``topology`` and ``zm`` are imported only where their one
+class is needed (``CategoryStats``, ``ZmParams``), and no analysis module
+is imported at all, so ``pktstats generate`` loads little besides numpy.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fileio import open_text_write
-from .topology import CategoryStats
-from .zm import ZmParams
+
+if TYPE_CHECKING:
+    from .topology import CategoryStats
+    from .zm import ZmParams
 
 _ADDRESS_SPACE_BITS = 24
+# Records joined into one text per write: a few MB of text at a time.
+_WRITE_SLICE = 1 << 16
+
+# Address texts "10.a.b.c" are put together from these octet tables.
+_OCTET = np.array([str(octet) for octet in range(256)], dtype=object)
+_OCTET_DOT = _OCTET + "."
+_TEN_DOT = "10." + _OCTET_DOT
 
 
 class GeneratorConfigError(ValueError):
@@ -106,11 +122,13 @@ class GroundTruth:
     fan_outs: Optional[Tuple[int, ...]] = None
 
 
-def _addr(node_id: int) -> str:
-    """Distinct private-range IPv4 address for a generator node id."""
-    if not 0 <= node_id < 1 << _ADDRESS_SPACE_BITS:
-        raise ValueError(f"node id out of address space: {node_id}")
-    return f"10.{(node_id >> 16) & 255}.{(node_id >> 8) & 255}.{node_id & 255}"
+def _addresses(ids: np.ndarray) -> np.ndarray:
+    """Distinct private-range IPv4 address texts of generator node ids.
+
+    The ids must fit the address space (see ``_check_id_space``)."""
+    return (
+        _TEN_DOT[(ids >> 16) & 255] + _OCTET_DOT[(ids >> 8) & 255] + _OCTET[ids & 255]
+    )
 
 
 def sample_zm_degrees(
@@ -127,72 +145,61 @@ def sample_zm_degrees(
     return np.searchsorted(cdf, u, side="left").astype(np.int64) + 1
 
 
+def _core_links(
+    n: int, density: float, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Member indexes (i, j) of a core's links: the double ring i -> i+1,
+    i -> i+2 in sorted order, then extra links drawn up to the requested
+    density of the n*(n-1) ordered pairs, also in sorted order."""
+    members = np.arange(n)
+    ring = np.zeros((n, n), dtype=bool)
+    ring[members, (members + 1) % n] = True
+    ring[members, (members + 2) % n] = True
+    ring_i, ring_j = np.nonzero(ring)
+    ring[members, members] = True
+    possible_i, possible_j = np.nonzero(~ring)
+    budget = int(round(density * n * (n - 1)))
+    extra_count = max(0, min(len(possible_i), budget - len(ring_i)))
+    if not extra_count:
+        return ring_i, ring_j
+    picks = np.sort(rng.choice(len(possible_i), size=extra_count, replace=False))
+    return (
+        np.concatenate([ring_i, possible_i[picks]]),
+        np.concatenate([ring_j, possible_j[picks]]),
+    )
+
+
 def _structural_links(
     spec: GeneratorSpec, rng: np.random.Generator
-) -> Tuple[List[Tuple[str, str]], Dict[str, List[int]], Tuple[str, ...]]:
-    """Link list for the mixture plus per-category link indexes."""
-    links: List[Tuple[str, str]] = []
-    members: Dict[str, List[int]] = {name: [] for name in (
-        "isolated_links",
-        "supernode_leaves",
-        "core",
-        "core_leaves",
-    )}
-    next_id = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Source and destination node ids of the mixture's links.
 
-    def take() -> str:
-        nonlocal next_id
-        address = _addr(next_id)
-        next_id += 1
-        return address
-
-    for _ in range(spec.n_isolated_pairs):
-        src, dst = take(), take()
-        members["isolated_links"].append(len(links))
-        links.append((src, dst))
-
-    supernode_ids: Tuple[str, ...] = ()
+    Links come category by category — isolated pairs, hub leaves, core,
+    core leaves — and node ids are handed out in the same order: pair i is
+    2i -> 2i+1, then the hub, its leaves, the core members and the core
+    leaves."""
+    pairs = np.arange(0, 2 * spec.n_isolated_pairs, 2)
+    src, dst = [pairs], [pairs + 1]
+    next_id = 2 * spec.n_isolated_pairs
     if spec.supernode_leaf_count:
-        center = take()
-        supernode_ids = (center,)
-        for _ in range(spec.supernode_leaf_count):
-            leaf = take()
-            members["supernode_leaves"].append(len(links))
-            links.append((leaf, center))
-
-    core_nodes: List[str] = []
+        hub = next_id
+        next_id += 1 + spec.supernode_leaf_count
+        src.append(np.arange(hub + 1, next_id))
+        dst.append(np.full(spec.supernode_leaf_count, hub))
     if spec.core_size:
-        core_nodes = [take() for _ in range(spec.core_size)]
-        n = spec.core_size
-        ring = set()
-        for i in range(n):
-            ring.add((i, (i + 1) % n))
-            ring.add((i, (i + 2) % n))
-        # Optional extra in-core links on top of the double ring, up to the
-        # requested density of the n*(n-1) possible ordered pairs.
-        possible = [
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if i != j and (i, j) not in ring
-        ]
-        budget = int(round(spec.core_density * n * (n - 1)))
-        extra_count = max(0, min(len(possible), budget - len(ring)))
-        if extra_count:
-            picks = rng.choice(len(possible), size=extra_count, replace=False)
-            extras = [possible[int(p)] for p in sorted(picks)]
-        else:
-            extras = []
-        for i, j in sorted(ring) + extras:
-            members["core"].append(len(links))
-            links.append((core_nodes[i], core_nodes[j]))
-        for position in range(spec.core_leaf_count):
-            anchor = core_nodes[position % n]
-            leaf = take()
-            members["core_leaves"].append(len(links))
-            # Alternate leaf direction so both leaf roles are exercised.
-            links.append((leaf, anchor) if position % 2 == 0 else (anchor, leaf))
-    return links, members, supernode_ids
+        core = next_id
+        next_id += spec.core_size
+        i, j = _core_links(spec.core_size, spec.core_density, rng)
+        src.append(core + i)
+        dst.append(core + j)
+        position = np.arange(spec.core_leaf_count)
+        anchor = core + position % spec.core_size
+        leaf = next_id + position
+        # Alternate leaf direction so both leaf roles are exercised.
+        outward = position % 2 == 1
+        src.append(np.where(outward, anchor, leaf))
+        dst.append(np.where(outward, leaf, anchor))
+    return np.concatenate(src), np.concatenate(dst)
 
 
 def _assign_packets(n_links: int, n_packets: int) -> np.ndarray:
@@ -206,40 +213,41 @@ def _assign_packets(n_links: int, n_packets: int) -> np.ndarray:
 
 
 def _expand_records(
-    links: Sequence[Tuple[str, str]],
+    src_texts: np.ndarray,
+    dst_texts: np.ndarray,
     counts: np.ndarray,
     rng: np.random.Generator,
 ) -> List[tuple]:
     """Shuffle per-link packets into a timestamped record stream."""
-    src_arr = np.array([src for src, _ in links], dtype=object)
-    dst_arr = np.array([dst for _, dst in links], dtype=object)
-    order = rng.permutation(np.repeat(np.arange(len(links)), counts))
-    srcs = src_arr[order].tolist()
-    dsts = dst_arr[order].tolist()
-    return list(zip(range(len(srcs)), srcs, dsts, repeat("TCP"), repeat(4)))
+    order = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    srcs, dsts = src_texts[order], dst_texts[order]
+    return list(zip(range(len(order)), srcs, dsts, repeat("TCP"), repeat(4)))
 
 
 def _structural_truth(
     spec: GeneratorSpec,
-    members: Dict[str, List[int]],
     counts: np.ndarray,
     supernode_ids: Tuple[str, ...],
-    n_links: int,
 ) -> GroundTruth:
-    def packets_of(name: str) -> int:
-        return int(sum(counts[i] for i in members[name]))
+    from .topology import CategoryStats
 
     star = spec.supernode_leaf_count
+    core_links = len(counts) - spec.n_isolated_pairs - star - spec.core_leaf_count
+    # Each category is one range of links, in _structural_links order.
+    ends = np.cumsum([0, spec.n_isolated_pairs, star, core_links, spec.core_leaf_count])
+    isolated, leaves, core, core_leaves = (
+        int(counts[start:stop].sum()) for start, stop in zip(ends, ends[1:])
+    )
     categories = {
         "isolated_links": CategoryStats(
             sources=spec.n_isolated_pairs,
-            packets=packets_of("isolated_links"),
+            packets=isolated,
             links=spec.n_isolated_pairs,
             destinations=spec.n_isolated_pairs,
         ),
         "supernode_leaves": CategoryStats(
             sources=star,
-            packets=packets_of("supernode_leaves"),
+            packets=leaves,
             links=star,
             destinations=0,
         ),
@@ -251,13 +259,13 @@ def _structural_truth(
         ),
         "core": CategoryStats(
             sources=spec.core_size,
-            packets=packets_of("core"),
-            links=len(members["core"]),
+            packets=core,
+            links=core_links,
             destinations=spec.core_size,
         ),
         "core_leaves": CategoryStats(
             sources=(spec.core_leaf_count + 1) // 2,
-            packets=packets_of("core_leaves"),
+            packets=core_leaves,
             links=spec.core_leaf_count,
             destinations=spec.core_leaf_count // 2,
         ),
@@ -279,7 +287,7 @@ def _structural_truth(
         categories=categories,
         supernode_ids=supernode_ids,
         n_packets=int(counts.sum()) if len(counts) else 0,
-        n_links=n_links,
+        n_links=len(counts),
         n_sources=n_sources,
         n_destinations=n_destinations,
         recommended_k=1 if (star and has_core) else 5,
@@ -292,37 +300,27 @@ def _generate_degree_model(
 ) -> Tuple[List[tuple], GroundTruth]:
     """Stars with sampled fan-outs: each source owns a private destination
     range, one packet per link, so fan-outs are exactly the drawn degrees."""
-    params = spec.degree_model
-    fan_outs: List[int] = []
-    remaining = n_packets
-    # Degrees are >= 1, so n_packets draws always cover the packet budget.
-    for degree in sample_zm_degrees(params, n_packets, rng).tolist():
-        if remaining == 0:
-            break
-        degree = min(degree, remaining)
-        fan_outs.append(degree)
-        remaining -= degree
-    links: List[Tuple[str, str]] = []
-    next_src = 0
-    next_dst = 1 << (_ADDRESS_SPACE_BITS - 1)
-    for degree in fan_outs:
-        src = _addr(next_src)
-        next_src += 1
-        for _ in range(degree):
-            links.append((src, _addr(next_dst)))
-            next_dst += 1
-    counts = np.ones(len(links), dtype=np.int64)
-    records = _expand_records(links, counts, rng)
+    degrees = sample_zm_degrees(spec.degree_model, n_packets, rng)
+    # Degrees are >= 1, so n_packets draws always cover the packet budget:
+    # sources take draws until the packet budget is met, the last one clipped.
+    ends = np.cumsum(degrees)
+    n_sources = int(np.searchsorted(ends, n_packets)) + 1
+    fan_outs = degrees[:n_sources]
+    fan_outs[-1] -= ends[n_sources - 1] - n_packets
+    src_texts = np.repeat(_addresses(np.arange(n_sources)), fan_outs)
+    dst_texts = _addresses((1 << (_ADDRESS_SPACE_BITS - 1)) + np.arange(n_packets))
+    counts = np.ones(n_packets, dtype=np.int64)
+    records = _expand_records(src_texts, dst_texts, counts, rng)
     truth = GroundTruth(
         categories={},
         supernode_ids=(),
         n_packets=n_packets,
-        n_links=len(links),
-        n_sources=len(fan_outs),
-        n_destinations=len(links),
+        n_links=n_packets,
+        n_sources=n_sources,
+        n_destinations=n_packets,
         recommended_k=5,
         exact_categories=False,
-        fan_outs=tuple(fan_outs),
+        fan_outs=tuple(fan_outs.tolist()),
     )
     return records, truth
 
@@ -337,6 +335,13 @@ def _check_id_space(spec: GeneratorSpec, n_packets: int) -> None:
             raise GeneratorConfigError(
                 f"n_packets={n_packets} exceeds the {capacity // 2} destination "
                 "addresses of a degree-model stream"
+            )
+        # No fan-out can exceed the packets a stream holds, and sampling
+        # allocates a table of d_max entries.
+        if spec.degree_model.d_max > capacity // 2:
+            raise GeneratorConfigError(
+                f"degree_model_d_max={spec.degree_model.d_max} exceeds the "
+                f"{capacity // 2} packets a degree-model stream can hold"
             )
         return
     nodes = (
@@ -368,22 +373,37 @@ def generate_synthetic(
         return _generate_degree_model(spec, n_packets, rng)
     if not spec.structural_parts:
         raise GeneratorConfigError("empty specification: nothing to generate")
-    links, members, supernode_ids = _structural_links(spec, rng)
-    if n_packets < len(links):
+    src_ids, dst_ids = _structural_links(spec, rng)
+    n_links = len(src_ids)
+    if n_packets < n_links:
         raise GeneratorConfigError(
-            f"n_packets={n_packets} cannot cover {len(links)} links "
+            f"n_packets={n_packets} cannot cover {n_links} links "
             "(every link needs at least one packet)"
         )
-    counts = _assign_packets(len(links), n_packets)
-    records = _expand_records(links, counts, rng)
-    truth = _structural_truth(spec, members, counts, supernode_ids, len(links))
+    texts = _addresses(np.arange(max(src_ids.max(), dst_ids.max()) + 1))
+    supernode_ids: Tuple[str, ...] = ()
+    if spec.supernode_leaf_count:
+        # The hub takes the first id after the isolated pairs.
+        supernode_ids = (texts[2 * spec.n_isolated_pairs],)
+    counts = _assign_packets(n_links, n_packets)
+    records = _expand_records(texts[src_ids], texts[dst_ids], counts, rng)
+    truth = _structural_truth(spec, counts, supernode_ids)
     return records, truth
 
 
 def write_packet_csv(path, records: Sequence[tuple]) -> int:
-    """Write records in canonical column order (gzip by suffix); row count."""
+    """Write records in canonical column order (gzip by suffix); row count.
+
+    Rows are unquoted and end with CRLF; neither reader parses quotes.  The
+    file appears at ``path`` only once it is complete.
+    """
     with open_text_write(path) as fh:
-        csv.writer(fh).writerows(records)
+        for start in range(0, len(records), _WRITE_SLICE):
+            fh.write("".join([
+                f"{t},{src},{dst},{protocol},{version}\r\n"
+                for t, src, dst, protocol, version
+                in records[start : start + _WRITE_SLICE]
+            ]))
     return len(records)
 
 
@@ -398,7 +418,10 @@ def read_generator_spec(path) -> GeneratorSpec:
             if "=" not in line:
                 raise GeneratorConfigError(f"expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise GeneratorConfigError(f"duplicate generator spec key: {key!r}")
+            values[key] = value.strip()
     return spec_from_mapping(values)
 
 
@@ -423,6 +446,8 @@ def spec_from_mapping(values: Dict[str, str]) -> GeneratorSpec:
         else:
             raise GeneratorConfigError(f"unknown generator spec key: {key!r}")
     if model_parts:
+        from .zm import ZmParams
+
         needed = {"degree_model_alpha", "degree_model_delta", "degree_model_d_max"}
         missing = needed - set(model_parts)
         if missing:

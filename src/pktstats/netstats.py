@@ -15,11 +15,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .matrix import TrafficMatrix
+if TYPE_CHECKING:
+    from .matrix import TrafficMatrix
 
 
 class QuantityKind(Enum):

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from .matrix import AggregateSummary, TrafficMatrix
+if TYPE_CHECKING:
+    from .matrix import AggregateSummary, TrafficMatrix
 
 DEFAULT_SUPERNODE_COUNT = 5
 

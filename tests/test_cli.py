@@ -1,5 +1,6 @@
 """Command-line behavior: flags, config files, exit codes, printed summary."""
 
+import errno
 import gzip
 import hashlib
 import json
@@ -84,29 +85,56 @@ class TestGenerate:
         assert "5 links" in message
 
     @pytest.mark.parametrize(
-        "spec_text, packets, digest",
+        "spec_text, packets, digest, out_name",
         [
             (
                 "n_isolated_pairs = 50\nsupernode_leaf_count = 40\ncore_size = 8\n"
                 "core_density = 0.5\ncore_leaf_count = 12\nseed = 3\n",
                 600,
                 "9040412636fa7aa570595f227c241b1c486aeb2f58c7758f16224105003c05b7",
+                "pkts.csv",
             ),
             (
                 "degree_model_alpha = 1.5\ndegree_model_delta = 0.5\n"
                 "degree_model_d_max = 64\nseed = 5\n",
                 500,
                 "70dce60354a53a542fdf9398e992e5817f4b7481f0698e6e39210306826780b7",
+                "pkts.csv",
+            ),
+            # More than one write slice; the last fan-out (drawn 14636) is
+            # clipped to 13665.
+            (
+                "degree_model_alpha = 1.2\ndegree_model_delta = 0.5\n"
+                "degree_model_d_max = 50000\nseed = 4\n",
+                70_001,
+                "65ff59d9583779119fdbe19a94090ebd601fcbb22dbde5cde8208edcf4a4fc89",
+                "pkts.csv",
+            ),
+            (
+                "degree_model_alpha = 1.2\ndegree_model_delta = 0.5\n"
+                "degree_model_d_max = 50000\nseed = 4\n",
+                70_001,
+                "d4038e84dd62c6e8d30977fd15bd342883db12b128601de85d9ce4e3cb5f07ef",
+                "pkts.csv.gz",
+            ),
+            # The benchmark's wide-ingest mixture at seed 1.
+            (
+                "n_isolated_pairs = 20000\nsupernode_leaf_count = 1000\n"
+                "core_size = 100\ncore_density = 0.15\ncore_leaf_count = 400\n"
+                "seed = 1\n",
+                45_000,
+                "d66ed3d59caf57af6d28663defb9f3a4750ad87776951c4c7805e13fefb61f4b",
+                "pkts.csv",
             ),
         ],
     )
     def test_output_bytes_are_frozen(
-        self, tmp_path, capsys, spec_text, packets, digest
+        self, tmp_path, capsys, spec_text, packets, digest, out_name
     ):
-        # A seed gives the same file in every release: a structural mixture
-        # and a degree-model stream.
+        # A seed gives the same file in every release: structural mixtures
+        # and degree-model streams, plain and gzip.
         spec = write_spec(tmp_path, spec_text)
-        out = tmp_path / "pkts.csv"
+        out = tmp_path / out_name
         code = main(
             ["generate", "--spec", spec, "--packets", str(packets), "--out", str(out)]
         )
@@ -172,6 +200,73 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec_text, config_text, key",
+        [
+            ("n_isolated_pairs = 5\nseed = 1\nseed = 2\n", "", "seed"),
+            ("n_isolated_pairs = 5\n", "packets = 10\npackets = 20\n", "packets"),
+            ("n_isolated_pairs = 5\n", "packets = 10\nout-x = a\nout_x = b\n",
+             "out_x"),
+        ],
+    )
+    def test_repeated_key_is_config_error(
+        self, tmp_path, capsys, spec_text, config_text, key
+    ):
+        spec = write_spec(tmp_path, spec_text)
+        cfg = write_spec(tmp_path, config_text or "packets = 10\n", name="run.cfg")
+        out = tmp_path / "pkts.csv"
+        code = main(["generate", "--config", cfg, "--spec", spec, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(key) in err
+        assert not out.exists()
+
+    def test_degree_model_d_max_beyond_any_stream_is_config_error(
+        self, tmp_path, capsys
+    ):
+        spec = write_spec(
+            tmp_path,
+            "degree_model_alpha = 1.5\ndegree_model_delta = 0.5\n"
+            "degree_model_d_max = 3000000000\n",
+        )
+        out = tmp_path / "pkts.csv"
+        code = main(["generate", "--spec", spec, "--packets", "10", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "degree_model_d_max=3000000000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [None, "an earlier stream\n"])
+    def test_failed_write_leaves_no_partial_output(
+        self, tmp_path, capsys, monkeypatch, existing
+    ):
+        class DiskFull:
+            def __format__(self, spec):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        records, truth = generate_synthetic(GeneratorSpec(n_isolated_pairs=5), 10)
+        # The failing row sits in the third write slice.
+        monkeypatch.setattr("pktstats.generator._WRITE_SLICE", 4)
+        monkeypatch.setattr(
+            "pktstats.cli.generate_synthetic",
+            lambda spec, n: (records + [(10, DiskFull(), "10.0.0.1", "TCP", 4)], truth),
+        )
+        spec = write_spec(tmp_path, "n_isolated_pairs = 5\n")
+        out = tmp_path / "pkts.csv"
+        if existing is not None:
+            out.write_text(existing)
+        code = main(["generate", "--spec", spec, "--packets", "11", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == (
+            ["spec.txt"] if existing is None else ["pkts.csv", "spec.txt"]
+        )
+        if existing is not None:
+            assert out.read_text() == existing
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -451,6 +546,20 @@ class TestStartup:
             "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))"
         )
         assert fresh_python(probe) == "False None"
+
+    def test_generate_loads_no_analysis_module(self, tmp_path):
+        spec = write_spec(tmp_path, "n_isolated_pairs = 5\n")
+        argv = ["generate", "--spec", spec, "--packets", "10",
+                "--out", str(tmp_path / "pkts.csv")]
+        probe = (
+            "import sys\n"
+            "import pktstats.cli as cli\n"
+            f"code = cli.main({argv!r})\n"
+            "analysis = ('pktstats.pipeline', 'pktstats.ingest', 'pktstats.matrix')\n"
+            "print(code, [name for name in analysis if name in sys.modules],\n"
+            "      'generate_synthetic' in vars(cli), 'write_packet_csv' in vars(cli))\n"
+        )
+        assert fresh_python(probe) == "0 [] True True"
 
     def test_cli_sets_one_blas_thread_unless_the_user_chose(self):
         probe = "import os, pktstats.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"

@@ -78,6 +78,11 @@ class TestSpecValidation:
         assert len(generate_synthetic(model, 8)[0]) == 8
         with pytest.raises(GeneratorConfigError):
             generate_synthetic(model, 9)
+        # No fan-out can exceed the 8 packets such a stream holds.
+        widest = GeneratorSpec(degree_model=ZmParams(1.2, 0.5, 8))
+        assert len(generate_synthetic(widest, 8)[0]) == 8
+        with pytest.raises(GeneratorConfigError, match="degree_model_d_max=9"):
+            generate_synthetic(GeneratorSpec(degree_model=ZmParams(1.2, 0.5, 9)), 2)
         # 2 * 4 pairs + a hub with 3 leaves + 4 core nodes = 16 ids.
         spec = GeneratorSpec(n_isolated_pairs=4, supernode_leaf_count=3, core_size=4)
         assert generate_synthetic(spec, 40)[1].n_links == 4 + 3 + 8 + 4
