@@ -15,7 +15,7 @@ import argparse
 import gc
 import os
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 # pktstats makes no BLAS call, yet importing numpy starts an OpenBLAS thread
 # pool whose threads spin for about 0.1 CPU-s per process.  This runs before
@@ -90,8 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def read_config_file(path) -> Dict[str, str]:
+def read_config_file(path, allowed: Set[str]) -> Dict[str, str]:
+    """The ``key=value`` lines of ``path``, with ``-`` in keys read as ``_``.
+
+    A repeated key is refused first, then the first key not in ``allowed``.
+    """
     values: Dict[str, str] = {}
+    line_of: Dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, raw_line in enumerate(fh, 1):
             line = raw_line.strip()
@@ -108,7 +113,19 @@ def read_config_file(path) -> Dict[str, str]:
                     f"{path}:{line_number}: duplicate key {key!r}"
                 )
             values[key] = value.strip()
+            line_of[key] = line_number
+    for key in values:
+        if key not in allowed:
+            raise CliUsageError(f"{path}:{line_of[key]}: unknown key {key!r}")
     return values
+
+
+def _read_config(args) -> Dict[str, str]:
+    """The ``--config`` file of a subcommand, whose keys are the dests of
+    that subcommand's other flags."""
+    if not args.config:
+        return {}
+    return read_config_file(args.config, set(vars(args)) - {"command", "config"})
 
 
 def _merge(flag_value, config: Dict[str, str], key: str):
@@ -171,7 +188,7 @@ def _parse_quantities(text: str) -> List[QuantityKind]:
 
 
 def _cmd_generate(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
+    config = _read_config(args)
     spec_path = _merge(args.spec, config, "spec")
     packets_text = _merge(args.packets, config, "packets")
     out_path = _merge(args.out, config, "out")
@@ -208,7 +225,7 @@ def _cmd_analyze(args) -> int:
     from .pipeline import RunConfig, run_analyze
     from .zm import DEFAULT_GRID
 
-    config = read_config_file(args.config) if args.config else {}
+    config = _read_config(args)
     inputs = args.input
     if inputs is None and "input" in config:
         inputs = config["input"].split(",")

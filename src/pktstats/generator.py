@@ -169,6 +169,17 @@ def _core_links(
     )
 
 
+def _link_count(spec: GeneratorSpec) -> int:
+    """The number of links ``_structural_links`` builds for ``spec``: the
+    core's double ring plus extras make max(2n, min(n(n-1), density n(n-1)))
+    of its n(n-1) ordered pairs."""
+    pairs = spec.core_size * (spec.core_size - 1)
+    core = max(2 * spec.core_size, min(pairs, int(round(spec.core_density * pairs))))
+    return (
+        spec.n_isolated_pairs + spec.supernode_leaf_count + core + spec.core_leaf_count
+    )
+
+
 def _structural_links(
     spec: GeneratorSpec, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -373,13 +384,15 @@ def generate_synthetic(
         return _generate_degree_model(spec, n_packets, rng)
     if not spec.structural_parts:
         raise GeneratorConfigError("empty specification: nothing to generate")
-    src_ids, dst_ids = _structural_links(spec, rng)
-    n_links = len(src_ids)
+    # Checked before the links are built: a dense core's candidate pairs
+    # grow with the square of its size.
+    n_links = _link_count(spec)
     if n_packets < n_links:
         raise GeneratorConfigError(
             f"n_packets={n_packets} cannot cover {n_links} links "
             "(every link needs at least one packet)"
         )
+    src_ids, dst_ids = _structural_links(spec, rng)
     texts = _addresses(np.arange(max(src_ids.max(), dst_ids.max()) + 1))
     supernode_ids: Tuple[str, ...] = ()
     if spec.supernode_leaf_count:

@@ -12,7 +12,6 @@ is built in one step, from a window of ``CodedPackets`` or from a
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -117,22 +116,6 @@ class TrafficMatrix:
     def node_names(self, nodes: Iterable[int]) -> list:
         names = self._names
         return [names[i] for i in nodes]
-
-    def node_mask(self, names: Iterable[str]) -> np.ndarray:
-        """Boolean mask over node ids selecting the given names (unknown
-        names select nothing)."""
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        for name in names:
-            node = self._node_id(name)
-            if node is not None:
-                mask[node] = True
-        return mask
-
-    def _node_id(self, name: str) -> Optional[int]:
-        node = bisect_left(self._names, name)
-        if node == self.n_nodes or self._names[node] != name:
-            return None
-        return node
 
     # -- views -------------------------------------------------------------
 

@@ -23,13 +23,13 @@ import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .ingest import CodedPackets, IngestSummary, KeyBatch, read_packet_keys
-from .matrix import AggregateSummary, TrafficMatrix
+from .matrix import TrafficMatrix
 from .netstats import (
     ALL_KINDS,
     PooledDistribution,
@@ -135,7 +135,6 @@ class WindowAnalysis:
     index: int
     pooled: Dict[str, PooledDistribution]
     topology: TopologyBreakdown
-    aggregates: AggregateSummary
 
 
 @dataclass
@@ -160,28 +159,7 @@ def analyze_window(
     matrix = TrafficMatrix.from_window(window)
     pooled = {kind.value: pool_quantity(matrix, kind) for kind in quantities}
     breakdown = topology_breakdown(matrix, supernode_k, strict_core=strict_core)
-    return WindowAnalysis(
-        index=window.index,
-        pooled=pooled,
-        topology=breakdown,
-        aggregates=matrix.aggregates(),
-    )
-
-
-# Workers inherit the key stream and the run's configuration by fork, so a
-# task is only (size, index).
-_SHARED: Optional[Tuple[KeyBatch, RunConfig]] = None
-
-
-def _window_task(task: Tuple[int, int]) -> WindowAnalysis:
-    size, index = task
-    stream, cfg = _SHARED
-    return analyze_window(
-        stream.window(index, size),
-        cfg.quantities,
-        supernode_k=cfg.supernode_k,
-        strict_core=cfg.strict_core,
-    )
+    return WindowAnalysis(index=window.index, pooled=pooled, topology=breakdown)
 
 
 def load_valid_records(inputs: Sequence[str]) -> Tuple[KeyBatch, IngestSummary]:
@@ -253,21 +231,32 @@ def _analyze_all_windows(
     cfg: RunConfig,
 ) -> Dict[int, List[WindowAnalysis]]:
     """Per-size window analyses in window-index order."""
-    global _SHARED
     tasks = [(size, index) for size in sizes for index in range(len(stream) // size)]
-    _SHARED = (stream, cfg)
-    try:
-        analyses = _forked_map(tasks, cfg.workers)
-    finally:
-        _SHARED = None
+
+    # Forked workers inherit the stream and the configuration with this
+    # closure, so a task is only (size, index).
+    def analyze(task: Tuple[int, int]) -> WindowAnalysis:
+        size, index = task
+        return analyze_window(
+            stream.window(index, size),
+            cfg.quantities,
+            supernode_k=cfg.supernode_k,
+            strict_core=cfg.strict_core,
+        )
+
+    analyses = _forked_map(analyze, tasks, cfg.workers)
     results: Dict[int, List[WindowAnalysis]] = {size: [] for size in sizes}
     for (size, _), analysis in zip(tasks, analyses):
         results[size].append(analysis)
     return results
 
 
-def _forked_map(tasks: List[Tuple[int, int]], workers: int) -> List[WindowAnalysis]:
-    """``_window_task`` over ``tasks``, returned in task order.
+def _forked_map(
+    task_fn: Callable[[Tuple[int, int]], WindowAnalysis],
+    tasks: List[Tuple[int, int]],
+    workers: int,
+) -> List[WindowAnalysis]:
+    """``task_fn`` over ``tasks``, returned in task order.
 
     With n = min(workers, len(tasks)), share i is every n-th task from task
     i.  This process forks one child for each of shares 1..n-1, analyzes
@@ -281,11 +270,11 @@ def _forked_map(tasks: List[Tuple[int, int]], workers: int) -> List[WindowAnalys
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child_share(tasks[share::n], write_fd)
+                _child_share(task_fn, tasks[share::n], write_fd)
             os.close(write_fd)
             pipes[pid] = read_fd
         analyses: List[Optional[WindowAnalysis]] = [None] * len(tasks)
-        analyses[0::n] = map(_window_task, tasks[0::n])
+        analyses[0::n] = map(task_fn, tasks[0::n])
         for share, pid in enumerate(list(pipes), 1):
             with open(pipes[pid], "rb", closefd=False) as pipe:
                 payload = pipe.read()
@@ -300,14 +289,19 @@ def _forked_map(tasks: List[Tuple[int, int]], workers: int) -> List[WindowAnalys
             os.waitpid(pid, 0)
 
 
-def _child_share(share: List[Tuple[int, int]], write_fd: int) -> NoReturn:
-    """In a forked child: analyze ``share``, write the pickled outcome (the
-    analyses, or the exception that stopped them) to ``write_fd`` and exit.
-    Exit status 0 means the whole outcome was written."""
+def _child_share(
+    task_fn: Callable[[Tuple[int, int]], WindowAnalysis],
+    share: List[Tuple[int, int]],
+    write_fd: int,
+) -> NoReturn:
+    """In a forked child: run ``task_fn`` over ``share``, write the pickled
+    outcome (the analyses, or the exception that stopped them) to
+    ``write_fd`` and exit.  Exit status 0 means the whole outcome was
+    written."""
     status = 1
     try:
         try:
-            outcome = (True, list(map(_window_task, share)))
+            outcome = (True, list(map(task_fn, share)))
         except Exception as exc:
             outcome = (False, exc)
         with open(write_fd, "wb") as pipe:

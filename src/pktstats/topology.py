@@ -2,16 +2,19 @@
 
 Splits a traffic matrix into structural categories — isolated links,
 supernode leaves, supernodes, core, and core leaves — and reports each
-category's share of sources, packets, links, and destinations.  Every matrix
-cell lands in exactly one packet-carrying class, so the per-category packet
-and link counts tile the matrix totals exactly.
+category's share of sources, packets, links, and destinations.  Supernodes
+and categories are found on node ids; names enter only as the reported
+``supernode_ids``.  Every matrix cell lands in at most one category or the
+supernode-internal class.  With the default core the per-category packet and
+link counts tile the matrix totals exactly; a strict core leaves the cells
+it drops as a non-negative residual.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
@@ -126,30 +129,15 @@ def _sided_stats(
     )
 
 
-def isolated_links(matrix: TrafficMatrix) -> CategoryStats:
-    """Links whose source has fan-out 1 and whose destination has fan-in 1.
-
-    Structurally, isolated sources, links, and destinations are all equal:
-    each surviving cell is its row's and its column's only entry.
-    """
-    cells = (matrix.out_degree[matrix.row] == 1) & (matrix.in_degree[matrix.col] == 1)
-    links = int(np.count_nonzero(cells))
-    return CategoryStats(
-        sources=links,
-        packets=int(matrix.count[cells].sum()),
-        links=links,
-        destinations=links,
-    )
-
-
 def find_supernodes(
     matrix: TrafficMatrix, k: int = DEFAULT_SUPERNODE_COUNT
-) -> List[str]:
-    """Up to k nodes by combined fan-out + fan-in, found by elimination.
+) -> List[int]:
+    """Node ids of up to k nodes by combined fan-out + fan-in, found by
+    elimination.
 
     After each pick the node's row and column are removed and degrees are
     recomputed, so later picks reflect the residual graph.  Ties go to the
-    larger total packet volume, then the lexicographically smaller key.
+    larger total packet volume, then the smaller id (id order is name order).
     Selection stops early once the best remaining combined degree is <= 1.
     k = 0 disables supernode extraction entirely.
     """
@@ -178,133 +166,7 @@ def find_supernodes(
         degree[row[in_cells]] -= 1
         volume[row[in_cells]] -= count[in_cells]
         degree[best] = 0
-    return matrix.node_names(chosen)
-
-
-def supernode_leaves(
-    matrix: TrafficMatrix, supernodes: Sequence[str]
-) -> CategoryStats:
-    """Degree-1 nodes whose only link touches a supernode.
-
-    A cell that also qualifies as an isolated link (both endpoints degree 1)
-    stays with the isolated category, so degree-1 nodes are never counted
-    twice.  A degree-1 node has one cell, so it is the leaf of one supernode.
-    """
-    is_super = matrix.node_mask(supernodes)
-    out_r, in_c = matrix.out_degree[matrix.row], matrix.in_degree[matrix.col]
-    source_cells = is_super[matrix.col] & (out_r == 1) & (in_c != 1)
-    dest_cells = is_super[matrix.row] & (in_c == 1) & (out_r != 1)
-    return _sided_stats(matrix, source_cells, dest_cells)
-
-
-def _core_masks(
-    matrix: TrafficMatrix, supernodes: Sequence[str], strict_inequality: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    if strict_inequality and supernodes:
-        first = matrix.node_mask(supernodes[:1])
-        out_cap = matrix.out_degree[first].max(initial=0)
-        in_cap = matrix.in_degree[first].max(initial=0)
-        return (
-            (1 < matrix.out_degree) & (matrix.out_degree < out_cap),
-            (1 < matrix.in_degree) & (matrix.in_degree < in_cap),
-        )
-    ordinary = ~matrix.node_mask(supernodes)
-    return (matrix.out_degree > 1) & ordinary, (matrix.in_degree > 1) & ordinary
-
-
-def core_membership(
-    matrix: TrafficMatrix,
-    supernodes: Sequence[str],
-    *,
-    strict_inequality: bool = False,
-) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-    """Multiply-connected sources and destinations, excluding supernodes.
-
-    Default semantics drop the supernode identities from the fan-above-1
-    sets.  The strict_inequality variant instead keeps nodes whose fan lies
-    strictly between 1 and the first supernode's fan on the same side, which
-    can differ when later supernodes' fans match or trail other core nodes.
-    """
-    i_core, j_core = _core_masks(matrix, supernodes, strict_inequality)
-    return (
-        frozenset(matrix.node_names(np.flatnonzero(i_core))),
-        frozenset(matrix.node_names(np.flatnonzero(j_core))),
-    )
-
-
-def core_stats(
-    matrix: TrafficMatrix, i_core: FrozenSet[str], j_core: FrozenSet[str]
-) -> CategoryStats:
-    """Stats of the cells from a core source to a core destination."""
-    return _core_stats(matrix, matrix.node_mask(i_core), matrix.node_mask(j_core))
-
-
-def _core_stats(
-    matrix: TrafficMatrix, i_core: np.ndarray, j_core: np.ndarray
-) -> CategoryStats:
-    return _cell_stats(matrix, i_core[matrix.row] & j_core[matrix.col])
-
-
-def core_leaves(
-    matrix: TrafficMatrix,
-    i_core: FrozenSet[str],
-    j_core: FrozenSet[str],
-) -> CategoryStats:
-    """Degree-1 nodes whose only link lands on (or comes from) a core node."""
-    return _core_leaves(
-        matrix, matrix.node_mask(i_core), matrix.node_mask(j_core)
-    )
-
-
-def _core_leaves(
-    matrix: TrafficMatrix, i_core: np.ndarray, j_core: np.ndarray
-) -> CategoryStats:
-    source_cells = (matrix.out_degree[matrix.row] == 1) & j_core[matrix.col]
-    dest_cells = (matrix.in_degree[matrix.col] == 1) & i_core[matrix.row]
-    return _sided_stats(matrix, source_cells, dest_cells)
-
-
-def _supernode_category(
-    matrix: TrafficMatrix,
-    is_super: np.ndarray,
-    j_core: np.ndarray,
-    i_core: np.ndarray,
-) -> CategoryStats:
-    """The supernodes' own traffic with the core (leaf cells excluded).
-
-    Sources/destinations count supernode identities active in each role;
-    links/packets cover the cells joining a supernode to a core node on the
-    other side.  Supernode-to-supernode cells are tracked separately.  With
-    a strict core a cell can join two supernodes that are both core nodes;
-    it is then counted from each side.
-    """
-    row, col, count = matrix.row, matrix.col, matrix.count
-    outgoing = is_super[row] & j_core[col] & (matrix.out_degree[row] > 1)
-    incoming = is_super[col] & i_core[row] & (matrix.in_degree[col] > 1)
-    return CategoryStats(
-        sources=int(np.count_nonzero(is_super & (matrix.out_degree > 0))),
-        packets=int(count[outgoing].sum() + count[incoming].sum()),
-        links=int(np.count_nonzero(outgoing) + np.count_nonzero(incoming)),
-        destinations=int(np.count_nonzero(is_super & (matrix.in_degree > 0))),
-    )
-
-
-def _supernode_internal(
-    matrix: TrafficMatrix, is_super: np.ndarray
-) -> CategoryStats:
-    """Cells with supernodes at both ends and neither role at degree 1.
-
-    A degree-1 role hands the cell to the isolated or leaf categories even
-    between two supernodes, so only fan > 1 on both sides counts here.
-    """
-    row, col = matrix.row, matrix.col
-    cells = (
-        is_super[row]
-        & is_super[col]
-        & (matrix.out_degree[row] > 1)
-        & (matrix.in_degree[col] > 1)
-    )
-    return _cell_stats(matrix, cells)
+    return chosen
 
 
 def _fraction(part: int, whole: int) -> float:
@@ -326,59 +188,77 @@ def topology_breakdown(
     *,
     strict_core: bool = False,
 ) -> TopologyBreakdown:
-    """Full decomposition: all categories, fractions, and the tiling residual."""
+    """Full decomposition: all categories, fractions, and the tiling residual.
+
+    Each cell's endpoint fans and supernode roles are read once, and each
+    category is a boolean mask over the cells.  The masks are disjoint, so
+    a cell is counted at most once.  In order of precedence: a cell whose
+    source has fan-out 1 and whose destination has fan-in 1 is an isolated
+    link; otherwise a fan-1 end next to a supernode is that supernode's
+    leaf; a cell joining two supernodes with fan > 1 at both ends is
+    supernode-internal; a fan-1 end next to a core node is a core leaf; core
+    to core is the core, and a supernode with fan > 1 next to a core node
+    on the other side is supernode traffic.  Core nodes have fan > 1 in
+    their role and are not supernodes; a strict core also keeps only fans
+    below the first supernode's fan on the same side.
+    """
     totals = matrix.aggregates()
-    if totals.valid_packets == 0:
-        zero = {name: ZERO_STATS for name in CATEGORY_ORDER}
-        zero_frac = {
-            name: CategoryFractions(0.0, 0.0, 0.0, 0.0) for name in CATEGORY_ORDER
-        }
-        return TopologyBreakdown(
-            categories=zero,
-            supernode_ids=(),
-            supernode_internal=ZERO_STATS,
-            totals=totals,
-            fractions=zero_frac,
-            residual_packets=0,
-            residual_links=0,
-        )
     supers = find_supernodes(matrix, k)
-    is_super = matrix.node_mask(supers)
-    i_core, j_core = _core_masks(matrix, supers, strict_core)
+    out_degree, in_degree = matrix.out_degree, matrix.in_degree
+    is_super = np.zeros(matrix.n_nodes, dtype=bool)
+    is_super[supers] = True
+    i_core = (out_degree > 1) & ~is_super
+    j_core = (in_degree > 1) & ~is_super
+    if strict_core and supers:
+        i_core &= out_degree < out_degree[supers[0]]
+        j_core &= in_degree < in_degree[supers[0]]
+    row, col, count = matrix.row, matrix.col, matrix.count
+    leaf_src, leaf_dst = out_degree[row] == 1, in_degree[col] == 1
+    super_src, super_dst = is_super[row], is_super[col]
+    core_src, core_dst = i_core[row], j_core[col]
+    hub = (super_src & core_dst & ~leaf_src) | (super_dst & core_src & ~leaf_dst)
     categories = {
-        "isolated_links": isolated_links(matrix),
-        "supernode_leaves": supernode_leaves(matrix, supers),
-        "supernodes": _supernode_category(matrix, is_super, j_core, i_core),
-        "core": _core_stats(matrix, i_core, j_core),
-        "core_leaves": _core_leaves(matrix, i_core, j_core),
+        "isolated_links": _cell_stats(matrix, leaf_src & leaf_dst),
+        "supernode_leaves": _sided_stats(
+            matrix, super_dst & leaf_src & ~leaf_dst, super_src & leaf_dst & ~leaf_src
+        ),
+        "supernodes": CategoryStats(
+            sources=int(np.count_nonzero(out_degree[supers])),
+            packets=int(count[hub].sum()),
+            links=int(np.count_nonzero(hub)),
+            destinations=int(np.count_nonzero(in_degree[supers])),
+        ),
+        "core": _cell_stats(matrix, core_src & core_dst),
+        "core_leaves": _sided_stats(matrix, leaf_src & core_dst, leaf_dst & core_src),
     }
-    internal = _supernode_internal(matrix, is_super)
+    internal = _cell_stats(matrix, super_src & super_dst & ~leaf_src & ~leaf_dst)
     tiled_packets = internal.packets + sum(c.packets for c in categories.values())
     tiled_links = internal.links + sum(c.links for c in categories.values())
-    fractions = {name: _fractions(stats, totals) for name, stats in categories.items()}
     return TopologyBreakdown(
         categories=categories,
-        supernode_ids=tuple(supers),
+        supernode_ids=tuple(matrix.node_names(supers)),
         supernode_internal=internal,
         totals=totals,
-        fractions=fractions,
+        fractions={name: _fractions(c, totals) for name, c in categories.items()},
         residual_packets=totals.valid_packets - tiled_packets,
         residual_links=totals.unique_links - tiled_links,
     )
 
 
 def write_topology_csv(path, breakdown: TopologyBreakdown) -> int:
-    """One row per category, plus supernode-internal and residual accounting.
+    """One row per category, then supernode-internal and residual accounting.
 
     Returns the number of data rows written.
     """
-    totals = breakdown.totals
+    rows = [(name, breakdown.categories[name]) for name in CATEGORY_ORDER]
+    rows.append(("supernode_internal", breakdown.supernode_internal))
+    residual = CategoryStats(0, breakdown.residual_packets, breakdown.residual_links, 0)
+    rows.append(("residual", residual))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TOPOLOGY_CSV_HEADER)
-        for name in CATEGORY_ORDER:
-            stats = breakdown.categories[name]
-            frac = breakdown.fractions[name]
+        for name, stats in rows:
+            frac = _fractions(stats, breakdown.totals)
             writer.writerow(
                 [
                     name,
@@ -392,31 +272,4 @@ def write_topology_csv(path, breakdown: TopologyBreakdown) -> int:
                     repr(frac.destinations),
                 ]
             )
-        internal = breakdown.supernode_internal
-        writer.writerow(
-            [
-                "supernode_internal",
-                internal.sources,
-                internal.packets,
-                internal.links,
-                internal.destinations,
-                repr(_fraction(internal.sources, totals.unique_sources)),
-                repr(_fraction(internal.packets, totals.valid_packets)),
-                repr(_fraction(internal.links, totals.unique_links)),
-                repr(_fraction(internal.destinations, totals.unique_destinations)),
-            ]
-        )
-        writer.writerow(
-            [
-                "residual",
-                0,
-                breakdown.residual_packets,
-                breakdown.residual_links,
-                0,
-                repr(0.0),
-                repr(_fraction(breakdown.residual_packets, totals.valid_packets)),
-                repr(_fraction(breakdown.residual_links, totals.unique_links)),
-                repr(0.0),
-            ]
-        )
-    return len(CATEGORY_ORDER) + 2
+    return len(rows)

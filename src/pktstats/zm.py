@@ -49,7 +49,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 TRAIN_DELTA_START = 1.0
 TRAIN_DELTA_BOUNDS = (0.0, 10.0)
 TRAIN_STEP_TOL = 1e-3
+# _screen's error bound assumes this residual tolerance.
 TRAIN_RESIDUAL_TOL = 1e-9
+TRAIN_MAX_ITERATIONS = 200
 
 
 class InferenceError(ValueError):
@@ -319,9 +321,6 @@ def _lane_gap(memo: Dict, d1: float, alpha: float, delta: float):
 def _train_lane(
     d1: float,
     alpha: float,
-    tol: float = TRAIN_STEP_TOL,
-    residual_tol: float = TRAIN_RESIDUAL_TOL,
-    max_iterations: int = 200,
     memo: Optional[Dict[Tuple[float, str], _Sums]] = None,
 ) -> Generator:
     """Delta training for one alpha as a coroutine.
@@ -345,14 +344,14 @@ def _train_lane(
     iterations = 0
     last_step = math.inf
     fval, grad = yield from _lane_newton(memo, d1, alpha, delta)
-    for _ in range(max_iterations):
+    for _ in range(TRAIN_MAX_ITERATIONS):
         if fval < 0.0:
             lo = delta
         elif fval > 0.0:
             hi = delta
         else:
             break
-        if last_step < tol and abs(fval) < residual_tol:
+        if last_step < TRAIN_STEP_TOL and abs(fval) < TRAIN_RESIDUAL_TOL:
             break
         candidate = delta - fval / grad if grad > 0.0 else 0.5 * (lo + hi)
         if not lo < candidate < hi:
@@ -436,15 +435,7 @@ def _run_lanes(lanes: Sequence[Generator], d_max: int) -> list:
     return results
 
 
-def train_delta(
-    d1: float,
-    alpha: float,
-    d_max: int,
-    *,
-    tol: float = TRAIN_STEP_TOL,
-    residual_tol: float = TRAIN_RESIDUAL_TOL,
-    max_iterations: int = 200,
-) -> Optional[DeltaTraining]:
+def train_delta(d1: float, alpha: float, d_max: int) -> Optional[DeltaTraining]:
     """Solve for the delta whose model matches degree-1 probability d1.
 
     Root-finds f(delta) = d1 * (1 + delta)**alpha * S(delta) - 1 (strictly
@@ -460,7 +451,7 @@ def train_delta(
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
-    lane = _train_lane(d1, alpha, tol, residual_tol, max_iterations)
+    lane = _train_lane(d1, alpha)
     result = _run_lanes([lane], d_max)[0]
     return None if result is None else result[0]
 

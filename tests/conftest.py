@@ -15,6 +15,16 @@ STAR_COUNTS = {
     ("s2", "d1"): 1,
 }
 
+# A window on which a strict core that admitted later supernodes counted
+# cells twice: 17 links, 88 packets.
+STRICT_CELLS = {
+    ("n0", "n4"): 7, ("n0", "n6"): 4, ("n1", "n3"): 7, ("n1", "n4"): 1,
+    ("n1", "n6"): 9, ("n2", "n2"): 11, ("n2", "n3"): 15, ("n2", "n4"): 7,
+    ("n3", "n1"): 2, ("n3", "n2"): 2, ("n3", "n4"): 5, ("n3", "n5"): 1,
+    ("n4", "n5"): 1, ("n4", "n6"): 2, ("n5", "n3"): 5, ("n5", "n5"): 8,
+    ("n5", "n6"): 1,
+}
+
 
 def make_records(pairs, protocol="TCP", ip_version=4, start_ts=0):
     """Packet tuples in canonical field order with sequential timestamps."""

@@ -131,15 +131,14 @@ def classify(dense, row_names, col_names, k: int, strict: bool = False):
     sset = set(supers)
     i1 = {v for v, d in d_out.items() if d == 1}
     j1 = {v for v, d in d_in.items() if d == 1}
+    icore = {v for v, d in d_out.items() if d > 1 and v not in sset}
+    jcore = {v for v, d in d_in.items() if d > 1 and v not in sset}
     if strict and supers:
+        # The strict core is the core above, further bounded by the first
+        # supernode's fan on the same side.
         first = supers[0]
-        out_cap = d_out.get(first, 0)
-        in_cap = d_in.get(first, 0)
-        icore = {v for v, d in d_out.items() if 1 < d < out_cap}
-        jcore = {v for v, d in d_in.items() if 1 < d < in_cap}
-    else:
-        icore = {v for v, d in d_out.items() if d > 1 and v not in sset}
-        jcore = {v for v, d in d_in.items() if d > 1 and v not in sset}
+        icore = {v for v in icore if d_out[v] < d_out.get(first, 0)}
+        jcore = {v for v in jcore if d_in[v] < d_in.get(first, 0)}
 
     buckets = {
         "isolated_links": [],

@@ -341,7 +341,7 @@ def test_criterion_12_single_window_throughput(capsys):
     analysis = analyze_window(window)
     elapsed = time.perf_counter() - started
     assert set(analysis.pooled) == {kind.value for kind in ALL_KINDS}
-    assert analysis.aggregates.valid_packets == 1_000_000
+    assert analysis.topology.totals.valid_packets == 1_000_000
     assert analysis.topology.residual_packets == 0
     assert elapsed <= budget
     _report(capsys, 12, "single-window throughput", elapsed, budget)

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, config files, exit codes, printed summary."""
 
+import csv
 import errno
 import gzip
 import hashlib
@@ -21,6 +22,8 @@ from pktstats.cli import (
     parse_alpha_grid,
     read_config_file,
 )
+
+from conftest import STRICT_CELLS, make_records
 
 
 def write_spec(tmp_path, text, name="spec.txt"):
@@ -64,13 +67,14 @@ class TestParsing:
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# defaults\nnv = 100\nalpha-grid=1:2:0.5\n\n")
-        assert read_config_file(path) == {"nv": "100", "alpha_grid": "1:2:0.5"}
+        allowed = {"nv", "alpha_grid", "force"}
+        assert read_config_file(path, allowed) == {"nv": "100", "alpha_grid": "1:2:0.5"}
 
     def test_config_file_rejects_bare_words(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("force\n")
         with pytest.raises(CliUsageError):
-            read_config_file(path)
+            read_config_file(path, {"force"})
 
 
 class TestGenerate:
@@ -221,6 +225,16 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert repr(key) in err
+        assert not out.exists()
+
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "n_isolated_pairs = 2\n")
+        out = tmp_path / "pkts.csv"
+        cfg = write_spec(
+            tmp_path, f"spec = {spec}\npackets = 4\nbogus = 1\n", name="run.cfg"
+        )
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: unknown key 'bogus'\n"
         assert not out.exists()
 
     def test_degree_model_d_max_beyond_any_stream_is_config_error(
@@ -522,6 +536,39 @@ class TestAnalyze:
         ) == 0
         manifest2 = json.loads((tmp_path / "r2" / "manifest.json").read_text())
         assert manifest2["config"]["quantities"] == ["link_packets"]
+
+    @pytest.mark.parametrize("key", ["workrs", "config", "command"])
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys, key):
+        stream = self.stream(tmp_path)
+        out = tmp_path / "report"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {stream}\nnv = 50\n{key} = 2\nout = {out}\n")
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: unknown key {key!r}\n"
+        assert not out.exists()
+
+    def test_strict_core_window_is_tiled_once(self, tmp_path, capsys):
+        # A strict core that admitted later supernodes made this run die on
+        # a fraction above 1.  Node nK becomes address 10.0.0.K.
+        pairs = [
+            (f"10.0.0.{src[1:]}", f"10.0.0.{dst[1:]}")
+            for (src, dst), count in STRICT_CELLS.items()
+            for _ in range(count)
+        ]
+        stream = tmp_path / "stream.csv"
+        write_packet_csv(stream, make_records(pairs))
+        out = tmp_path / "report"
+        code = main(
+            ["analyze", "--input", str(stream), "--nv", "88", "--out", str(out),
+             "--quantities", "source_fan_out", "--core-strict-inequality"]
+        )
+        assert code == 0
+        with open(out / "nv_000000088" / "window_000000.topology.csv") as fh:
+            rows = {row[0]: row[1:] for row in csv.reader(fh)}
+        packets = [int(rows[name][1]) for name in rows if name != "category"]
+        links = [int(rows[name][2]) for name in rows if name != "category"]
+        assert min(packets) >= 0 and min(links) >= 0
+        assert sum(packets) == 88 and sum(links) == 17
 
     def test_bad_worker_count(self, tmp_path, capsys):
         stream = self.stream(tmp_path)

@@ -72,6 +72,19 @@ class TestSpecValidation:
         with pytest.raises(GeneratorConfigError):
             generate_synthetic(GeneratorSpec(n_isolated_pairs=1), 0)
 
+    def test_dense_core_is_not_built_for_too_few_packets(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("core links built before the coverage check")
+
+        monkeypatch.setattr("pktstats.generator._core_links", unreachable)
+        spec = GeneratorSpec(n_isolated_pairs=1, core_size=2000, core_density=1.0)
+        with pytest.raises(GeneratorConfigError, match="cannot cover 3998001 links"):
+            generate_synthetic(spec, 10)
+        # A sparse core still takes its double ring: 2 * 2000 links.
+        sparse = GeneratorSpec(core_size=2000, core_density=0.0001)
+        with pytest.raises(GeneratorConfigError, match="cannot cover 4000 links"):
+            generate_synthetic(sparse, 3999)
+
     def test_node_ids_must_fit_the_address_space(self, monkeypatch):
         monkeypatch.setattr("pktstats.generator._ADDRESS_SPACE_BITS", 4)
         model = GeneratorSpec(degree_model=ZmParams(1.2, 0.5, 4))

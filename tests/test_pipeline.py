@@ -194,7 +194,7 @@ class TestAnalyzeWindow:
         window = next(iter_windows(records, 20))
         analysis = analyze_window(window, quantities=(QuantityKind.SOURCE_FAN_OUT,))
         assert set(analysis.pooled) == {"source_fan_out"}
-        assert analysis.aggregates.valid_packets == 20
+        assert analysis.topology.totals.valid_packets == 20
         assert analysis.topology.categories["isolated_links"].links == 10
 
     def test_pooled_totals_are_normalized(self):
@@ -607,7 +607,7 @@ class TestCodedWindows:
 
                 cells = Counter((r[1], r[2]) for r in window_records)
                 dense, rows, cols = dense_oracle.from_cells(cells)
-                aggregates = coded.aggregates
+                aggregates = coded.topology.totals
                 assert (
                     aggregates.valid_packets,
                     aggregates.unique_links,

@@ -12,17 +12,12 @@ from pktstats.topology import (
     ZERO_STATS,
     CategoryFractions,
     CategoryStats,
-    core_leaves,
-    core_membership,
-    core_stats,
     find_supernodes,
-    isolated_links,
-    supernode_leaves,
     write_topology_csv,
 )
 
 import dense_oracle
-from conftest import random_cells
+from conftest import STRICT_CELLS, random_cells
 
 
 def read_topology_csv(path):
@@ -35,6 +30,14 @@ def read_topology_csv(path):
         for row in rows
         if row[0] != "residual"
     }
+
+
+def supernode_names(matrix, k=5):
+    return matrix.node_names(find_supernodes(matrix, k))
+
+
+def stats_tuple(stats):
+    return (stats.sources, stats.packets, stats.links, stats.destinations)
 
 
 def assert_tiling(matrix, breakdown):
@@ -74,7 +77,7 @@ class TestStarBreakdown:
         assert star_matrix.in_degree.tolist() == [2, 1, 1, 0, 0]
 
     def test_supernode_is_the_hub(self, star_matrix):
-        assert find_supernodes(star_matrix) == ["s1"]
+        assert supernode_names(star_matrix) == ["s1"]
 
     def test_category_stats(self, star_matrix):
         b = topology_breakdown(star_matrix)
@@ -173,17 +176,17 @@ class TestSupernodeSelection:
         cells.update({("M", f"z{i}"): 1 for i in range(3)})
         cells.update({("N", f"y{i}"): 1 for i in range(4)})
         m = TrafficMatrix.from_counts(cells)
-        assert find_supernodes(m, 2) == ["H", "N"]
+        assert supernode_names(m, 2) == ["H", "N"]
 
     def test_volume_breaks_degree_ties(self):
         cells = {("a", "u1"): 1, ("a", "u2"): 1, ("b", "v1"): 2, ("b", "v2"): 3}
         m = TrafficMatrix.from_counts(cells)
-        assert find_supernodes(m, 1) == ["b"]
+        assert supernode_names(m, 1) == ["b"]
 
     def test_lexicographic_breaks_full_ties(self):
         cells = {("b", "u1"): 1, ("b", "u2"): 1, ("a", "v1"): 1, ("a", "v2"): 1}
         m = TrafficMatrix.from_counts(cells)
-        assert find_supernodes(m, 1) == ["a"]
+        assert supernode_names(m, 1) == ["a"]
 
     def test_stops_when_only_leaves_remain(self):
         cells = {("a", "b"): 1, ("c", "d"): 2, ("e", "f"): 3}
@@ -197,7 +200,7 @@ class TestSupernodeSelection:
         cells = {("c9", f"a{i}"): 1 for i in range(9)}
         cells.update({("c7", f"b{i}"): 1 for i in range(7)})
         m = TrafficMatrix.from_counts(cells)
-        assert find_supernodes(m, 5) == ["c9", "c7"]
+        assert supernode_names(m, 5) == ["c9", "c7"]
         b = topology_breakdown(m)
         assert b.categories["supernode_leaves"] == CategoryStats(0, 16, 16, 16)
         assert_tiling(m, b)
@@ -211,21 +214,23 @@ class TestCoreMembership:
     }
 
     def test_default_excludes_only_supernodes(self):
+        # a's fans exceed 1 on both sides, but as a supernode it is no core
+        # node: the core is x -> {p, q, r}, and a -> {p, q, r} is a's own
+        # traffic with the core.
         m = TrafficMatrix.from_counts(self.CELLS)
-        supers = find_supernodes(m, 1)
-        assert supers == ["a"]
-        i_core, j_core = core_membership(m, supers)
-        assert i_core == frozenset({"x"})
-        assert j_core == frozenset({"p", "q", "r"})
+        assert supernode_names(m, 1) == ["a"]
+        b = topology_breakdown(m, k=1)
+        assert b.categories["core"] == CategoryStats(1, 3, 3, 3)
+        assert b.categories["supernodes"].links == 3
 
     def test_strict_caps_at_first_supernode_fan(self):
         # x matches the first supernode's fan-out exactly, so the strict
-        # variant drops it from the core while the default keeps it.
+        # variant drops it from the core while the default keeps it; p, q
+        # and r (fan-in 2 < 3) stay core destinations.
         m = TrafficMatrix.from_counts(self.CELLS)
-        supers = find_supernodes(m, 1)
-        i_core, j_core = core_membership(m, supers, strict_inequality=True)
-        assert i_core == frozenset()
-        assert j_core == frozenset({"p", "q", "r"})
+        b = topology_breakdown(m, k=1, strict_core=True)
+        assert b.categories["core"] == ZERO_STATS
+        assert b.categories["supernodes"] == CategoryStats(1, 3, 3, 1)
 
     def test_default_breakdown_tiles_exactly(self):
         m = TrafficMatrix.from_counts(self.CELLS)
@@ -242,13 +247,27 @@ class TestCoreMembership:
         assert b.residual_packets == 3
         assert b.residual_links == 3
 
+    def test_strict_core_excludes_later_supernodes(self):
+        # The later supernodes' fans trail the first one's (n3).  A strict
+        # core that took them in counted cells between supernodes from both
+        # sides: the supernodes' category came to 91 of the 88 packets.
+        m = TrafficMatrix.from_counts(STRICT_CELLS)
+        b = topology_breakdown(m, strict_core=True)
+        assert b.supernode_ids == ("n3", "n4", "n5", "n2", "n6")
+        assert b.categories["supernodes"] == CategoryStats(4, 28, 5, 5)
+        tiled = sum(c.packets for c in b.categories.values())
+        assert tiled + b.supernode_internal.packets + b.residual_packets == 88
+        assert b.residual_packets >= 0 and b.residual_links >= 0
+
 
 class TestCoreHelpers:
     def test_core_stats_counts_submatrix(self):
         cells = {("u", "v"): 2, ("u", "w"): 1, ("t", "v"): 1, ("t", "w"): 3}
         m = TrafficMatrix.from_counts(cells)
-        stats = core_stats(m, frozenset({"u", "t"}), frozenset({"v", "w"}))
-        assert stats == CategoryStats(2, 7, 4, 2)
+        # Without supernodes every fan-2 node is a core node.
+        b = topology_breakdown(m, k=0)
+        assert b.categories["core"] == CategoryStats(2, 7, 4, 2)
+        assert_tiling(m, b)
 
     def test_core_leaves_both_sides(self):
         # c1 is a core source; m1 is a core destination.  leafin feeds the
@@ -260,10 +279,11 @@ class TestCoreHelpers:
             ("c1", "leafout"): 2,
         }
         m = TrafficMatrix.from_counts(cells)
-        i_core, j_core = core_membership(m, [])
-        assert (i_core, j_core) == (frozenset({"c1"}), frozenset({"m1"}))
-        stats = core_leaves(m, i_core, j_core)
-        assert stats == CategoryStats(1, 7, 3, 2)
+        b = topology_breakdown(m, k=0)
+        # The core is c1 -> m1 alone.
+        assert b.categories["core"] == CategoryStats(1, 1, 1, 1)
+        assert b.categories["core_leaves"] == CategoryStats(1, 7, 3, 2)
+        assert_tiling(m, b)
 
 
 class TestEmptyMatrix:
@@ -275,10 +295,11 @@ class TestEmptyMatrix:
 
     def test_isolated_needs_matching_fans(self):
         m = TrafficMatrix.from_counts({("a", "b"): 1, ("c", "b"): 1})
-        assert isolated_links(m) == ZERO_STATS
+        assert topology_breakdown(m).categories["isolated_links"] == ZERO_STATS
 
     def test_supernode_leaves_empty_without_supernodes(self, star_matrix):
-        assert supernode_leaves(star_matrix, []) == ZERO_STATS
+        b = topology_breakdown(star_matrix, k=0)
+        assert b.categories["supernode_leaves"] == ZERO_STATS
 
 
 class TestTopologyCsv:
@@ -293,27 +314,33 @@ class TestTopologyCsv:
 
 
 class TestAgainstDenseOracle:
-    def test_random_breakdowns_match_cellwise_classification(self):
-        rng = np.random.Generator(np.random.Philox(key=99))
-        for trial in range(30):
+    @staticmethod
+    def check_random_breakdowns(seed, trials, strict):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        for trial in range(trials):
             cells = random_cells(rng, max_side=40, max_cells=150)
             matrix = TrafficMatrix.from_counts(cells)
             dense, rows, cols = dense_oracle.from_cells(cells)
             k = int(rng.integers(0, 7))
-            stats, supers, leftovers = dense_oracle.classify(dense, rows, cols, k)
-            assert leftovers == []
-            b = topology_breakdown(matrix, k=k)
+            stats, supers, leftovers = dense_oracle.classify(
+                dense, rows, cols, k, strict=strict
+            )
+            b = topology_breakdown(matrix, k=k, strict_core=strict)
             assert list(b.supernode_ids) == supers
             for name in CATEGORY_ORDER:
-                got = b.categories[name]
-                assert (got.sources, got.packets, got.links, got.destinations) == stats[
-                    name
-                ], f"trial {trial} category {name}"
-            internal = b.supernode_internal
-            assert (
-                internal.sources,
-                internal.packets,
-                internal.links,
-                internal.destinations,
-            ) == stats["supernode_internal"]
-            assert_tiling(matrix, b)
+                assert stats_tuple(b.categories[name]) == stats[name], (
+                    f"trial {trial} category {name}"
+                )
+            assert stats_tuple(b.supernode_internal) == stats["supernode_internal"]
+            assert b.residual_packets == sum(count for _, _, count in leftovers)
+            assert b.residual_links == len(leftovers)
+            if not strict:
+                assert leftovers == []
+
+    def test_random_breakdowns_match_cellwise_classification(self):
+        self.check_random_breakdowns(seed=99, trials=30, strict=False)
+
+    def test_random_strict_breakdowns_match_cellwise_classification(self):
+        # A strict core only drops nodes from the default core, so each
+        # cell is counted at most once and the residual is what it drops.
+        self.check_random_breakdowns(seed=7, trials=300, strict=True)
