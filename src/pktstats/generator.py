@@ -148,25 +148,24 @@ def sample_zm_degrees(
 def _core_links(
     n: int, density: float, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Member indexes (i, j) of a core's links: the double ring i -> i+1,
-    i -> i+2 in sorted order, then extra links drawn up to the requested
-    density of the n*(n-1) ordered pairs, also in sorted order."""
+    """Member indexes (i, j) of a core's links (n >= 3): the double ring
+    i -> i+1, i -> i+2 in sorted order, then extra links drawn up to the
+    requested density of the n*(n-1) ordered pairs, also in sorted order.
+
+    The extras are picks among the n*(n-3) other pairs in sorted order.
+    Row i holds n-3 of them, so pick p is pair (i, j) with (i, r) =
+    divmod(p, n-3): j skips i, i+1 and i+2, wrapped past n-1."""
     members = np.arange(n)
-    ring = np.zeros((n, n), dtype=bool)
-    ring[members, (members + 1) % n] = True
-    ring[members, (members + 2) % n] = True
-    ring_i, ring_j = np.nonzero(ring)
-    ring[members, members] = True
-    possible_i, possible_j = np.nonzero(~ring)
+    ring_i = np.repeat(members, 2)
+    ring_j = np.sort(np.stack([(members + 1) % n, (members + 2) % n], axis=1)).ravel()
     budget = int(round(density * n * (n - 1)))
-    extra_count = max(0, min(len(possible_i), budget - len(ring_i)))
+    extra_count = max(0, min(n * (n - 3), budget - len(ring_i)))
     if not extra_count:
         return ring_i, ring_j
-    picks = np.sort(rng.choice(len(possible_i), size=extra_count, replace=False))
-    return (
-        np.concatenate([ring_i, possible_i[picks]]),
-        np.concatenate([ring_j, possible_j[picks]]),
-    )
+    picks = np.sort(rng.choice(n * (n - 3), size=extra_count, replace=False))
+    i, r = np.divmod(picks, n - 3)
+    j = np.where(i == n - 1, r + 2, np.where(i == n - 2, r + 1, r + 3 * (r >= i)))
+    return np.concatenate([ring_i, i]), np.concatenate([ring_j, j])
 
 
 def _link_count(spec: GeneratorSpec) -> int:

@@ -1,7 +1,8 @@
 """Packet-record ingest: CSV parsing, validity filtering, and fixed-size windowing.
 
 A packet stream is a sequence of records ``(timestamp_us, src, dst, protocol,
-ip_version)``.  Only TCP-over-IPv4 records are *valid*.  Windowing groups
+ip_version)``, whose addresses are of the family ip_version names.  Only
+TCP-over-IPv4 records, two dotted quads each, are *valid*.  Windowing groups
 every ``n_valid`` consecutive valid records into one window, skipping (but
 counting) invalid ones; a trailing partial window is discarded.  Every
 window is a ``CodedPackets``: two integer arrays of source and destination
@@ -21,7 +22,6 @@ import gzip
 import ipaddress
 import re
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
@@ -181,10 +181,12 @@ def parse_packet_line(
 
     The timestamp is 1 to MAX_TIMESTAMP_DIGITS ASCII digits, src and dst
     are addresses, the protocol is one of PROTOCOLS and ip_version is
-    exactly ``4`` or ``6``.  ``known`` maps each address already validated
-    to the str that records share; an address not in it is validated and
-    added, so a file's parser validates each distinct address once.
-    Raises PacketParseError naming the first field that fails.
+    exactly ``4`` or ``6``: the family of src and dst, where an address
+    with a colon is IPv6 text and any other is a dotted quad.  ``known``
+    maps each address already validated to the str that records share; an
+    address not in it is validated and added, so a file's parser validates
+    each distinct address once.  Raises PacketParseError naming the first
+    field that fails; a family that differs from ip_version fails last.
     """
     parts = line.rstrip("\r\n").split(",")
     if len(parts) != len(CANONICAL_FIELDS):
@@ -210,12 +212,25 @@ def parse_packet_line(
                 f"unknown ip_version {_echo(raw_ver, str)}", line_number
             )
         raise PacketParseError(f"bad ip_version {_echo(raw_ver)}", line_number)
+    for label, address in (("src", src), ("dst", dst)):
+        if (":" in address) != (ip_version == 6):
+            message = f"{label} address {_echo(address)} is not IPv{ip_version}"
+            raise PacketParseError(message, line_number)
     return PacketRecord(int(raw_ts), src, dst, name, ip_version)
 
 
 def is_valid_packet(record) -> bool:
     """A packet enters windows iff it is TCP over IPv4."""
     return record[3] == "TCP" and record[4] == 4
+
+
+def _damaged(exc: Exception, line_number: int) -> PacketParseError:
+    """The error of compressed input that fails to decompress before
+    ``line_number`` is delivered."""
+    return PacketParseError(
+        f"compressed data is cut short or corrupt at or after this line ({exc})",
+        line_number,
+    )
 
 
 def read_packet_csv(path) -> Iterator[PacketRecord]:
@@ -242,11 +257,7 @@ def read_packet_csv(path) -> Iterator[PacketRecord]:
                     f"undecodable text at or after this line ({exc})", line_number + 1
                 ) from None
             except (EOFError, zlib.error) as exc:
-                raise PacketParseError(
-                    f"compressed data is cut short or corrupt at or after "
-                    f"this line ({exc})",
-                    line_number + 1,
-                ) from None
+                raise _damaged(exc, line_number + 1) from None
             line_number += 1
             yield parse_packet_line(line, line_number, known)
 
@@ -289,14 +300,11 @@ def _text_code(text: bytes) -> int:
     return int.from_bytes(text, "little") | len(text) << 56
 
 
-# What may follow a canonical line's destination, after its comma.
-_TAIL_CODES = np.array(
-    [
-        _text_code(f"{name},{version}".encode())
-        for name in PROTOCOLS
-        for version in IP_VERSIONS
-    ],
-    dtype=np.uint64,
+# What may follow the destination of a canonical (IPv4) and of a plain
+# (IPv6) line, after its comma.
+_V4_TAILS, _V6_TAILS = (
+    np.array([_text_code(f"{name},{v}".encode()) for name in PROTOCOLS], np.uint64)
+    for v in (4, 6)
 )
 _TCP_V4_CODE = _text_code(b"TCP,4")
 
@@ -304,63 +312,44 @@ _TCP_V4_CODE = _text_code(b"TCP,4")
 @dataclass(frozen=True, eq=False)
 class KeyBatch:
     """Valid packets as dotted-quad keys: those of one chunk's lines, or of
-    a whole stream, read from ``n_read`` lines.
-
-    A valid packet of a line that no array pass accepts has an address
-    that is not a dotted quad (text mode takes ``0,fd00::1,fd00::2,TCP,4``
-    as TCP over IPv4).  Its keys here are arbitrary, and it is listed in
-    ``texts`` as (position in the batch, src, dst), in position order.
-    """
+    a whole stream, read from ``n_read`` lines."""
 
     src: np.ndarray
     dst: np.ndarray
     n_read: int
-    texts: Tuple[Tuple[int, str, str], ...]
 
     def __len__(self) -> int:
         return len(self.src)
 
     def window(self, index: int, size: int) -> CodedPackets:
         """The index-th run of ``size`` consecutive packets, coded by its
-        own address table: its sorted distinct keys, or, when ``texts`` has
-        packets in the window, its sorted distinct address texts."""
+        own address table: its sorted distinct keys."""
         start = index * size
-        stop = start + size
-        src, dst = self.src[start:stop], self.dst[start:stop]
-        first = bisect_left(self.texts, (start,))
-        last = bisect_left(self.texts, (stop,))
-        if first == last:
-            keys, codes = np.unique(np.concatenate((src, dst)), return_inverse=True)
-            n = len(src)
-            return CodedPackets(codes[:n], codes[n:], _QuadTexts(keys), index)
-        srcs = list(map(quad_text, src.tolist()))
-        dsts = list(map(quad_text, dst.tolist()))
-        for at, src_text, dst_text in self.texts[first:last]:
-            srcs[at - start] = src_text
-            dsts[at - start] = dst_text
-        return replace(intern_addresses(srcs, dsts), index=index)
+        src, dst = self.src[start : start + size], self.dst[start : start + size]
+        keys, codes = np.unique(np.concatenate((src, dst)), return_inverse=True)
+        n = len(src)
+        return CodedPackets(codes[:n], codes[n:], _QuadTexts(keys), index)
 
 
-def _scan_tails(buf: np.ndarray, at: np.ndarray, stops: np.ndarray):
-    """(known, tcp_v4) of each tail ``buf[at:stop]``: whether it is one of
-    _TAIL_CODES, and whether it is ``TCP,4``."""
+def _tail_codes(buf: np.ndarray, at: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The _text_code of each tail ``buf[at:stop]`` of up to 7 bytes; a
+    longer tail's code is that of no such text."""
     width = np.clip(stops - at, 0, 255).astype(np.uint64)
     tails = buf[at[:, None] + np.arange(8)].view("<u8")[:, 0]
-    tails = tails & _MASKS[np.minimum(width, 8)] | width << np.uint64(56)
-    return (tails[:, None] == _TAIL_CODES).any(axis=1), tails == _TCP_V4_CODE
+    return tails & _MASKS[np.minimum(width, 8)] | width << np.uint64(56)
 
 
 def _scan_canonical(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     """(canonical, tcp_v4, src key, dst key, digits end) of each line
     ``buf[start:stop]``.
 
-    A canonical line is ``timestamp,quad,quad,protocol,version``: a timestamp
-    of 1 to MAX_TIMESTAMP_DIGITS ASCII digits, dotted quads whose octets are
+    A canonical line is ``timestamp,quad,quad,protocol,4``: a timestamp of 1
+    to MAX_TIMESTAMP_DIGITS ASCII digits, dotted quads whose octets are
     among the 256 octet strings (1-3 digits, no leading zero, value <= 255),
-    one of the four protocol names, and ``4`` or ``6``.  ``buf`` ends with LF
-    and then ``_PADDING``.  Keys of other lines are arbitrary.  The digits
-    end of a line is the position in ``buf`` of its first byte that is no
-    ASCII digit.
+    and one of the four protocol names.  ``buf`` ends with LF and then
+    ``_PADDING``.  Keys of other lines are arbitrary.  The digits end of a
+    line is the position in ``buf`` of its first byte that is no ASCII
+    digit.
     """
     # Up to the protocol, a canonical line's non-digit bytes are exactly the
     # separators.  Indices clipped past the last line land on its LF, a
@@ -381,16 +370,16 @@ def _scan_canonical(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     ranks = _OCTET_LOOKUP[index]
     ok &= (ranks < 256).all(axis=1)
 
-    known, tcp_v4 = _scan_tails(buf, seps[:, 8] + 1, stops)
-    ok &= known
+    tails = _tail_codes(buf, seps[:, 8] + 1, stops)
+    ok &= (tails[:, None] == _V4_TAILS).any(axis=1)
 
     ranks <<= np.array([24, 16, 8, 0] * 2, np.uint32)
     keys = np.bitwise_or.reduce(ranks.reshape(len(starts), 2, 4), axis=2)
-    return ok, tcp_v4, keys[:, 0], keys[:, 1], seps[:, 0]
+    return ok, tails == _TCP_V4_CODE, keys[:, 0], keys[:, 1], seps[:, 0]
 
 
 def _plain_addresses(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Whether each text ``buf[lo:hi]`` is a dotted quad or plain IPv6 text.
+    """Whether each text ``buf[lo:hi]`` is plain IPv6 text.
 
     Plain IPv6 text is eight groups of 1-4 hex digits joined by colons, or
     at most seven such groups and one ``::``, which may start or end the
@@ -409,23 +398,6 @@ def _plain_addresses(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     digit = grid - np.uint8(ord("0")) < 10
     hexdigit = digit | ((grid | 32) - np.uint8(ord("a")) < 6)
     colon = grid == ord(":")
-    dot = grid == ord(".")
-
-    # Four runs of 1-3 digits between three dots: no empty run, no fourth
-    # digit in a row, no leading zero, no value above 255.
-    ends = dot | outside
-    # Runs of three digits, by the column before them, and their values.
-    three = ends[:, :-3] & digit[:, 1:-2] & digit[:, 2:-1] & digit[:, 3:]
-    values = grid.astype(np.int16) - ord("0")
-    values = values[:, 1:-2] * 100 + values[:, 2:-1] * 10 + values[:, 3:]
-    quad = (
-        (digit | dot | outside).all(axis=1)
-        & (dot.sum(axis=1) == 3)
-        & ~(dot[:, 1:-1] & (ends[:, :-2] | ends[:, 2:])).any(axis=1)
-        & ~(three[:, :-1] & digit[:, 4:]).any(axis=1)
-        & ~(ends[:, :-2] & (grid[:, 1:-1] == ord("0")) & digit[:, 2:]).any(axis=1)
-        & ~(three & (values > 255)).any(axis=1)
-    )
 
     # Groups of at most four hex digits; at most one "::"; a colon at either
     # end only as part of "::"; eight groups, or at most seven with "::".
@@ -435,25 +407,25 @@ def _plain_addresses(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
         (outside[:, :-2] & ~colon[:, 2:]) | (outside[:, 2:] & ~colon[:, :-2])
     )
     groups = (hexdigit[:, 1:] & ~hexdigit[:, :-1]).sum(axis=1)
-    plain_v6 = (
-        (hexdigit | colon | outside).all(axis=1)
+    return (
+        (width <= _ADDRESS_WIDTH)
+        & (hexdigit | colon | outside).all(axis=1)
         & ~(four & hexdigit[:, 4:]).any(axis=1)
         & (doubles <= 1)
         & ~lone.any(axis=1)
         & np.where(doubles == 1, groups <= 7, groups == 8)
     )
-    return (width <= _ADDRESS_WIDTH) & (quad | plain_v6)
 
 
 def _scan_plain(
     buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, digits_end: np.ndarray
-):
-    """(plain, tcp_v4) of each line ``buf[start:stop]``.
+) -> np.ndarray:
+    """Whether each line ``buf[start:stop]`` is plain.
 
-    A plain line is ``timestamp,address,address,protocol,version`` with a
+    A plain line is ``timestamp,address,address,protocol,6`` with a
     timestamp of 1 to MAX_TIMESTAMP_DIGITS ASCII digits, addresses that
-    ``_plain_addresses`` accepts, and a tail in _TAIL_CODES.  ``digits_end``
-    is as _scan_canonical gives it.
+    ``_plain_addresses`` accepts, and one of the four protocol names.
+    ``digits_end`` is as _scan_canonical gives it.
     """
     body = buf[: -len(_PADDING)]
     # The last LF stands in for the commas that the last lines lack.
@@ -462,11 +434,12 @@ def _scan_plain(
     at = np.take(commas, first[:, None] + np.arange(3), mode="clip")
     fields = np.searchsorted(commas, stops) - first == 4
     addresses = _plain_addresses(buf, (at[:, :2] + 1).ravel(), at[:, 1:].ravel())
-    known, tcp_v4 = _scan_tails(buf, at[:, 2] + 1, stops)
+    tails = _tail_codes(buf, at[:, 2] + 1, stops)
     digits = at[:, 0] - starts
-    plain = addresses.reshape(-1, 2).all(axis=1) & fields & known
+    plain = addresses.reshape(-1, 2).all(axis=1) & fields
+    plain &= (tails[:, None] == _V6_TAILS).any(axis=1)
     plain &= (digits_end == at[:, 0]) & (digits > 0) & (digits <= MAX_TIMESTAMP_DIGITS)
-    return plain, tcp_v4
+    return plain
 
 
 def _chunk_batch(
@@ -474,13 +447,13 @@ def _chunk_batch(
 ) -> Tuple[KeyBatch, Optional[PacketParseError]]:
     """The valid packets of ``data``, whole lines numbered from ``first``.
 
-    Canonical lines are checked and keyed as arrays.  Plain lines that are
-    not TCP over IPv4 are checked as arrays and skipped.  Every other line
-    goes through parse_packet_line with the file's address table
-    ``known``; a valid one has an address that is not a dotted quad, so it
-    is listed in the batch's ``texts``.  Text mode also ends a line at a CR
-    that no LF follows, so such a CR is read as an LF.  At the first bad
-    line the batch stops, and that line's error is returned beside it.
+    Canonical lines are checked and keyed as arrays.  Plain lines, all of
+    them IPv6, are checked as arrays and skipped.  Every other line goes
+    through parse_packet_line with the file's address table ``known``; none
+    of them is valid, since a valid row of two dotted quads is canonical.
+    Text mode also ends a line at a CR that no LF follows, so such a CR is
+    read as an LF.  At the first bad line the batch stops, and that line's
+    error is returned beside it.
     """
     buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
     ends = np.flatnonzero(buf[: len(data)] == _LF)
@@ -493,13 +466,12 @@ def _chunk_batch(
     starts = np.concatenate(([0], ends[:-1] + 1))
     stops = ends - crlf
     canonical, tcp_v4, src, dst, digits_end = _scan_canonical(buf, starts, stops)
-    valid = canonical & tcp_v4
     rest = np.flatnonzero(~canonical)
-    plain, plain_v4 = _scan_plain(buf, starts[rest], stops[rest], digits_end[rest])
+    if len(rest):
+        rest = rest[~_scan_plain(buf, starts[rest], stops[rest], digits_end[rest])]
     n = len(ends)
-    texts = []
     error = None
-    for i in rest[~plain | plain_v4].tolist():
+    for i in rest.tolist():
         try:
             line = data[starts[i] : ends[i]].decode("utf-8")
             record = parse_packet_line(line, first + i, known)
@@ -510,14 +482,9 @@ def _chunk_batch(
         if error is not None:
             n = i
             break
-        if is_valid_packet(record):
-            valid[i] = True
-            texts.append((i, record[1], record[2]))
-    valid = valid[:n]
-    if texts:
-        positions = np.cumsum(valid) - 1
-        texts = [(int(positions[i]), src_text, dst_text) for i, src_text, dst_text in texts]
-    return KeyBatch(src[:n][valid], dst[:n][valid], n, tuple(texts)), error
+        assert not is_valid_packet(record)
+    valid = (canonical & tcp_v4)[:n]
+    return KeyBatch(src[:n][valid], dst[:n][valid], n), error
 
 
 def read_packet_keys(path, *, _chunk_size: int = CHUNK_BYTES) -> Iterator[KeyBatch]:
@@ -538,11 +505,7 @@ def read_packet_keys(path, *, _chunk_size: int = CHUNK_BYTES) -> Iterator[KeyBat
             try:
                 data = fh.read(_chunk_size)
             except (EOFError, zlib.error) as exc:
-                raise PacketParseError(
-                    f"compressed data is cut short or corrupt at or after "
-                    f"this line ({exc})",
-                    first,
-                ) from None
+                raise _damaged(exc, first) from None
             if data:
                 data = carry + data
                 cut = data.rfind(b"\n") + 1

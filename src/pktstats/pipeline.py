@@ -168,18 +168,14 @@ def load_valid_records(inputs: Sequence[str]) -> Tuple[KeyBatch, IngestSummary]:
     summary = IngestSummary()
     srcs: List[np.ndarray] = [np.zeros(0, np.uint32)]
     dsts: List[np.ndarray] = [np.zeros(0, np.uint32)]
-    texts: List[Tuple[int, str, str]] = []
     for path in inputs:
         for batch in read_packet_keys(path):
-            texts.extend((summary.total_valid + i, s, d) for i, s, d in batch.texts)
             summary.total_read += batch.n_read
             summary.total_valid += len(batch)
             srcs.append(batch.src)
             dsts.append(batch.dst)
     summary.total_skipped = summary.total_read - summary.total_valid
-    stream = KeyBatch(
-        np.concatenate(srcs), np.concatenate(dsts), summary.total_read, tuple(texts)
-    )
+    stream = KeyBatch(np.concatenate(srcs), np.concatenate(dsts), summary.total_read)
     return stream, summary
 
 

@@ -420,6 +420,19 @@ class TestAnalyze:
         assert err == "error: malformed input: line 1: bad timestamp '\u0663'\n"
         assert not (out / "manifest.json").exists()
 
+    def test_address_family_other_than_ip_version_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "0,10.0.0.1,10.0.0.2,TCP,4\n1,fd00::1,fd00::2,UDP,6\n"
+            "2,10.0.0.2,fd00::1,TCP,4\n3,10.0.0.1,10.0.0.2,TCP,4\n"
+        )
+        out = tmp_path / "report"
+        code = main(["analyze", "--input", str(bad), "--nv", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: malformed input: line 3: dst address 'fd00::1' is not IPv4\n"
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize(
         "row, message",
         [

@@ -28,8 +28,8 @@ class TestParsePacketLine:
         assert rec.protocol == "TCP" and rec[3] == "TCP"
 
     def test_field_indices_match_names(self):
-        rec = parse_packet_line("3,10.1.2.3,10.4.5.6,UDP,6")
-        assert tuple(rec) == (3, "10.1.2.3", "10.4.5.6", "UDP", 6)
+        rec = parse_packet_line("3,2001:db8::3,2001:db8::4,UDP,6")
+        assert tuple(rec) == (3, "2001:db8::3", "2001:db8::4", "UDP", 6)
         assert rec._fields == CANONICAL_FIELDS
 
     @pytest.mark.parametrize(
@@ -70,6 +70,50 @@ class TestParsePacketLine:
         with pytest.raises(PacketParseError) as excinfo:
             parse_packet_line("bad", line_number=42)
         assert excinfo.value.line_number == 42
+
+
+# A row whose address family differs from its ip_version, and its error:
+# the family is checked after every other field.
+FAMILY_MISMATCHES = [
+    ("1,fd00::1,10.0.0.2,TCP,4", "src address 'fd00::1' is not IPv4"),
+    ("1,10.0.0.1,fd00::2,TCP,4", "dst address 'fd00::2' is not IPv4"),
+    ("1,fd00::1,fd00::2,UDP,4", "src address 'fd00::1' is not IPv4"),
+    ("1,10.0.0.1,fd00::2,UDP,6", "src address '10.0.0.1' is not IPv6"),
+    ("1,fd00::1,10.0.0.2,ICMP,6", "dst address '10.0.0.2' is not IPv6"),
+    ("1,10.0.0.1,10.0.0.2,TCP,6", "src address '10.0.0.1' is not IPv6"),
+    ("1,fe80::1%eth0,10.0.0.2,TCP,4", "src address 'fe80::1%eth0' is not IPv4"),
+    ("1,10.0.0.1,::ffff:10.0.0.1,TCP,4", "dst address '::ffff:10.0.0.1' is not IPv4"),
+    ("1,1::2.3.4.5,10.0.0.2,OTHER,4", "src address '1::2.3.4.5' is not IPv4"),
+    pytest.param(
+        "1,10.0.0.1,fe80::1%" + "x" * 40 + ",TCP,4",
+        "dst address 'fe80::1%" + "x" * 24 + "'... (48 characters) is not IPv4",
+        id="48-character scoped dst",
+    ),
+    ("1,fd00::1,10.0.0.2,GRE,4", "unknown protocol 'GRE'"),
+    ("1,fd00::1,10.0.0.2,TCP,5", "unknown ip_version 5"),
+    ("1,fd00::1,10.0.0.256,TCP,4", "invalid dst address '10.0.0.256'"),
+]
+
+
+class TestAddressFamily:
+    @pytest.mark.parametrize("line, message", FAMILY_MISMATCHES)
+    def test_mismatch_raises_alike_in_both_readers(self, tmp_path, line, message):
+        good = "".join(
+            f"{i},10.0.0.{i % 7},10.0.1.{i % 5},TCP,4\n{i},fd00::{i % 3},::1,UDP,6\n"
+            for i in range(100)
+        )
+        path = tmp_path / "pkts.csv"
+        path.write_text(good + line + "\n" + good, encoding="utf-8")
+        with pytest.raises(PacketParseError) as excinfo:
+            list(read_packet_csv(path))
+        assert str(excinfo.value) == f"line 201: {message}"
+        for chunk_size in (1, 7, ingest.CHUNK_BYTES):
+            batches = []
+            with pytest.raises(PacketParseError) as excinfo:
+                batches.extend(ingest.read_packet_keys(path, _chunk_size=chunk_size))
+            assert str(excinfo.value) == f"line 201: {message}"
+            assert sum(len(batch) for batch in batches) == 100
+            assert sum(batch.n_read for batch in batches) == 200
 
 
 class TestValidity:
@@ -218,13 +262,16 @@ class TestReadPacketCsv:
         path.write_text(
             "0,10.0.0.1,10.0.0.2,TCP,4\n"
             "1,10.0.0.2,10.0.0.1,TCP,4\n"
-            "2,2001:db8::1,10.0.0.1,TCP,6\n"
-            "3,10.0.0.1,2001:db8::1,UDP,6\n"
+            "2,10.0.0.3,10.0.0.1,TCP,4\n"
+            "3,10.0.0.1,10.0.0.3,UDP,4\n"
+            "4,2001:db8::1,fe80::2,TCP,6\n"
+            "5,fe80::2,2001:db8::1,UDP,6\n"
         )
         records = list(read_packet_csv(path))
         assert records[0].src is records[1].dst is records[2].dst is records[3].src
         assert records[0].dst is records[1].src
         assert records[2].src is records[3].dst
+        assert records[4].src is records[5].dst and records[4].dst is records[5].src
         assert records[0].protocol is records[1].protocol is records[2].protocol
 
     def test_each_distinct_address_is_validated_once(self, tmp_path, monkeypatch):
@@ -270,16 +317,16 @@ class TestReadPacketKeys:
         lines = [
             f"{i},{v6[i % 5]},{v6[(i + 1) % 5]},TCP,6\n"
             f"{i},10.0.0.{i % 9},192.168.1.1,UDP,4\n"
-            f"{i},{plain[i % 3]},10.0.0.1,TCP,4\n"
+            f"{i},{plain[i % 3]},{other[i % 2]},TCP,6\n"
             f"{i},fd00::{i % 4},2001:db8::99,UDP,6\n"
             for i in range(300)
         ]
         path = tmp_path / "pkts.csv"
         path.write_text("".join(lines))
         # Chunks of 7 bytes hold one line or none; the table spans them all.
-        # Rows of plain IPv6 text that are not TCP over IPv4 are skipped as
-        # arrays, so fd00::0-3 and 2001:db8::99 never reach ipaddress; every
-        # other IPv6 text reaches it once per file, on its first line-path row.
+        # Rows of plain IPv6 text are skipped as arrays, so fd00::0-3 and
+        # 2001:db8::99 never reach ipaddress; every other IPv6 text reaches it
+        # once per file, on its first line-path row.
         for chunk_size in (7, ingest.CHUNK_BYTES):
             calls.clear()
             batches = list(ingest.read_packet_keys(path, _chunk_size=chunk_size))
@@ -300,11 +347,11 @@ class TestReadPacketKeys:
         path = tmp_path / "pkts.csv"
         path.write_bytes(
             b"0,10.0.0.1,10.0.0.2,TCP,4\n"
-            b"1,0.0.0.0,255.255.255.255,UDP,6\r\n"
-            b"2,2001:db8::1,10.0.0.1,TCP,6\n"
+            b"1,0.0.0.0,255.255.255.255,UDP,4\r\n"
+            b"2,2001:db8::1,fd00::3,TCP,6\n"
             b"3,192.168.100.10,10.0.0.1,ICMP,4\r"
             b"4,::,1:2:3:4:5:6:7:8,OTHER,6\n"
-            b"5,fd00::1,fd00::2,TCP,4\n"
+            b"5,1::2.3.4.5,fd00::2,TCP,6\n"
             b"6,::ffff:10.0.0.1,fd00::2,UDP,6\n"
             b"7,fe80::1%eth0,fd00::2,UDP,6\n"
             b"8,fd00:::1,fd00::2,UDP,6\n"
