@@ -22,20 +22,12 @@ _MODULE_OF = {
     "TrafficMatrix": "matrix",
     "ZmParams": "zm",
     "analyze_window": "pipeline",
-    "cumulative": "netstats",
-    "degree_histogram": "netstats",
     "generate_synthetic": "generator",
     "infer_parameters": "zm",
     "iter_windows": "ingest",
-    "log_pool": "netstats",
     "model_distribution": "zm",
-    "network_quantity": "netstats",
     "pool_quantity": "netstats",
-    "probability": "netstats",
     "read_packet_csv": "ingest",
-    "rho": "zm",
-    "rho_grad_delta": "zm",
-    "rho_sum": "zm",
     "run_analyze": "pipeline",
     "sample_zm_degrees": "generator",
     "topology_breakdown": "topology",

@@ -65,7 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ana.add_argument("--config", help="key=value file with defaults for these flags")
     ana.add_argument(
-        "--input", nargs="+", default=None, help="packet CSV file(s), in order"
+        "--input",
+        nargs="+",
+        action="extend",
+        default=None,
+        help="packet CSV file(s), in order; may be repeated",
     )
     ana.add_argument("--nv", help="comma-separated window sizes (default ladder)")
     ana.add_argument(

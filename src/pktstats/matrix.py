@@ -6,18 +6,17 @@ the window's own address table, whose codes already number its addresses in
 lexicographic order, so node ids are those codes and id order is name order.
 Entries are three integer arrays (row, col, count) sorted by (row, col);
 per-node fan and volume arrays are derived once at construction.  A matrix
-is built in one step, from a window of ``CodedPackets`` or from a
-{(src, dst): count} mapping, and is immutable.
+is built in one step, from a window of ``CodedPackets``, and is immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable
 
 import numpy as np
 
-from .ingest import CodedPackets, intern_addresses
+from .ingest import CodedPackets
 
 
 @dataclass(frozen=True)
@@ -30,20 +29,13 @@ class AggregateSummary:
     unique_destinations: int
 
 
-def _cells(packets: CodedPackets, weights: Optional[Sequence[int]] = None) -> tuple:
-    """(names, row, col, count) of the coded packets' matrix.
-
-    Each distinct (src, dst) pair is one entry counting its packets, or
-    summing ``weights`` when every pair occurs once.
-    """
+def _cells(packets: CodedPackets) -> tuple:
+    """(names, row, col, count) of the coded packets' matrix: each distinct
+    (src, dst) pair is one entry counting its packets."""
     names = packets.names
     side = max(len(names), 1)
     keys = packets.src.astype(np.intp, copy=False) * side + packets.dst
-    if weights is None:
-        cells, count = np.unique(keys, return_counts=True)
-    else:
-        order = np.argsort(keys)
-        cells, count = keys[order], np.asarray(weights, dtype=np.int64)[order]
+    cells, count = np.unique(keys, return_counts=True)
     row, col = np.divmod(cells, side)
     return names, row, col, count
 
@@ -51,9 +43,7 @@ def _cells(packets: CodedPackets, weights: Optional[Sequence[int]] = None) -> tu
 class TrafficMatrix:
     """Sparse nonnegative integer matrix over address-string keys.
 
-    Built by ``from_window`` or ``from_counts`` and immutable afterwards.
-    Equality is by content, so any insertion order of the same multiset of
-    triples yields equal matrices.
+    Built by ``from_window`` and immutable afterwards.
 
     Arrays (read-only by convention): ``row``, ``col``, ``count`` per entry;
     ``out_degree``, ``in_degree``, ``out_volume``, ``in_volume`` per node id.
@@ -98,15 +88,6 @@ class TrafficMatrix:
             )
         return m
 
-    @classmethod
-    def from_counts(cls, counts: Dict[Tuple[str, str], int]) -> "TrafficMatrix":
-        """Build from a {(src, dst): count} mapping of positive integer counts."""
-        for count in counts.values():
-            if not isinstance(count, int) or count < 1:
-                raise ValueError(f"count must be a positive integer, got {count!r}")
-        coded = intern_addresses([src for src, _ in counts], [dst for _, dst in counts])
-        return cls(*_cells(coded, list(counts.values())))
-
     # -- node ids ----------------------------------------------------------
 
     @property
@@ -117,46 +98,12 @@ class TrafficMatrix:
         names = self._names
         return [names[i] for i in nodes]
 
-    # -- views -------------------------------------------------------------
-
-    @property
-    def rows(self) -> Dict[str, Dict[str, int]]:
-        """Row-major view src -> dst -> count (built on each access)."""
-        rows: Dict[str, Dict[str, int]] = {}
-        for src, dst, count in self.entries():
-            rows.setdefault(src, {})[dst] = count
-        return rows
+    # -- totals ------------------------------------------------------------
 
     @property
     def nnz(self) -> int:
         """Number of stored entries (unique links)."""
         return len(self.count)
-
-    def entries(self) -> Iterator[Tuple[str, str, int]]:
-        """All (src, dst, count) triples in sorted (src, dst) order."""
-        names = self.node_names(range(self.n_nodes))
-        for i, j, count in zip(self.row.tolist(), self.col.tolist(), self.count.tolist()):
-            yield names[i], names[j], count
-
-    # -- reductions --------------------------------------------------------
-
-    def _reduction(self, axis: str, mode: str) -> Tuple[np.ndarray, np.ndarray]:
-        """(active node ids, their values) of one per-key reduction."""
-        if axis == "row":
-            degree, volume = self.out_degree, self.out_volume
-        elif axis == "col":
-            degree, volume = self.in_degree, self.in_volume
-        else:
-            raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
-        if mode not in ("sum", "nnz"):
-            raise ValueError(f"mode must be 'sum' or 'nnz', got {mode!r}")
-        nodes = np.flatnonzero(degree)
-        return nodes, (volume if mode == "sum" else degree)[nodes]
-
-    def reduce(self, axis: str, mode: str) -> Dict[str, int]:
-        """Per-key reduction: axis in {row, col}, mode in {sum, nnz}."""
-        nodes, values = self._reduction(axis, mode)
-        return dict(zip(self.node_names(nodes), values.tolist()))
 
     def aggregates(self) -> AggregateSummary:
         return AggregateSummary(
@@ -167,13 +114,6 @@ class TrafficMatrix:
         )
 
     # -- dunder ------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrafficMatrix):
-            return NotImplemented
-        return list(self.entries()) == list(other.entries())
-
-    __hash__ = None  # equal by content, unlike the default identity hash
 
     def __len__(self) -> int:
         return self.nnz

@@ -1,21 +1,23 @@
 """Per-window network quantities and binary-logarithmic pooling.
 
-Five quantities are extracted from a traffic matrix (source packets, source
-fan-out, link packets, destination fan-in, destination packets).  Their
-histograms are normalized to probabilities, summed cumulatively, and pooled
-into power-of-two bins; bin 0 covers exactly degree 1 so leaf nodes stay
+Five quantities are read from a traffic matrix's arrays (source packets,
+source fan-out, link packets, destination fan-in, destination packets).
+``pool_quantity`` turns one into a pooled distribution on arrays: each
+value's share of the keys, summed in ascending value order, differenced at
+power-of-two bin edges; bin 0 covers exactly degree 1 so leaf nodes stay
 separated from everything else.  Across windows, per-bin means and population standard
-deviations summarize the distribution.
+deviations summarize the distribution.  The dict-based definitions of the
+same chain live with the tests (``tests/dict_reference.py``), which check
+that the pools match them bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,54 +38,14 @@ ALL_KINDS: Tuple[QuantityKind, ...] = tuple(QuantityKind)
 POOLED_CSV_HEADER = ("kind", "bin_edge", "mean", "sigma", "n_windows")
 
 
-# The matrix reduction behind each per-node quantity; links are the entries.
+# The per-node matrix array behind each per-node quantity, whose nonzero
+# values are that quantity; links are the entries.
 _REDUCTIONS = {
-    QuantityKind.SOURCE_PACKETS: ("row", "sum"),
-    QuantityKind.SOURCE_FAN_OUT: ("row", "nnz"),
-    QuantityKind.DESTINATION_FAN_IN: ("col", "nnz"),
-    QuantityKind.DESTINATION_PACKETS: ("col", "sum"),
+    QuantityKind.SOURCE_PACKETS: "out_volume",
+    QuantityKind.SOURCE_FAN_OUT: "out_degree",
+    QuantityKind.DESTINATION_FAN_IN: "in_degree",
+    QuantityKind.DESTINATION_PACKETS: "in_volume",
 }
-
-
-def network_quantity(matrix: TrafficMatrix, kind: QuantityKind) -> Dict[str, int]:
-    """Extract one quantity as a key -> positive-count vector.
-
-    Sources are keyed by source address, destinations by destination address,
-    and links by the concatenated "src→dst" pair.
-    """
-    if kind is QuantityKind.LINK_PACKETS:
-        return {f"{src}→{dst}": count for src, dst, count in matrix.entries()}
-    return matrix.reduce(*_reduction(kind))
-
-
-def _reduction(kind: QuantityKind) -> Tuple[str, str]:
-    if kind not in _REDUCTIONS:
-        raise ValueError(f"unknown quantity kind {kind!r}")
-    return _REDUCTIONS[kind]
-
-
-def degree_histogram(vector: Dict[str, int]) -> Dict[int, int]:
-    """Count how many keys take each value."""
-    return dict(Counter(vector.values()))
-
-
-def probability(histogram: Dict[int, int]) -> Dict[int, float]:
-    """Normalize a histogram to a probability mass function over degrees."""
-    if not histogram:
-        raise ValueError("empty histogram has no probability distribution")
-    total = sum(histogram.values())
-    return {degree: count / total for degree, count in sorted(histogram.items())}
-
-def cumulative(pmf: Dict[int, float]) -> Dict[int, float]:
-    """Running sum of the pmf in ascending degree order."""
-    if not pmf:
-        raise ValueError("empty distribution")
-    out: Dict[int, float] = {}
-    running = 0.0
-    for degree in sorted(pmf):
-        running += pmf[degree]
-        out[degree] = running
-    return out
 
 
 def bin_edges(d_max: int) -> Tuple[int, ...]:
@@ -119,31 +81,15 @@ class PooledDistribution:
         return math.fsum(self.values)
 
 
-def log_pool(
-    cumulative_map: Dict[int, float], d_max: int, kind: Optional[str] = None
+def _pool_cumulative(
+    degrees: np.ndarray, cums: np.ndarray, kind: Optional[str]
 ) -> PooledDistribution:
-    """Pool a cumulative distribution into power-of-two bins.
+    """Pool ascending degrees and their cumulative masses into power-of-two
+    bins.
 
     Bin i holds the cumulative difference across (2**(i-1), 2**i]; bin 0 is
     exactly degree 1.  Interior zero bins are stored explicitly.
     """
-    if not cumulative_map:
-        raise ValueError("empty cumulative distribution")
-    degrees = sorted(cumulative_map)
-    if degrees[0] < 1:
-        raise ValueError("degrees must be >= 1")
-    if d_max != degrees[-1]:
-        raise ValueError(
-            f"d_max {d_max} does not match the largest degree {degrees[-1]}"
-        )
-    cums = np.array([cumulative_map[d] for d in degrees], dtype=np.float64)
-    return _pool_cumulative(np.array(degrees), cums, kind)
-
-
-def _pool_cumulative(
-    degrees: np.ndarray, cums: np.ndarray, kind: Optional[str]
-) -> PooledDistribution:
-    """log_pool over ascending degrees and their cumulative masses."""
     d_max = int(degrees[-1])
     edges = bin_edges(d_max)
     at = np.searchsorted(degrees, edges, side="right")
@@ -202,16 +148,14 @@ def window_mean_std(pools: Sequence[PooledDistribution]) -> PooledDistribution:
 def pool_quantity(
     matrix: TrafficMatrix, kind: QuantityKind
 ) -> PooledDistribution:
-    """Chain quantity -> histogram -> pmf -> cumulative -> pooled, on arrays.
-
-    Same values as network_quantity, degree_histogram, probability,
-    cumulative and log_pool: each degree's count over the key count, summed
-    in ascending degree order.
-    """
+    """Chain quantity -> histogram -> pmf -> cumulative -> pooled, on arrays:
+    each degree's count over the key count, summed in ascending degree
+    order."""
     if kind is QuantityKind.LINK_PACKETS:
         values = matrix.count
     else:
-        _, values = matrix._reduction(*_reduction(kind))
+        per_node = getattr(matrix, _REDUCTIONS[kind])
+        values = per_node[np.flatnonzero(per_node)]
     if not len(values):
         raise ValueError(f"matrix has no {kind.value} entries")
     degrees, counts = np.unique(values, return_counts=True)

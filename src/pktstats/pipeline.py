@@ -98,7 +98,6 @@ class RunConfig:
     workers: int = 1
     force: bool = False
     strict_core: bool = False
-    supernode_k: int = DEFAULT_SUPERNODE_COUNT
 
     def __post_init__(self):
         if not self.inputs:
@@ -106,11 +105,13 @@ class RunConfig:
         if self.window_sizes is not None:
             if not self.window_sizes:
                 raise PipelineConfigError("window size list cannot be empty")
-            for size in self.window_sizes:
+            for i, size in enumerate(self.window_sizes):
                 if not isinstance(size, int) or size < 1:
                     raise PipelineConfigError(
                         f"window sizes must be positive integers, got {size!r}"
                     )
+                if size in self.window_sizes[:i]:
+                    raise PipelineConfigError(f"duplicate window size {size}")
         if not self.quantities:
             raise PipelineConfigError("at least one quantity is required")
         seen = set()
@@ -122,10 +123,6 @@ class RunConfig:
             seen.add(kind)
         if self.workers < 1:
             raise PipelineConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.supernode_k < 1:
-            raise PipelineConfigError(
-                f"supernode_k must be >= 1, got {self.supernode_k}"
-            )
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,6 @@ def _analyze_all_windows(
         return analyze_window(
             stream.window(index, size),
             cfg.quantities,
-            supernode_k=cfg.supernode_k,
             strict_core=cfg.strict_core,
         )
 
@@ -384,7 +380,7 @@ def run_analyze(cfg: RunConfig) -> RunReport:
                 "step": cfg.grid.step,
             },
             "strict_core": cfg.strict_core,
-            "supernode_k": cfg.supernode_k,
+            "supernode_k": DEFAULT_SUPERNODE_COUNT,
         },
         "ingest": {
             "total_read": summary.total_read,

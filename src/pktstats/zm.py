@@ -129,18 +129,6 @@ class AlphaGrid:
 DEFAULT_GRID = AlphaGrid()
 
 
-def rho(d: int, alpha: float, delta: float) -> float:
-    """Unnormalized model density at degree d."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return (d + delta) ** (-alpha)
-
-
-def rho_grad_delta(d: int, alpha: float, delta: float) -> float:
-    """Partial derivative of rho with respect to delta."""
-    return -alpha * rho(d, alpha + 1.0, delta)
-
-
 def _em_tail(alpha: float, delta: float, a: int, b: int) -> float:
     """Sum of (d + delta)**-alpha for d = a..b via an integral plus endpoint
     and first-derivative corrections; accurate far from the support's start."""
@@ -173,11 +161,6 @@ def _range_rho_sum(
     base = np.arange(lo + 1.0, head_hi + 1.0) + delta
     head = float(np.sum(base ** (-alpha)))
     return head + _em_tail(alpha, delta, head_hi + 1, hi)
-
-
-def rho_sum(params: ZmParams, exact_terms: int = EXACT_SUM_TERMS) -> float:
-    """Normalization sum of rho over d = 1..d_max."""
-    return _range_rho_sum(params.alpha, params.delta, 0, params.d_max, exact_terms)
 
 
 def _bin_ranges(d_max: int) -> List[Tuple[int, int]]:

@@ -43,9 +43,22 @@ STAR_PAIRS = [
 ]
 
 
+def matrix_of(cells) -> TrafficMatrix:
+    """The matrix of a {(src, dst): count} mapping of positive counts, built
+    by ``TrafficMatrix.from_window`` from a window that holds each link's
+    packets, coded over the sorted addresses."""
+    names = sorted({name for pair in cells for name in pair})
+    code = {name: i for i, name in enumerate(names)}
+    counts = np.array(list(cells.values()), dtype=np.intp)
+    src = np.array([code[src] for src, _ in cells], dtype=np.intp)
+    dst = np.array([code[dst] for _, dst in cells], dtype=np.intp)
+    window = CodedPackets(np.repeat(src, counts), np.repeat(dst, counts), tuple(names))
+    return TrafficMatrix.from_window(window)
+
+
 @pytest.fixture
 def star_matrix() -> TrafficMatrix:
-    return TrafficMatrix.from_counts(STAR_COUNTS)
+    return matrix_of(STAR_COUNTS)
 
 
 @pytest.fixture

@@ -21,18 +21,11 @@ from pktstats import (
     TrafficMatrix,
     ZmParams,
     analyze_window,
-    cumulative,
-    degree_histogram,
     generate_synthetic,
     infer_parameters,
     iter_windows,
-    log_pool,
     model_distribution,
     pool_quantity,
-    probability,
-    rho,
-    rho_grad_delta,
-    rho_sum,
     run_analyze,
     sample_zm_degrees,
     topology_breakdown,
@@ -41,7 +34,19 @@ from pktstats import (
 )
 
 import dense_oracle
-from conftest import make_records, random_cells
+from conftest import make_records, matrix_of, random_cells
+from dict_reference import (
+    cumulative,
+    degree_histogram,
+    log_pool,
+    network_quantity,
+    probability,
+    reduce,
+    rho,
+    rho_grad_delta,
+    rho_sum,
+    rows,
+)
 
 # Every pooled distribution built by criteria 1-7 lands here for criterion 9.
 PRODUCED_POOLS = []
@@ -63,7 +68,7 @@ def shared_random_matrices():
     if _RANDOM_MATRICES is None:
         rng = np.random.Generator(np.random.Philox(key=20260823))
         _RANDOM_MATRICES = [
-            TrafficMatrix.from_counts(random_cells(rng, max_side=80, max_cells=300))
+            matrix_of(random_cells(rng, max_side=80, max_cells=300))
             for _ in range(1000)
         ]
     return _RANDOM_MATRICES
@@ -112,11 +117,11 @@ def test_criterion_02_isolated_triple_equality(capsys):
         stats = topology_breakdown(matrix).categories["isolated_links"]
         assert stats.sources == stats.links == stats.destinations
         # Independent recount from the fan vectors.
-        d_out = matrix.reduce("row", "nnz")
-        d_in = matrix.reduce("col", "nnz")
+        d_out = reduce(matrix, "row", "nnz")
+        d_in = reduce(matrix, "col", "nnz")
         recount = sum(
             1
-            for src, row in matrix.rows.items()
+            for src, row in rows(matrix).items()
             if d_out[src] == 1
             for dst in row
             if d_in[dst] == 1
@@ -129,8 +134,8 @@ def test_criterion_03_degree_one_partition(capsys):
     """Every degree-1 endpoint lands in exactly one leaf-like category."""
     for matrix in shared_random_matrices():
         breakdown = topology_breakdown(matrix)
-        d_out = matrix.reduce("row", "nnz")
-        d_in = matrix.reduce("col", "nnz")
+        d_out = reduce(matrix, "row", "nnz")
+        d_in = reduce(matrix, "col", "nnz")
         degree_one_sources = sum(1 for deg in d_out.values() if deg == 1)
         degree_one_dests = sum(1 for deg in d_in.values() if deg == 1)
         cats = breakdown.categories
@@ -152,8 +157,6 @@ def test_criterion_03_degree_one_partition(capsys):
 def test_criterion_04_dense_oracle_equivalence(capsys):
     """Sparse aggregates, quantities, and categories match a dense recount."""
     rng = np.random.Generator(np.random.Philox(key=50))
-    from pktstats import network_quantity
-
     for trial in range(200):
         p = float(rng.uniform(0.01, 0.15))
         mask = rng.random((50, 50)) < p
@@ -171,7 +174,7 @@ def test_criterion_04_dense_oracle_equivalence(capsys):
                     cells[(row_names[i], col_names[j])] = int(counts[i, j])
         if not cells:
             cells[(row_names[0], col_names[0])] = 1
-        matrix = TrafficMatrix.from_counts(cells)
+        matrix = matrix_of(cells)
         dense, rows, cols = dense_oracle.from_cells(cells)
 
         packets, links, sources, dests = dense_oracle.aggregates(dense)

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, config files, exit codes, printed summary."""
 
+import ast
 import csv
 import errno
 import gzip
@@ -24,6 +25,7 @@ from pktstats.cli import (
 )
 
 from conftest import STRICT_CELLS, make_records
+from test_readme import library_session
 
 
 def write_spec(tmp_path, text, name="spec.txt"):
@@ -335,6 +337,32 @@ class TestAnalyze:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["quantities"] == ["source_fan_out", "link_packets"]
 
+    def test_repeated_input_flags_read_every_file_in_order(self, tmp_path, capsys):
+        first = write_stream(
+            tmp_path, GeneratorSpec(n_isolated_pairs=20, seed=1), 100, "a.csv"
+        )
+        second = write_stream(
+            tmp_path, GeneratorSpec(n_isolated_pairs=10, seed=2), 60, "b.csv"
+        )
+        out = tmp_path / "report"
+        code = main(
+            ["analyze", "--input", first, "--input", second, "--nv", "40",
+             "--out", str(out), "--quantities", "source_fan_out",
+             "--alpha-grid", "1.0:2.0:0.5"]
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["inputs"] == [first, second]
+        assert manifest["ingest"]["total_read"] == 160
+
+    def test_repeated_window_size_is_config_error(self, tmp_path, capsys):
+        stream = self.stream(tmp_path)
+        out = tmp_path / "report"
+        code = main(["analyze", "--input", stream, "--nv", "50,50", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: duplicate window size 50\n"
+        assert not (out / "manifest.json").exists()
+
     def test_alpha_grid_past_the_overflow_bound_is_a_usage_error(
         self, tmp_path, capsys
     ):
@@ -627,6 +655,20 @@ class TestStartup:
         assert fresh_python(probe, OPENBLAS_NUM_THREADS="2") == "2"
 
     def test_every_exported_name_imports_from_the_package(self):
+        # The package exports exactly the names that the README's library
+        # session and the acceptance criteria import from it.
+        sources = [
+            library_session(),
+            (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"),
+        ]
+        used = {
+            alias.name
+            for source in sources
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "pktstats"
+            for alias in node.names
+        }
+        assert pktstats.__all__ == sorted(used)
         probe = (
             "import pktstats\n"
             "for name in pktstats.__all__:\n"
@@ -636,4 +678,4 @@ class TestStartup:
             "except ImportError:\n"
             "    print(len(pktstats.__all__))\n"
         )
-        assert fresh_python(probe) == "26"
+        assert fresh_python(probe) == str(len(used))

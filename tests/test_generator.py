@@ -22,8 +22,10 @@ from pktstats.generator import (
 from pktstats.ingest import is_valid_packet
 from pktstats.topology import ZERO_STATS, CategoryStats
 
+from dict_reference import entries, reduce
 
-def matrix_of(records):
+
+def record_matrix(records):
     window = next(iter_windows(records, len(records)))
     return TrafficMatrix.from_window(window)
 
@@ -109,7 +111,7 @@ class TestIsolatedPairs:
         assert len(records) == 6
         assert all(is_valid_packet(r) for r in records)
         assert [r[0] for r in records] == list(range(6))
-        matrix = matrix_of(records)
+        matrix = record_matrix(records)
         assert matrix.total == 6 and matrix.nnz == 3
         assert truth.categories["isolated_links"] == CategoryStats(3, 6, 3, 3)
         assert truth.n_links == 3 and truth.n_sources == 3
@@ -119,7 +121,7 @@ class TestIsolatedPairs:
 
     def test_round_robin_packet_split(self):
         records, truth = generate_synthetic(GeneratorSpec(n_isolated_pairs=4), 14)
-        counts = sorted(c for _, _, c in matrix_of(records).entries())
+        counts = sorted(c for _, _, c in entries(record_matrix(records)))
         assert counts == [3, 3, 4, 4]
         assert truth.n_packets == 14
 
@@ -129,7 +131,7 @@ class TestStar:
         records, truth = generate_synthetic(
             GeneratorSpec(supernode_leaf_count=10), 10
         )
-        matrix = matrix_of(records)
+        matrix = record_matrix(records)
         assert truth.supernode_ids != ()
         assert truth.categories["supernode_leaves"] == CategoryStats(10, 10, 10, 0)
         assert truth.categories["supernodes"] == CategoryStats(0, 0, 0, 1)
@@ -143,10 +145,10 @@ class TestCore:
         records, truth = generate_synthetic(
             GeneratorSpec(core_size=4, core_density=1.0), 24
         )
-        matrix = matrix_of(records)
+        matrix = record_matrix(records)
         assert truth.n_links == 12  # 4 * 3 ordered pairs
         assert matrix.nnz == 12
-        assert all(count == 2 for _, _, count in matrix.entries())
+        assert all(count == 2 for _, _, count in entries(matrix))
         assert truth.categories["core"] == CategoryStats(4, 24, 12, 4)
         assert not truth.exact_categories
 
@@ -169,7 +171,7 @@ class TestCore:
             records, _ = generate_synthetic(
                 GeneratorSpec(core_size=6, core_density=0.9, seed=seed), 27
             )
-            assert matrix_of(records).nnz == 27
+            assert record_matrix(records).nnz == 27
 
 
 class TestMixture:
@@ -181,7 +183,7 @@ class TestMixture:
         records, truth = generate_synthetic(self.SPEC, 16)
         assert truth.recommended_k == 1
         assert truth.exact_categories
-        matrix = matrix_of(records)
+        matrix = record_matrix(records)
         b = topology_breakdown(matrix, k=truth.recommended_k)
         assert b.categories == truth.categories
         assert b.residual_packets == 0 and b.residual_links == 0
@@ -198,7 +200,7 @@ class TestMixture:
             core_leaf_count=4,
         )
         records, truth = generate_synthetic(spec, 42)  # 21 links, 2 packets each
-        matrix = matrix_of(records)
+        matrix = record_matrix(records)
         b = topology_breakdown(matrix, k=truth.recommended_k)
         assert b.categories == truth.categories
         assert truth.categories["isolated_links"] == CategoryStats(5, 10, 5, 5)
@@ -215,7 +217,8 @@ class TestDeterminism:
         a, _ = generate_synthetic(GeneratorSpec(n_isolated_pairs=30, seed=1), 90)
         b, _ = generate_synthetic(GeneratorSpec(n_isolated_pairs=30, seed=2), 90)
         assert a != b
-        assert matrix_of(a) == matrix_of(b)  # same topology, different order
+        # Same topology, different order.
+        assert list(entries(record_matrix(a))) == list(entries(record_matrix(b)))
 
 
 class TestDegreeModel:
@@ -227,10 +230,10 @@ class TestDegreeModel:
         assert truth.fan_outs is not None
         assert sum(truth.fan_outs) == 500
         assert all(1 <= f <= 8 for f in truth.fan_outs[:-1])
-        matrix = matrix_of(records)
+        matrix = record_matrix(records)
         assert matrix.total == 500
         assert matrix.nnz == 500  # one packet per link
-        observed = sorted(matrix.reduce("row", "nnz").values())
+        observed = sorted(reduce(matrix, "row", "nnz").values())
         assert observed == sorted(truth.fan_outs)
 
     def test_sample_bounds_and_determinism(self):

@@ -6,17 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pktstats import (
-    ALL_KINDS,
-    QuantityKind,
-    TrafficMatrix,
-    cumulative,
-    degree_histogram,
-    log_pool,
-    network_quantity,
-    pool_quantity,
-    probability,
-)
+from pktstats import ALL_KINDS, QuantityKind, pool_quantity
 from pktstats.netstats import (
     POOLED_CSV_HEADER,
     PooledDistribution,
@@ -26,7 +16,14 @@ from pktstats.netstats import (
 )
 
 import dense_oracle
-from conftest import random_cells
+from conftest import matrix_of, random_cells
+from dict_reference import (
+    cumulative,
+    degree_histogram,
+    log_pool,
+    network_quantity,
+    probability,
+)
 
 
 def read_pooled_csv(path, d_max):
@@ -65,7 +62,7 @@ class TestNetworkQuantity:
         rng = np.random.Generator(np.random.Philox(key=7))
         for _ in range(40):
             cells = random_cells(rng)
-            matrix = TrafficMatrix.from_counts(cells)
+            matrix = matrix_of(cells)
             dense, rows, cols = dense_oracle.from_cells(cells)
             expect = dense_oracle.quantity_maps(dense, rows, cols)
             for kind in ALL_KINDS:
@@ -252,7 +249,7 @@ class TestObservedDmax:
         assert pooled.bin_edges[-1] == 4
 
     def test_rejects_empty_mass(self):
-        empty = TrafficMatrix.from_counts({})
+        empty = matrix_of({})
         for kind in ALL_KINDS:
             with pytest.raises(ValueError):
                 pool_quantity(empty, kind)

@@ -18,13 +18,8 @@ from pktstats import (
     TrafficMatrix,
     ZmParams,
     analyze_window,
-    cumulative,
-    degree_histogram,
     generate_synthetic,
     iter_windows,
-    log_pool,
-    network_quantity,
-    probability,
     read_packet_csv,
     run_analyze,
     write_packet_csv,
@@ -43,6 +38,13 @@ from pktstats.zm import AlphaGrid
 
 import dense_oracle
 from conftest import make_records, random_cells, window_pairs
+from dict_reference import (
+    cumulative,
+    degree_histogram,
+    log_pool,
+    network_quantity,
+    probability,
+)
 
 SMALL_GRID = AlphaGrid(1.0, 2.5, 0.05)
 
@@ -68,6 +70,8 @@ class TestRunConfig:
             RunConfig(inputs=("a",), out_dir="x", window_sizes=(0,))
         with pytest.raises(PipelineConfigError):
             RunConfig(inputs=("a",), out_dir="x", window_sizes=(1.5,))
+        with pytest.raises(PipelineConfigError, match="duplicate window size 10$"):
+            RunConfig(inputs=("a",), out_dir="x", window_sizes=(10, 20, 10))
 
     def test_quantity_validation(self):
         with pytest.raises(PipelineConfigError):
@@ -79,11 +83,9 @@ class TestRunConfig:
                 quantities=(QuantityKind.SOURCE_PACKETS, QuantityKind.SOURCE_PACKETS),
             )
 
-    def test_worker_and_k_validation(self):
+    def test_worker_validation(self):
         with pytest.raises(PipelineConfigError):
             RunConfig(inputs=("a",), out_dir="x", workers=0)
-        with pytest.raises(PipelineConfigError):
-            RunConfig(inputs=("a",), out_dir="x", supernode_k=0)
 
 
 class TestEffectiveSizes:
@@ -496,8 +498,11 @@ class TestCodedWindows:
         coded = analyze_window(stream.window(0, 6), supernode_k=1)
         assert coded.topology == expected.topology
 
+        # Runs use the default k, under which both hubs are supernodes.
+        default = analyze_window(next_window(iter(records), 6))
+        assert default.topology.supernode_ids == ("10.0.0.10", "10.0.0.9")
         expected_csv = tmp_path / "expected.topology.csv"
-        write_topology_csv(expected_csv, expected.topology)
+        write_topology_csv(expected_csv, default.topology)
         for workers in (1, 2):
             out = tmp_path / f"out_w{workers}"
             cfg = RunConfig(
@@ -506,7 +511,6 @@ class TestCodedWindows:
                 window_sizes=(6,),
                 grid=SMALL_GRID,
                 workers=workers,
-                supernode_k=1,
             )
             run_analyze(cfg)
             written = out / "nv_000000006" / "window_000000.topology.csv"

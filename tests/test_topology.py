@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from pktstats import TrafficMatrix, topology_breakdown
+from pktstats import topology_breakdown
 from pktstats.topology import (
     CATEGORY_ORDER,
     TOPOLOGY_CSV_HEADER,
@@ -17,7 +17,7 @@ from pktstats.topology import (
 )
 
 import dense_oracle
-from conftest import STRICT_CELLS, random_cells
+from conftest import STRICT_CELLS, matrix_of, random_cells
 
 
 def read_topology_csv(path):
@@ -103,7 +103,7 @@ class TestStarBreakdown:
     def test_isolated_pair_joins_cleanly(self, star_matrix):
         cells = {("s1", "d1"): 2, ("s1", "d2"): 1, ("s1", "d3"): 1,
                  ("s2", "d1"): 1, ("s3", "d4"): 2}
-        m = TrafficMatrix.from_counts(cells)
+        m = matrix_of(cells)
         b = topology_breakdown(m)
         assert b.categories["isolated_links"] == CategoryStats(1, 2, 1, 1)
         # All other categories are unchanged by the disjoint pair.
@@ -118,7 +118,7 @@ class TestArbitration:
         # s's only link lands on the hub whose fan-in is also 1, so the cell
         # is isolated and must not be double counted as a supernode leaf.
         cells = {("s", "h"): 5, ("h", "x"): 1, ("h", "y"): 1, ("h", "z"): 1}
-        m = TrafficMatrix.from_counts(cells)
+        m = matrix_of(cells)
         b = topology_breakdown(m)
         assert b.supernode_ids == ("h",)
         assert b.categories["isolated_links"] == CategoryStats(1, 5, 1, 1)
@@ -130,7 +130,7 @@ class TestArbitration:
         # The hub's single outgoing link is isolated; its inbound leaves are
         # still supernode leaves.
         cells = {("a", "h"): 1, ("b", "h"): 1, ("c", "h"): 1, ("h", "t"): 2}
-        m = TrafficMatrix.from_counts(cells)
+        m = matrix_of(cells)
         b = topology_breakdown(m)
         assert b.supernode_ids == ("h",)
         assert b.categories["isolated_links"] == CategoryStats(1, 2, 1, 1)
@@ -145,7 +145,7 @@ class TestArbitration:
         cells[("A", "B")] = 3
         cells[("z", "B")] = 1
         cells.update({("B", f"y{i}"): 1 for i in range(5)})
-        m = TrafficMatrix.from_counts(cells)
+        m = matrix_of(cells)
         b = topology_breakdown(m, k=2)
         assert set(b.supernode_ids) == {"A", "B"}
         assert b.supernode_internal == ZERO_STATS
@@ -159,7 +159,7 @@ class TestArbitration:
         cells[("A", "B")] = 7
         cells[("A", "C")] = 1
         cells[("D", "B")] = 1
-        m = TrafficMatrix.from_counts(cells)
+        m = matrix_of(cells)
         b = topology_breakdown(m, k=2)
         assert set(b.supernode_ids) == {"A", "B"}
         assert b.supernode_internal.packets == 7
@@ -175,22 +175,22 @@ class TestSupernodeSelection:
         cells.update({("M", "H"): 1, ("H", "M"): 1})
         cells.update({("M", f"z{i}"): 1 for i in range(3)})
         cells.update({("N", f"y{i}"): 1 for i in range(4)})
-        m = TrafficMatrix.from_counts(cells)
+        m = matrix_of(cells)
         assert supernode_names(m, 2) == ["H", "N"]
 
     def test_volume_breaks_degree_ties(self):
         cells = {("a", "u1"): 1, ("a", "u2"): 1, ("b", "v1"): 2, ("b", "v2"): 3}
-        m = TrafficMatrix.from_counts(cells)
+        m = matrix_of(cells)
         assert supernode_names(m, 1) == ["b"]
 
     def test_lexicographic_breaks_full_ties(self):
         cells = {("b", "u1"): 1, ("b", "u2"): 1, ("a", "v1"): 1, ("a", "v2"): 1}
-        m = TrafficMatrix.from_counts(cells)
+        m = matrix_of(cells)
         assert supernode_names(m, 1) == ["a"]
 
     def test_stops_when_only_leaves_remain(self):
         cells = {("a", "b"): 1, ("c", "d"): 2, ("e", "f"): 3}
-        m = TrafficMatrix.from_counts(cells)
+        m = matrix_of(cells)
         assert find_supernodes(m, 5) == []
 
     def test_k_zero_selects_nothing(self, star_matrix):
@@ -199,7 +199,7 @@ class TestSupernodeSelection:
     def test_disjoint_stars_rank_by_size(self):
         cells = {("c9", f"a{i}"): 1 for i in range(9)}
         cells.update({("c7", f"b{i}"): 1 for i in range(7)})
-        m = TrafficMatrix.from_counts(cells)
+        m = matrix_of(cells)
         assert supernode_names(m, 5) == ["c9", "c7"]
         b = topology_breakdown(m)
         assert b.categories["supernode_leaves"] == CategoryStats(0, 16, 16, 16)
@@ -217,7 +217,7 @@ class TestCoreMembership:
         # a's fans exceed 1 on both sides, but as a supernode it is no core
         # node: the core is x -> {p, q, r}, and a -> {p, q, r} is a's own
         # traffic with the core.
-        m = TrafficMatrix.from_counts(self.CELLS)
+        m = matrix_of(self.CELLS)
         assert supernode_names(m, 1) == ["a"]
         b = topology_breakdown(m, k=1)
         assert b.categories["core"] == CategoryStats(1, 3, 3, 3)
@@ -227,13 +227,13 @@ class TestCoreMembership:
         # x matches the first supernode's fan-out exactly, so the strict
         # variant drops it from the core while the default keeps it; p, q
         # and r (fan-in 2 < 3) stay core destinations.
-        m = TrafficMatrix.from_counts(self.CELLS)
+        m = matrix_of(self.CELLS)
         b = topology_breakdown(m, k=1, strict_core=True)
         assert b.categories["core"] == ZERO_STATS
         assert b.categories["supernodes"] == CategoryStats(1, 3, 3, 1)
 
     def test_default_breakdown_tiles_exactly(self):
-        m = TrafficMatrix.from_counts(self.CELLS)
+        m = matrix_of(self.CELLS)
         b = topology_breakdown(m, k=1)
         assert b.categories["core"] == CategoryStats(1, 3, 3, 3)
         assert b.categories["supernodes"] == CategoryStats(1, 3, 3, 1)
@@ -241,7 +241,7 @@ class TestCoreMembership:
         assert_tiling(m, b)
 
     def test_strict_breakdown_reports_residual(self):
-        m = TrafficMatrix.from_counts(self.CELLS)
+        m = matrix_of(self.CELLS)
         b = topology_breakdown(m, k=1, strict_core=True)
         assert b.categories["core"] == ZERO_STATS
         assert b.residual_packets == 3
@@ -251,7 +251,7 @@ class TestCoreMembership:
         # The later supernodes' fans trail the first one's (n3).  A strict
         # core that took them in counted cells between supernodes from both
         # sides: the supernodes' category came to 91 of the 88 packets.
-        m = TrafficMatrix.from_counts(STRICT_CELLS)
+        m = matrix_of(STRICT_CELLS)
         b = topology_breakdown(m, strict_core=True)
         assert b.supernode_ids == ("n3", "n4", "n5", "n2", "n6")
         assert b.categories["supernodes"] == CategoryStats(4, 28, 5, 5)
@@ -263,7 +263,7 @@ class TestCoreMembership:
 class TestCoreHelpers:
     def test_core_stats_counts_submatrix(self):
         cells = {("u", "v"): 2, ("u", "w"): 1, ("t", "v"): 1, ("t", "w"): 3}
-        m = TrafficMatrix.from_counts(cells)
+        m = matrix_of(cells)
         # Without supernodes every fan-2 node is a core node.
         b = topology_breakdown(m, k=0)
         assert b.categories["core"] == CategoryStats(2, 7, 4, 2)
@@ -278,7 +278,7 @@ class TestCoreHelpers:
             ("leafin", "m1"): 4,
             ("c1", "leafout"): 2,
         }
-        m = TrafficMatrix.from_counts(cells)
+        m = matrix_of(cells)
         b = topology_breakdown(m, k=0)
         # The core is c1 -> m1 alone.
         assert b.categories["core"] == CategoryStats(1, 1, 1, 1)
@@ -288,13 +288,13 @@ class TestCoreHelpers:
 
 class TestEmptyMatrix:
     def test_all_zero_breakdown(self):
-        b = topology_breakdown(TrafficMatrix.from_counts({}))
+        b = topology_breakdown(matrix_of({}))
         assert b.supernode_ids == ()
         assert all(stats == ZERO_STATS for stats in b.categories.values())
         assert b.residual_packets == 0 and b.residual_links == 0
 
     def test_isolated_needs_matching_fans(self):
-        m = TrafficMatrix.from_counts({("a", "b"): 1, ("c", "b"): 1})
+        m = matrix_of({("a", "b"): 1, ("c", "b"): 1})
         assert topology_breakdown(m).categories["isolated_links"] == ZERO_STATS
 
     def test_supernode_leaves_empty_without_supernodes(self, star_matrix):
@@ -319,7 +319,7 @@ class TestAgainstDenseOracle:
         rng = np.random.Generator(np.random.Philox(key=seed))
         for trial in range(trials):
             cells = random_cells(rng, max_side=40, max_cells=150)
-            matrix = TrafficMatrix.from_counts(cells)
+            matrix = matrix_of(cells)
             dense, rows, cols = dense_oracle.from_cells(cells)
             k = int(rng.integers(0, 7))
             stats, supers, leftovers = dense_oracle.classify(

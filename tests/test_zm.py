@@ -11,9 +11,6 @@ from pktstats import (
     ZmParams,
     infer_parameters,
     model_distribution,
-    rho,
-    rho_grad_delta,
-    rho_sum,
     train_delta,
     zm,
 )
@@ -29,6 +26,8 @@ from pktstats.zm import (
     leaf_parameter,
     write_fit_json,
 )
+
+from dict_reference import rho, rho_grad_delta, rho_sum
 
 
 class TestParams:
