@@ -5,8 +5,9 @@ specs, refused output directories), 2 on I/O errors (missing or unreadable
 files, unwritable outputs, malformed packet data) and on a window worker that
 died without delivering its analyses.
 
-Both subcommands accept ``--config FILE`` holding flat ``key=value`` lines
-that mirror the long flag names; explicit flags override file values.
+Both subcommands accept ``--config FILE`` holding flat ``key=value`` lines,
+in the grammar of spec files, that mirror the long flag names; explicit
+flags override file values.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import argparse
 import gc
 import os
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 # pktstats makes no BLAS call, yet importing numpy starts an OpenBLAS thread
 # pool whose threads spin for about 0.1 CPU-s per process.  This runs before
 # the first import of numpy; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from .fileio import read_key_values
 from .generator import (
     GeneratorConfigError,
     generate_synthetic,
@@ -79,64 +81,42 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--alpha-grid", help="model exponent grid as start:stop:step")
     ana.add_argument("--workers", help="worker process count (default 1)")
     ana.add_argument("--out", help="report output directory")
+    # Stored as text, like the same key in a --config file.
     ana.add_argument(
         "--force",
-        action="store_true",
-        default=None,
+        action="store_const",
+        const="true",
         help="replace a non-empty output directory",
     )
     ana.add_argument(
         "--core-strict-inequality",
-        action="store_true",
-        default=None,
+        action="store_const",
+        const="true",
         help="bound core membership by the first supernode's fan, exclusively",
     )
     return parser
 
 
 def read_config_file(path, allowed: Set[str]) -> Dict[str, str]:
-    """The ``key=value`` lines of ``path``, with ``-`` in keys read as ``_``.
-
-    A repeated key is refused first, then the first key not in ``allowed``.
-    """
-    values: Dict[str, str] = {}
-    line_of: Dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, raw_line in enumerate(fh, 1):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliUsageError(
-                    f"{path}:{line_number}: expected key=value, got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key in values:
-                raise CliUsageError(
-                    f"{path}:{line_number}: duplicate key {key!r}"
-                )
-            values[key] = value.strip()
-            line_of[key] = line_number
-    for key in values:
-        if key not in allowed:
-            raise CliUsageError(f"{path}:{line_of[key]}: unknown key {key!r}")
-    return values
+    """The ``key=value`` lines of a ``--config`` file, whose keys must be in
+    ``allowed`` (``fileio.read_key_values``)."""
+    return read_key_values(path, allowed, CliUsageError)
 
 
-def _read_config(args) -> Dict[str, str]:
-    """The ``--config`` file of a subcommand, whose keys are the dests of
-    that subcommand's other flags."""
-    if not args.config:
-        return {}
-    return read_config_file(args.config, set(vars(args)) - {"command", "config"})
-
-
-def _merge(flag_value, config: Dict[str, str], key: str):
-    """Flags win; otherwise fall back to the config file's value."""
-    if flag_value is not None:
-        return flag_value
-    return config.get(key)
+def _options(args, required: Sequence[str]) -> Dict:
+    """Each option of a subcommand: its flag's value, else the value of its
+    key in the ``--config`` file, else None.  The keys are the dests of the
+    subcommand's flags other than ``--config``; each ``required`` one must
+    be set."""
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "config")}
+    config = read_config_file(args.config, set(flags)) if args.config else {}
+    options = {key: config.get(key) if value is None else value
+               for key, value in flags.items()}
+    for key in required:
+        if not options[key]:
+            raise CliUsageError(f"{args.command} requires --{key}")
+    return options
 
 
 def parse_alpha_grid(text: str) -> AlphaGrid:
@@ -176,7 +156,7 @@ def _parse_bool(text: str, what: str) -> bool:
     raise CliUsageError(f"{what} must be true or false, got {text!r}")
 
 
-def _parse_quantities(text: str) -> List[QuantityKind]:
+def _parse_quantities(text: str) -> Tuple[QuantityKind, ...]:
     from .netstats import ALL_KINDS
 
     by_value = {kind.value: kind for kind in ALL_KINDS}
@@ -188,22 +168,21 @@ def _parse_quantities(text: str) -> List[QuantityKind]:
                 f"unknown quantity {name!r}; valid: {', '.join(sorted(by_value))}"
             )
         kinds.append(by_value[name])
-    return kinds
+    return tuple(kinds)
+
+
+def _parse_inputs(value) -> Tuple[str, ...]:
+    """The files of ``--input`` (a list) or of a config file's ``input``
+    (comma-separated text)."""
+    paths = value.split(",") if isinstance(value, str) else value
+    return tuple(path.strip() for path in paths)
 
 
 def _cmd_generate(args) -> int:
-    config = _read_config(args)
-    spec_path = _merge(args.spec, config, "spec")
-    packets_text = _merge(args.packets, config, "packets")
-    out_path = _merge(args.out, config, "out")
-    if not spec_path:
-        raise CliUsageError("generate requires --spec")
-    if not packets_text:
-        raise CliUsageError("generate requires --packets")
-    if not out_path:
-        raise CliUsageError("generate requires --out")
-    n_packets = _parse_positive_int(packets_text, "packets")
-    spec = read_generator_spec(spec_path)
+    options = _options(args, ("spec", "packets", "out"))
+    n_packets = _parse_positive_int(options["packets"], "packets")
+    spec = read_generator_spec(options["spec"])
+    out_path = options["out"]
     # The records are one tuple per packet and hold no reference cycles, so
     # the cyclic collector would only re-examine millions of them.  They are
     # freed before it resumes, which leaves it nothing to catch up on.
@@ -225,58 +204,31 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .netstats import ALL_KINDS
     from .pipeline import RunConfig, run_analyze
-    from .zm import DEFAULT_GRID
 
-    config = _read_config(args)
-    inputs = args.input
-    if inputs is None and "input" in config:
-        inputs = config["input"].split(",")
-    out_dir = _merge(args.out, config, "out")
-    if not inputs:
-        raise CliUsageError("analyze requires --input")
-    if not out_dir:
-        raise CliUsageError("analyze requires --out")
-
-    nv_text = _merge(args.nv, config, "nv")
-    window_sizes = None
-    if nv_text:
-        window_sizes = tuple(
-            _parse_positive_int(part.strip(), "window size")
-            for part in nv_text.split(",")
-        )
-
-    quantities_text = _merge(args.quantities, config, "quantities")
-    quantities = tuple(_parse_quantities(quantities_text)) if quantities_text else ALL_KINDS
-
-    grid_text = _merge(args.alpha_grid, config, "alpha_grid")
-    grid = parse_alpha_grid(grid_text) if grid_text else DEFAULT_GRID
-
-    workers_text = _merge(args.workers, config, "workers")
-    workers = _parse_positive_int(workers_text, "workers") if workers_text else 1
-
-    force = args.force
-    if force is None:
-        force = _parse_bool(config["force"], "force") if "force" in config else False
-    strict = args.core_strict_inequality
-    if strict is None:
-        strict = (
-            _parse_bool(config["core_strict_inequality"], "core_strict_inequality")
-            if "core_strict_inequality" in config
-            else False
-        )
-
-    cfg = RunConfig(
-        inputs=tuple(str(path).strip() for path in inputs),
-        out_dir=str(out_dir),
-        window_sizes=window_sizes,
-        quantities=quantities,
-        grid=grid,
-        workers=workers,
-        force=force,
-        strict_core=strict,
-    )
+    # Each option: its RunConfig field and the parser of its value.  An
+    # option left unset, or set to empty text, keeps the field's default.
+    fields = {
+        "input": ("inputs", _parse_inputs),
+        "out": ("out_dir", str),
+        "nv": ("window_sizes", lambda text: tuple(
+            _parse_positive_int(part.strip(), "window size") for part in text.split(",")
+        )),
+        "quantities": ("quantities", _parse_quantities),
+        "alpha_grid": ("grid", parse_alpha_grid),
+        "workers": ("workers", lambda text: _parse_positive_int(text, "workers")),
+        "force": ("force", lambda text: _parse_bool(text, "force")),
+        "core_strict_inequality": (
+            "strict_core",
+            lambda text: _parse_bool(text, "core_strict_inequality"),
+        ),
+    }
+    options = _options(args, ("input", "out"))
+    cfg = RunConfig(**{
+        field: parse(options[key])
+        for key, (field, parse) in fields.items()
+        if options[key]
+    })
     report = run_analyze(cfg)
     for size in sorted(report.fits):
         for kind in sorted(report.fits[size]):

@@ -1,4 +1,5 @@
-"""Text file helpers with transparent gzip by ``.gz`` suffix.
+"""Text file helpers: the ``key=value`` reader of config and spec files,
+and output with transparent gzip by ``.gz`` suffix.
 
 Gzip output pins the header timestamp to zero so identical content always
 produces identical bytes, which the determinism guarantees depend on.
@@ -10,6 +11,37 @@ import gzip
 import io
 import os
 from contextlib import contextmanager, suppress
+from typing import Callable, Collection, Dict
+
+
+def read_key_values(
+    path, allowed: Collection[str], error: Callable[[str], Exception]
+) -> Dict[str, str]:
+    """The ``key=value`` lines of ``path``, with ``-`` in keys read as ``_``.
+
+    Blank lines and ``#`` comments are skipped.  A line without ``=`` and a
+    repeated key are refused first, then the first key not in ``allowed``:
+    each raises ``error`` with a message that starts ``PATH:LINE:``.
+    """
+    values: Dict[str, str] = {}
+    line_of: Dict[str, int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_number, raw_line in enumerate(fh, 1):
+            line = raw_line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise error(f"{path}:{line_number}: expected key=value, got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise error(f"{path}:{line_number}: duplicate key {key!r}")
+            values[key] = value.strip()
+            line_of[key] = line_number
+    for key in values:
+        if key not in allowed:
+            raise error(f"{path}:{line_of[key]}: unknown key {key!r}")
+    return values
 
 
 class _GzipTextWriter(io.TextIOWrapper):

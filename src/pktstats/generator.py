@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fileio import open_text_write
+from .fileio import open_text_write, read_key_values
 
 if TYPE_CHECKING:
     from .topology import CategoryStats
@@ -419,76 +419,56 @@ def write_packet_csv(path, records: Sequence[tuple]) -> int:
     return len(records)
 
 
+# Every spec key and the type of its value; the three degree_model_* keys
+# together make the spec's degree model.
+_SPEC_KEYS = {
+    "n_isolated_pairs": int,
+    "supernode_leaf_count": int,
+    "core_size": int,
+    "core_density": float,
+    "core_leaf_count": int,
+    "seed": int,
+    "degree_model_alpha": float,
+    "degree_model_delta": float,
+    "degree_model_d_max": int,
+}
+
+
 def read_generator_spec(path) -> GeneratorSpec:
-    """Parse a flat key=value spec file into a GeneratorSpec."""
-    values: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw_line in fh:
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise GeneratorConfigError(f"expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in values:
-                raise GeneratorConfigError(f"duplicate generator spec key: {key!r}")
-            values[key] = value.strip()
-    return spec_from_mapping(values)
+    """Parse a ``key=value`` spec file (``fileio.read_key_values``) into a
+    GeneratorSpec."""
+    return spec_from_mapping(read_key_values(path, _SPEC_KEYS, GeneratorConfigError))
 
 
 def spec_from_mapping(values: Dict[str, str]) -> GeneratorSpec:
     """Build a GeneratorSpec from string key/value pairs (CLI or file)."""
-    know_int = {
-        "n_isolated_pairs",
-        "supernode_leaf_count",
-        "core_size",
-        "core_leaf_count",
-        "seed",
-    }
     kwargs: Dict[str, object] = {}
-    model_parts: Dict[str, str] = {}
-    for key, value in values.items():
-        if key in know_int:
-            kwargs[key] = _parse_int(key, value)
-        elif key == "core_density":
-            kwargs[key] = _parse_float(key, value)
-        elif key in ("degree_model_alpha", "degree_model_delta", "degree_model_d_max"):
-            model_parts[key] = value
-        else:
+    for key, text in values.items():
+        if key not in _SPEC_KEYS:
             raise GeneratorConfigError(f"unknown generator spec key: {key!r}")
-    if model_parts:
+        if not key.startswith("degree_model_"):
+            kwargs[key] = _spec_value(key, text)
+    model = [key for key in _SPEC_KEYS if key.startswith("degree_model_")]
+    if any(key in values for key in model):
         from .zm import ZmParams
 
-        needed = {"degree_model_alpha", "degree_model_delta", "degree_model_d_max"}
-        missing = needed - set(model_parts)
+        missing = sorted(key for key in model if key not in values)
         if missing:
-            raise GeneratorConfigError(
-                f"incomplete degree model: missing {sorted(missing)}"
-            )
+            raise GeneratorConfigError(f"incomplete degree model: missing {missing}")
         try:
             kwargs["degree_model"] = ZmParams(
-                alpha=_parse_float("degree_model_alpha", model_parts["degree_model_alpha"]),
-                delta=_parse_float("degree_model_delta", model_parts["degree_model_delta"]),
-                d_max=_parse_int("degree_model_d_max", model_parts["degree_model_d_max"]),
+                *(_spec_value(key, values[key]) for key in model)
             )
         except ValueError as exc:
             raise GeneratorConfigError(f"bad degree model: {exc}") from exc
-    try:
-        return GeneratorSpec(**kwargs)
-    except TypeError as exc:
-        raise GeneratorConfigError(str(exc)) from exc
+    return GeneratorSpec(**kwargs)
 
 
-def _parse_int(key: str, value: str) -> int:
+def _spec_value(key: str, text: str):
+    """``text`` as the type ``_SPEC_KEYS`` gives ``key``."""
+    kind = _SPEC_KEYS[key]
     try:
-        return int(value)
+        return kind(text)
     except ValueError as exc:
-        raise GeneratorConfigError(f"{key} must be an integer, got {value!r}") from exc
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise GeneratorConfigError(f"{key} must be a number, got {value!r}") from exc
+        what = "an integer" if kind is int else "a number"
+        raise GeneratorConfigError(f"{key} must be {what}, got {text!r}") from exc

@@ -184,13 +184,10 @@ def _effective_sizes(
     return [size for size in requested if n_valid // size >= 1]
 
 
-def _prepare_out_dir(out_dir: Path, force: bool) -> None:
-    """Make ``out_dir`` an empty directory.  A non-empty one is emptied only
-    with ``force``, and only if it holds a pktstats report manifest."""
-    if not out_dir.exists():
-        out_dir.mkdir(parents=True)
-        return
-    if not any(out_dir.iterdir()):
+def _check_out_dir(out_dir: Path, force: bool) -> None:
+    """Refuse a non-empty ``out_dir`` unless ``force`` is set and it holds a
+    pktstats report manifest; touches nothing."""
+    if not out_dir.exists() or not any(out_dir.iterdir()):
         return
     if not force:
         raise PipelineConfigError(
@@ -201,11 +198,6 @@ def _prepare_out_dir(out_dir: Path, force: bool) -> None:
             f"output directory {out_dir} is not a pktstats report "
             '(no manifest.json with a "files" key); refusing to replace it'
         )
-    for child in out_dir.iterdir():
-        if child.is_dir() and not child.is_symlink():
-            shutil.rmtree(child)
-        else:
-            child.unlink()
 
 
 def _holds_report(out_dir: Path) -> bool:
@@ -317,9 +309,32 @@ def _delivered(pid: int, status: int, payload: bytes) -> List[WindowAnalysis]:
 
 
 def run_analyze(cfg: RunConfig) -> RunReport:
-    """Execute a full analysis run and write the report directory."""
+    """Execute a full analysis run and write the report directory.
+
+    The report is built in a sibling ``.NAME.PID.tmp`` directory, which
+    replaces ``cfg.out_dir`` (and whatever report was there) only once it
+    is complete; a failed run removes it and leaves ``out_dir`` as it was.
+    """
     out_dir = Path(cfg.out_dir)
-    _prepare_out_dir(out_dir, cfg.force)
+    _check_out_dir(out_dir, cfg.force)
+    # The real path, so a symlinked out_dir keeps its link and "." has a name.
+    target = Path(os.path.realpath(out_dir))
+    staging = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    staging.mkdir(parents=True)
+    try:
+        report = _write_report(cfg, staging)
+        if target.exists():
+            shutil.rmtree(target)
+        os.replace(staging, target)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    return report
+
+
+def _write_report(cfg: RunConfig, out_dir: Path) -> RunReport:
+    """Run the analysis of ``cfg`` and write its report into ``out_dir``,
+    the staging directory of ``cfg.out_dir``."""
     started = time.perf_counter()
 
     stream, summary = load_valid_records(cfg.inputs)
@@ -408,7 +423,7 @@ def run_analyze(cfg: RunConfig) -> RunReport:
         fh.write("\n")
 
     return RunReport(
-        out_dir=out_dir,
+        out_dir=Path(cfg.out_dir),
         manifest=manifest,
         mean_pooled=mean_pooled,
         fits=fits,

@@ -40,10 +40,6 @@ LOG_GAP_NOISE_FLOOR = 1e-12
 # tail; see _screen.
 SCREEN_HEAD_TERMS = 64
 
-# When the screen leaves at least this share of the admitted alphas as
-# candidates, every admitted alpha is trained exactly.
-CONFIRM_ALL_SHARE = 0.5
-
 _UNIT_ROUNDOFF = 2.0**-53
 
 TRAIN_DELTA_START = 1.0
@@ -739,10 +735,9 @@ def infer_parameters(data: PooledDistribution, grid: AlphaGrid = DEFAULT_GRID) -
     alphas can win is settled by _screen: an alpha is trained exactly when
     the screen cannot decide it, or when its screened loss minus its bound
     is at most the least screened loss plus bound among the alphas proven
-    trainable, so the exact winner is always among them.  When that leaves
-    CONFIRM_ALL_SHARE of the admitted alphas or more, all are trained.
-    Raises InferenceError when the data is degenerate or no grid point can
-    be trained.
+    trainable, so the exact winner is always among them.  Raises
+    InferenceError when the data is degenerate or no grid point can be
+    trained.
     """
     d1 = data.values[0]
     if not 0.0 < d1 < 1.0:
@@ -758,8 +753,6 @@ def infer_parameters(data: PooledDistribution, grid: AlphaGrid = DEFAULT_GRID) -
     confirm = (screen.verdict == 0) | (
         proven & (screen.loss - screen.bound <= best_bound)
     )
-    if np.count_nonzero(confirm) >= CONFIRM_ALL_SHARE * len(admitted):
-        confirm[:] = True
     lanes = []
     for k in np.flatnonzero(confirm).tolist():
         alpha, sums = admitted[k]

@@ -49,6 +49,15 @@ def fresh_python(code, **env_changes):
     return result.stdout.splitlines()[-1]
 
 
+def tree_bytes(root):
+    """Every file under ``root``: relative path -> bytes."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
 def write_stream(tmp_path, spec, n_packets, name="stream.csv"):
     records, _ = generate_synthetic(spec, n_packets)
     path = tmp_path / name
@@ -130,6 +139,22 @@ class TestGenerate:
                 "seed = 1\n",
                 45_000,
                 "d66ed3d59caf57af6d28663defb9f3a4750ad87776951c4c7805e13fefb61f4b",
+                "pkts.csv",
+            ),
+            # Dashes in spec keys read as underscores: the first two specs
+            # again, with the same bytes.
+            (
+                "n-isolated-pairs = 50\nsupernode-leaf-count = 40\ncore-size = 8\n"
+                "core-density = 0.5\ncore-leaf-count = 12\nseed = 3\n",
+                600,
+                "9040412636fa7aa570595f227c241b1c486aeb2f58c7758f16224105003c05b7",
+                "pkts.csv",
+            ),
+            (
+                "degree-model-alpha = 1.5\ndegree_model-delta = 0.5\n"
+                "degree-model_d-max = 64\nseed = 5\n",
+                500,
+                "70dce60354a53a542fdf9398e992e5817f4b7481f0698e6e39210306826780b7",
                 "pkts.csv",
             ),
         ],
@@ -227,6 +252,28 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--spec", "--config"])
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("isolated\n", 1, "expected key=value, got 'isolated'"),
+            ("seed=1\nseed=2\n", 2, "duplicate key 'seed'"),
+            ("core-size=3\ncore_size=4\n", 2, "duplicate key 'core_size'"),
+            ("bogus = 1\n", 1, "unknown key 'bogus'"),
+        ],
+    )
+    def test_spec_and_config_files_share_one_grammar(
+        self, tmp_path, capsys, flag, body, line, message
+    ):
+        spec = write_spec(tmp_path, "n_isolated_pairs = 5\n")
+        path = write_spec(tmp_path, body, name="body.txt")
+        out = tmp_path / "pkts.csv"
+        # A later --spec replaces the earlier one.
+        args = ["--spec", spec, "--packets", "10", "--out", str(out), flag, path]
+        assert main(["generate", *args]) == 1
+        assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
         assert not out.exists()
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
@@ -401,6 +448,51 @@ class TestAnalyze:
         assert main(base) == 1
         assert main(base + ["--force"]) == 0
         assert not (out / "stale").exists()
+
+    def test_failed_forced_rerun_keeps_the_old_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        stream = self.stream(tmp_path)
+        out = tmp_path / "report"
+        base = ["analyze", "--input", stream, "--nv", "25", "--out", str(out),
+                "--alpha-grid", "1.0:2.0:0.5"]
+        assert main(base) == 0
+        before = tree_bytes(out)
+        write = pipeline.write_topology_csv
+        calls = []
+
+        def disk_full_on_the_second_call(path, breakdown):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(path, breakdown)
+
+        monkeypatch.setattr(
+            pipeline, "write_topology_csv", disk_full_on_the_second_call
+        )
+        assert main(base + ["--force"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert tree_bytes(out) == before
+        assert sorted(os.listdir(tmp_path)) == ["report", "stream.csv"]
+        monkeypatch.setattr(pipeline, "write_topology_csv", write)
+        assert main(base + ["--force"]) == 0
+
+    def test_forced_run_reads_its_input_from_the_report_it_replaces(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "report"
+        inside = out / "stream.csv"
+        args = ["analyze", "--nv", "50", "--out", str(out),
+                "--alpha-grid", "1.0:2.0:0.5"]
+        assert main(args + ["--input", self.stream(tmp_path)]) == 0
+        write_stream(out, GeneratorSpec(n_isolated_pairs=40), 150)
+        assert main(args + ["--input", str(inside), "--force"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["inputs"] == [str(inside)]
+        assert manifest["ingest"]["total_valid"] == 150
+        assert manifest["window_counts"] == {"50": 3}
+        assert not inside.exists()
 
     def test_force_without_a_manifest_is_refused(self, tmp_path, capsys):
         stream = self.stream(tmp_path)
@@ -577,6 +669,50 @@ class TestAnalyze:
         ) == 0
         manifest2 = json.loads((tmp_path / "r2" / "manifest.json").read_text())
         assert manifest2["config"]["quantities"] == ["link_packets"]
+
+    @pytest.mark.parametrize(
+        "line, flags",
+        [
+            ("input = stream.csv,more.csv", ["--input", "stream.csv", "more.csv"]),
+            ("nv = 25,50", ["--nv", "25,50"]),
+            ("quantities = link_packets,source_fan_out",
+             ["--quantities", "link_packets,source_fan_out"]),
+            ("alpha_grid = 1.0:3.0:0.25", ["--alpha-grid", "1.0:3.0:0.25"]),
+            ("workers = 2", ["--workers", "2"]),
+            ("force = true", ["--force"]),
+            ("core_strict_inequality = true", ["--core-strict-inequality"]),
+        ],
+    )
+    def test_config_file_sets_each_option_as_its_flag_does(
+        self, tmp_path, capsys, monkeypatch, line, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        self.stream(tmp_path)
+        write_stream(
+            tmp_path, GeneratorSpec(n_isolated_pairs=40, seed=1), 50, "more.csv"
+        )
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        others = {"--input": ["stream.csv"], "--nv": ["50"],
+                  "--alpha-grid": ["1.0:2.0:0.5"]}
+        others.pop(flags[0], None)
+
+        def run(out, options):
+            """Exit code, report files but timings.json, and worker count."""
+            if flags == ["--force"]:
+                assert main(["analyze", "--input", "stream.csv", "--nv", "50",
+                             "--out", out]) == 0
+            args = ["analyze", "--out", out, *options]
+            for flag, values in others.items():
+                args += [flag, *values]
+            code = main(args)
+            files = tree_bytes(tmp_path / out)
+            timings = json.loads(files.pop("timings.json", b"{}"))
+            return code, files, timings.get("workers")
+
+        by_flag = run("by_flag", flags)
+        assert by_flag[0] == 0
+        assert run("by_config", ["--config", "run.cfg"]) == by_flag
+        assert run("unset", []) != by_flag
 
     @pytest.mark.parametrize("key", ["workrs", "config", "command"])
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys, key):

@@ -82,7 +82,7 @@ class TestParams:
         assert grid.values == (286.0, 291.0, 296.0)
         # Every alpha is admitted at delta = 0; training them all makes each
         # lane evaluate the upper delta bound, where no delta solves.
-        monkeypatch.setattr(zm, "CONFIRM_ALL_SHARE", 0.0)
+        monkeypatch.setattr(zm, "_screen", undecided_screen)
         pool = model_distribution(ZmParams(1.5, 0.5, 1024))
         with pytest.raises(InferenceError, match="no grid alpha admitted"):
             infer_parameters(pool, grid)
@@ -404,6 +404,12 @@ def generated_pools(kind, count, seed):
     return cases
 
 
+def undecided_screen(data, alphas):
+    """A screen that decides no alpha, so every admitted alpha is trained."""
+    n = len(alphas)
+    return zm._Screen(np.full(n, np.nan), np.full(n, np.inf), np.zeros(n, np.int8))
+
+
 def inference_outcome(data, grid):
     try:
         return infer_parameters(data, grid)
@@ -432,7 +438,7 @@ class TestScreenedInference:
         for data, grid in generated_pools(kind, 40, seed=20261018):
             screened = inference_outcome(data, grid)
             with monkeypatch.context() as patch:
-                patch.setattr(zm, "CONFIRM_ALL_SHARE", 0.0)
+                patch.setattr(zm, "_screen", undecided_screen)
                 confirmed = inference_outcome(data, grid)
             assert screened == confirmed, data
             outcomes.append(screened)
@@ -491,15 +497,13 @@ class TestScreenedInference:
                         assert abs(loss - screen.loss[k]) <= screen.bound[k], alpha
         assert verdicts.count(1) >= 100 and verdicts.count(-1) >= 20
 
-    def test_falls_back_to_confirming_every_alpha(self, lane_counts):
+    def test_trains_every_alpha_the_screen_cannot_rule_out(self, lane_counts):
         # With only bin 0 admissible every trained alpha scores 0, so the
-        # screen rules out none of the three quarters of the admitted
-        # alphas it proves trainable.
+        # screen rules out none of the admitted alphas it proves trainable.
         model = model_distribution(ZmParams(1.5, 2.0, 64))
         data = make_data(model.values, (0.0,) + model.values[1:], 64)
         fit = infer_parameters(data, FINE_GRID)
         assert fit.loss == 0.0
-        assert lane_counts == [len(zm._admitted(model.values[0], FINE_GRID.values, 64))]
         infer_parameters(model, FINE_GRID)
         assert lane_counts[1] < lane_counts[0] / 100
 
