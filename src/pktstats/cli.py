@@ -172,10 +172,11 @@ def _parse_quantities(text: str) -> Tuple[QuantityKind, ...]:
 
 
 def _parse_inputs(value) -> Tuple[str, ...]:
-    """The files of ``--input`` (a list) or of a config file's ``input``
-    (comma-separated text)."""
-    paths = value.split(",") if isinstance(value, str) else value
-    return tuple(path.strip() for path in paths)
+    """The files of ``--input`` (a list, taken as given) or of a config
+    file's ``input`` (comma-separated text, each name stripped)."""
+    if isinstance(value, str):
+        return tuple(path.strip() for path in value.split(","))
+    return tuple(value)
 
 
 def _cmd_generate(args) -> int:

@@ -11,9 +11,9 @@ order is lexicographic address order.  ``parse_packet_line`` is the one
 parser of a CSV line.  ``read_packet_csv`` runs it on every line;
 ``read_packet_keys`` reads a packet CSV as byte chunks, keys each dotted
 quad by a uint32 whose order is its text order, with no str per packet,
-checks rows of plain IPv6 text as arrays too, and runs it only on the
-lines that neither array pass accepts.  ``KeyBatch.window`` cuts a window
-from such keys and codes it by its own keys.
+skips rows of plain IPv6 text by one regular expression, and runs it only
+on the other lines.  ``KeyBatch.window`` cuts a window from such keys and
+codes it by its own keys.
 """
 
 from __future__ import annotations
@@ -268,12 +268,36 @@ CHUNK_BYTES = 1 << 18
 
 # The non-digit bytes of a canonical line up to its protocol field.
 _SEPARATORS = np.frombuffer(b",...,...,", dtype=np.uint8)
-_LF, _CR, _COMMA = b"\n\r,"
-# The widest plain IPv6 text: eight groups of four hex digits.
-_ADDRESS_WIDTH = 39
-# Chunks are padded so that an address field and the byte on each side of
-# it can be read from any offset.
-_PADDING = bytes(_ADDRESS_WIDTH + 1)
+_LF, _CR = b"\n\r"
+# Chunks are padded so that _tail_codes can read its 8 bytes from any tail
+# start, which lies at most one byte past the last LF.
+_PADDING = bytes(8)
+
+# Plain IPv6 text: eight groups of 1-4 hex digits (H) joined by colons, or
+# at most seven such groups and one "::", which may start or end the text.
+# ipaddress accepts every text this matches.  It also accepts some that
+# this rejects (an embedded IPv4 tail, a scope), which are left to it.
+_PLAIN_V6 = "(?:" + "|".join(
+    alternative.replace("H", "[0-9a-fA-F]{1,4}")
+    for alternative in (
+        "(?:H:){7}H",
+        "(?:H:){1,7}:",
+        "(?:H:){1,6}:H",
+        "(?:H:){1,5}(?::H){1,2}",
+        "(?:H:){1,4}(?::H){1,3}",
+        "(?:H:){1,3}(?::H){1,4}",
+        "(?:H:){1,2}(?::H){1,5}",
+        "H:(?::H){1,6}",
+        ":(?:(?::H){1,7}|:)",
+    )
+) + ")"
+# A plain line, ``timestamp,address,address,protocol,6`` with a timestamp of
+# 1 to MAX_TIMESTAMP_DIGITS ASCII digits and two plain IPv6 texts, is
+# skipped without parse_packet_line: it is never valid, and never bad.
+_PLAIN_LINE = re.compile(
+    rf"[0-9]{{1,{MAX_TIMESTAMP_DIGITS}}},{_PLAIN_V6},{_PLAIN_V6},"
+    rf"(?:{'|'.join(sorted(PROTOCOLS))}),6".encode()
+)
 
 
 def _octet_lookup() -> np.ndarray:
@@ -300,11 +324,9 @@ def _text_code(text: bytes) -> int:
     return int.from_bytes(text, "little") | len(text) << 56
 
 
-# What may follow the destination of a canonical (IPv4) and of a plain
-# (IPv6) line, after its comma.
-_V4_TAILS, _V6_TAILS = (
-    np.array([_text_code(f"{name},{v}".encode()) for name in PROTOCOLS], np.uint64)
-    for v in (4, 6)
+# What may follow the destination of a canonical line, after its comma.
+_V4_TAILS = np.array(
+    [_text_code(f"{name},4".encode()) for name in PROTOCOLS], np.uint64
 )
 _TCP_V4_CODE = _text_code(b"TCP,4")
 
@@ -340,16 +362,13 @@ def _tail_codes(buf: np.ndarray, at: np.ndarray, stops: np.ndarray) -> np.ndarra
 
 
 def _scan_canonical(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """(canonical, tcp_v4, src key, dst key, digits end) of each line
-    ``buf[start:stop]``.
+    """(canonical, tcp_v4, src key, dst key) of each line ``buf[start:stop]``.
 
     A canonical line is ``timestamp,quad,quad,protocol,4``: a timestamp of 1
     to MAX_TIMESTAMP_DIGITS ASCII digits, dotted quads whose octets are
     among the 256 octet strings (1-3 digits, no leading zero, value <= 255),
     and one of the four protocol names.  ``buf`` ends with LF and then
-    ``_PADDING``.  Keys of other lines are arbitrary.  The digits end of a
-    line is the position in ``buf`` of its first byte that is no ASCII
-    digit.
+    ``_PADDING``.  Keys of other lines are arbitrary.
     """
     # Up to the protocol, a canonical line's non-digit bytes are exactly the
     # separators.  Indices clipped past the last line land on its LF, a
@@ -375,71 +394,7 @@ def _scan_canonical(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
 
     ranks <<= np.array([24, 16, 8, 0] * 2, np.uint32)
     keys = np.bitwise_or.reduce(ranks.reshape(len(starts), 2, 4), axis=2)
-    return ok, tails == _TCP_V4_CODE, keys[:, 0], keys[:, 1], seps[:, 0]
-
-
-def _plain_addresses(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Whether each text ``buf[lo:hi]`` is plain IPv6 text.
-
-    Plain IPv6 text is eight groups of 1-4 hex digits joined by colons, or
-    at most seven such groups and one ``::``, which may start or end the
-    text.  ipaddress accepts every text this accepts.  It rejects some that
-    ipaddress accepts (an embedded IPv4 tail, a scope), which are left to
-    it.  ``buf`` holds ``_PADDING`` after the last text, and each text
-    follows at least one byte.
-    """
-    width = hi - lo
-    windows = np.lib.stride_tricks.sliding_window_view(buf, _ADDRESS_WIDTH + 2)
-    # Column j holds byte j of the text, from 1; the zeros of column 0 and
-    # of every column past the text mark its ends.
-    columns = np.arange(_ADDRESS_WIDTH + 2)
-    outside = (columns == 0) | (columns > width[:, None])
-    grid = np.where(outside, np.uint8(0), windows[lo - 1])
-    digit = grid - np.uint8(ord("0")) < 10
-    hexdigit = digit | ((grid | 32) - np.uint8(ord("a")) < 6)
-    colon = grid == ord(":")
-
-    # Groups of at most four hex digits; at most one "::"; a colon at either
-    # end only as part of "::"; eight groups, or at most seven with "::".
-    four = hexdigit[:, :-4] & hexdigit[:, 1:-3] & hexdigit[:, 2:-2] & hexdigit[:, 3:-1]
-    doubles = (colon[:, :-1] & colon[:, 1:]).sum(axis=1)
-    lone = colon[:, 1:-1] & (
-        (outside[:, :-2] & ~colon[:, 2:]) | (outside[:, 2:] & ~colon[:, :-2])
-    )
-    groups = (hexdigit[:, 1:] & ~hexdigit[:, :-1]).sum(axis=1)
-    return (
-        (width <= _ADDRESS_WIDTH)
-        & (hexdigit | colon | outside).all(axis=1)
-        & ~(four & hexdigit[:, 4:]).any(axis=1)
-        & (doubles <= 1)
-        & ~lone.any(axis=1)
-        & np.where(doubles == 1, groups <= 7, groups == 8)
-    )
-
-
-def _scan_plain(
-    buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, digits_end: np.ndarray
-) -> np.ndarray:
-    """Whether each line ``buf[start:stop]`` is plain.
-
-    A plain line is ``timestamp,address,address,protocol,6`` with a
-    timestamp of 1 to MAX_TIMESTAMP_DIGITS ASCII digits, addresses that
-    ``_plain_addresses`` accepts, and one of the four protocol names.
-    ``digits_end`` is as _scan_canonical gives it.
-    """
-    body = buf[: -len(_PADDING)]
-    # The last LF stands in for the commas that the last lines lack.
-    commas = np.append(np.flatnonzero(body == _COMMA), len(body) - 1)
-    first = np.searchsorted(commas, starts)
-    at = np.take(commas, first[:, None] + np.arange(3), mode="clip")
-    fields = np.searchsorted(commas, stops) - first == 4
-    addresses = _plain_addresses(buf, (at[:, :2] + 1).ravel(), at[:, 1:].ravel())
-    tails = _tail_codes(buf, at[:, 2] + 1, stops)
-    digits = at[:, 0] - starts
-    plain = addresses.reshape(-1, 2).all(axis=1) & fields
-    plain &= (tails[:, None] == _V6_TAILS).any(axis=1)
-    plain &= (digits_end == at[:, 0]) & (digits > 0) & (digits <= MAX_TIMESTAMP_DIGITS)
-    return plain
+    return ok, tails == _TCP_V4_CODE, keys[:, 0], keys[:, 1]
 
 
 def _chunk_batch(
@@ -447,13 +402,13 @@ def _chunk_batch(
 ) -> Tuple[KeyBatch, Optional[PacketParseError]]:
     """The valid packets of ``data``, whole lines numbered from ``first``.
 
-    Canonical lines are checked and keyed as arrays.  Plain lines, all of
-    them IPv6, are checked as arrays and skipped.  Every other line goes
-    through parse_packet_line with the file's address table ``known``; none
-    of them is valid, since a valid row of two dotted quads is canonical.
-    Text mode also ends a line at a CR that no LF follows, so such a CR is
-    read as an LF.  At the first bad line the batch stops, and that line's
-    error is returned beside it.
+    Canonical lines are checked and keyed as arrays.  Of the rest, plain
+    lines (``_PLAIN_LINE``, all of them IPv6) are skipped.  Every other line
+    goes through parse_packet_line with the file's address table ``known``;
+    none of them is valid, since a valid row of two dotted quads is
+    canonical.  Text mode also ends a line at a CR that no LF follows, so
+    such a CR is read as an LF.  At the first bad line the batch stops, and
+    that line's error is returned beside it.
     """
     buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
     ends = np.flatnonzero(buf[: len(data)] == _LF)
@@ -465,13 +420,12 @@ def _chunk_batch(
         crlf = np.zeros(len(ends), dtype=bool)
     starts = np.concatenate(([0], ends[:-1] + 1))
     stops = ends - crlf
-    canonical, tcp_v4, src, dst, digits_end = _scan_canonical(buf, starts, stops)
-    rest = np.flatnonzero(~canonical)
-    if len(rest):
-        rest = rest[~_scan_plain(buf, starts[rest], stops[rest], digits_end[rest])]
+    canonical, tcp_v4, src, dst = _scan_canonical(buf, starts, stops)
     n = len(ends)
     error = None
-    for i in rest.tolist():
+    for i in np.flatnonzero(~canonical).tolist():
+        if _PLAIN_LINE.fullmatch(data, starts[i], stops[i]):
+            continue
         try:
             line = data[starts[i] : ends[i]].decode("utf-8")
             record = parse_packet_line(line, first + i, known)
@@ -493,8 +447,8 @@ def read_packet_keys(path, *, _chunk_size: int = CHUNK_BYTES) -> Iterator[KeyBat
     The file (gzip-transparent by suffix) is read as byte chunks cut at
     their last LF.  Reads, skips, records, errors and line numbers are those
     of ``read_packet_csv``: its parser, parse_packet_line, reads every line
-    that neither array pass of ``_chunk_batch`` accepts.  Undecodable input
-    raises PacketParseError as well.
+    that ``_chunk_batch`` neither accepts as canonical nor skips as plain.
+    Undecodable input raises PacketParseError as well.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     known: Dict[str, str] = {}

@@ -112,14 +112,3 @@ class TrafficMatrix:
             unique_sources=int(np.count_nonzero(self.out_degree)),
             unique_destinations=int(np.count_nonzero(self.in_degree)),
         )
-
-    # -- dunder ------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self.nnz
-
-    def __repr__(self) -> str:
-        return (
-            f"TrafficMatrix(links={self.nnz}, packets={self.total}, "
-            f"sources={np.count_nonzero(self.out_degree)})"
-        )

@@ -21,7 +21,7 @@ import pickle
 import shutil
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
@@ -142,7 +142,6 @@ class RunReport:
     manifest: Dict
     mean_pooled: Dict[int, Dict[str, PooledDistribution]]
     fits: Dict[int, Dict[str, Dict]]
-    elapsed: Dict[str, float] = field(default_factory=dict)
 
 
 def analyze_window(
@@ -427,7 +426,6 @@ def _write_report(cfg: RunConfig, out_dir: Path) -> RunReport:
         manifest=manifest,
         mean_pooled=mean_pooled,
         fits=fits,
-        elapsed=elapsed,
     )
 
 

@@ -302,6 +302,19 @@ class TestGenerate:
         assert "degree_model_d_max=3000000000" in err
         assert not out.exists()
 
+    def test_bad_degree_model_is_config_error(self, tmp_path, capsys):
+        spec = write_spec(
+            tmp_path,
+            "degree_model_alpha = 0\ndegree_model_delta = 0.5\n"
+            "degree_model_d_max = 100\n",
+        )
+        out = tmp_path / "pkts.csv"
+        code = main(["generate", "--spec", spec, "--packets", "10", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad degree model: alpha must be > 0, got 0.0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("existing", [None, "an earlier stream\n"])
     def test_failed_write_leaves_no_partial_output(
         self, tmp_path, capsys, monkeypatch, existing
@@ -402,6 +415,20 @@ class TestAnalyze:
         assert manifest["config"]["inputs"] == [first, second]
         assert manifest["ingest"]["total_read"] == 160
 
+    def test_input_file_name_from_a_flag_keeps_its_spaces(self, tmp_path, capsys):
+        # Only the comma list of a config file's input key is stripped.
+        spaced = tmp_path / "stream.csv "
+        os.rename(self.stream(tmp_path), spaced)
+        out = tmp_path / "report"
+        code = main(
+            ["analyze", "--input", str(spaced), "--nv", "50", "--out", str(out),
+             "--alpha-grid", "1.0:2.0:0.5"]
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["inputs"] == [str(spaced)]
+        assert manifest["ingest"]["total_read"] == 100
+
     def test_repeated_window_size_is_config_error(self, tmp_path, capsys):
         stream = self.stream(tmp_path)
         out = tmp_path / "report"
@@ -448,6 +475,44 @@ class TestAnalyze:
         assert main(base) == 1
         assert main(base + ["--force"]) == 0
         assert not (out / "stale").exists()
+
+    def test_config_force_false_refuses_a_nonempty_out_dir(self, tmp_path, capsys):
+        stream = self.stream(tmp_path)
+        out = tmp_path / "report"
+        base = ["analyze", "--input", stream, "--nv", "50", "--out", str(out),
+                "--alpha-grid", "1.0:2.0:0.5"]
+        assert main(base) == 0
+        before = tree_bytes(out)
+        capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("force = false\n")
+        assert main(base + ["--config", str(cfg)]) == 1
+        refusal = capsys.readouterr().err
+        assert main(base) == 1
+        assert refusal == capsys.readouterr().err
+        assert refusal.endswith(" is not empty; pass force to replace\n")
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--config", "run.cfg"], "force must be true or false, got 'maybe'"),
+            (["--workers", "two"], "workers must be an integer, got 'two'"),
+        ],
+    )
+    def test_option_value_that_does_not_parse_is_config_error(
+        self, tmp_path, capsys, monkeypatch, options, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        stream = self.stream(tmp_path)
+        (tmp_path / "run.cfg").write_text("force = maybe\n")
+        out = tmp_path / "report"
+        code = main(
+            ["analyze", "--input", stream, "--nv", "50", "--out", str(out), *options]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_failed_forced_rerun_keeps_the_old_report(
         self, tmp_path, capsys, monkeypatch

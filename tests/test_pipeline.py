@@ -472,6 +472,24 @@ class TestForkedWorkers:
         assert not (tmp_path / "out" / "manifest.json").exists()
         assert_no_child_left()
 
+    def test_worker_exiting_with_a_status_raises_a_worker_error(
+        self, tmp_path, monkeypatch
+    ):
+        analyze = pipeline.analyze_window
+        parent = os.getpid()
+
+        def exiting(window, *args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return analyze(window, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "analyze_window", exiting)
+        message = r"^window worker \d+ exited with status 3$"
+        with pytest.raises(WindowWorkerError, match=message):
+            run_analyze(self.config(tmp_path, workers=3))
+        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert_no_child_left()
+
 
 def _address(name: str) -> str:
     """random_cells names n0, n1, ... as addresses whose text order differs

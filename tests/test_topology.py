@@ -196,6 +196,10 @@ class TestSupernodeSelection:
     def test_k_zero_selects_nothing(self, star_matrix):
         assert find_supernodes(star_matrix, 0) == []
 
+    def test_negative_k_is_refused(self, star_matrix):
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            find_supernodes(star_matrix, -1)
+
     def test_disjoint_stars_rank_by_size(self):
         cells = {("c9", f"a{i}"): 1 for i in range(9)}
         cells.update({("c7", f"b{i}"): 1 for i in range(7)})
