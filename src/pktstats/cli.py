@@ -197,8 +197,8 @@ def _cmd_generate(args) -> int:
         if collecting:
             gc.enable()
     print(
-        f"wrote {rows} records ({truth.n_links} links, "
-        f"{truth.n_sources} sources, {truth.n_destinations} destinations) "
+        f"wrote {rows} records ({truth.totals.links} links, "
+        f"{truth.totals.sources} sources, {truth.totals.destinations} destinations) "
         f"to {out_path}"
     )
     return 0

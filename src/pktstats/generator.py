@@ -3,32 +3,33 @@
 Builds packet streams from a mixture of known topology ingredients —
 isolated pairs, an in-star around one hub, a densely connected core with
 attached leaves — or, alternatively, from a fan-out degree model sampled by
-inverse CDF.  Alongside the records it returns the exact per-category counts
-the construction implies, which downstream decompositions can be checked
-against.  Streams are bit-reproducible for a fixed seed: all randomness comes
-from a counter-based generator.
+inverse CDF.  Alongside the records it returns the exact counts the
+construction implies, per category and in total, as the ``CategoryStats``
+a decomposition of the stream's matrix reports.  Streams are
+bit-reproducible for a fixed seed: all randomness comes from a
+counter-based generator.
 
 Links are built as arrays of integer node ids, each category one range of
 links, and address texts are made from the ids with an octet table.  Only
 the final records are Python tuples.  ``write_packet_csv`` writes them as
 unquoted CRLF rows through a temporary file that replaces the target only
-when complete.  ``topology`` and ``zm`` are imported only where their one
-class is needed (``CategoryStats``, ``ZmParams``), and no analysis module
-is imported at all, so ``pktstats generate`` loads little besides numpy.
+when complete.  Of the analysis side only ``topology`` is imported, for
+``CategoryStats``, and ``zm`` only where ``ZmParams`` is needed, so
+``pktstats generate`` loads little besides numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fileio import open_text_write, read_key_values
+from .topology import CategoryStats
 
 if TYPE_CHECKING:
-    from .topology import CategoryStats
     from .zm import ZmParams
 
 _ADDRESS_SPACE_BITS = 24
@@ -105,6 +106,13 @@ class GeneratorSpec:
 class GroundTruth:
     """Exact construction-time bookkeeping for one generated stream.
 
+    ``totals`` are the stream's distinct sources, packets, links and
+    distinct destinations: what ``TrafficMatrix.aggregates`` reports for
+    the matrix of all its records.  For a structural mixture they are the
+    field-by-field sum of ``categories``, since every link, packet, source
+    and destination lies in exactly one category.  A degree-model stream
+    has no categories; each packet is its own link to its own destination.
+
     Category counts are exact for structural mixtures whenever the intended
     hub ranking is what a decomposition with ``recommended_k`` supernodes
     recovers; ``exact_categories`` is False for mixtures (core without a
@@ -113,10 +121,7 @@ class GroundTruth:
 
     categories: Dict[str, CategoryStats]
     supernode_ids: Tuple[str, ...]
-    n_packets: int
-    n_links: int
-    n_sources: int
-    n_destinations: int
+    totals: CategoryStats
     recommended_k: int
     exact_categories: bool
     fan_outs: Optional[Tuple[int, ...]] = None
@@ -239,8 +244,6 @@ def _structural_truth(
     counts: np.ndarray,
     supernode_ids: Tuple[str, ...],
 ) -> GroundTruth:
-    from .topology import CategoryStats
-
     star = spec.supernode_leaf_count
     core_links = len(counts) - spec.n_isolated_pairs - star - spec.core_leaf_count
     # Each category is one range of links, in _structural_links order.
@@ -280,26 +283,11 @@ def _structural_truth(
             destinations=spec.core_leaf_count // 2,
         ),
     }
-    n_sources = (
-        spec.n_isolated_pairs
-        + star
-        + spec.core_size
-        + (spec.core_leaf_count + 1) // 2
-    )
-    n_destinations = (
-        spec.n_isolated_pairs
-        + (1 if star else 0)
-        + spec.core_size
-        + spec.core_leaf_count // 2
-    )
     has_core = spec.core_size > 0
     return GroundTruth(
         categories=categories,
         supernode_ids=supernode_ids,
-        n_packets=int(counts.sum()) if len(counts) else 0,
-        n_links=len(counts),
-        n_sources=n_sources,
-        n_destinations=n_destinations,
+        totals=CategoryStats(*map(sum, zip(*map(astuple, categories.values())))),
         recommended_k=1 if (star and has_core) else 5,
         exact_categories=not (has_core and not star),
     )
@@ -324,10 +312,7 @@ def _generate_degree_model(
     truth = GroundTruth(
         categories={},
         supernode_ids=(),
-        n_packets=n_packets,
-        n_links=n_packets,
-        n_sources=n_sources,
-        n_destinations=n_packets,
+        totals=CategoryStats(n_sources, n_packets, n_packets, n_packets),
         recommended_k=5,
         exact_categories=False,
         fan_outs=tuple(fan_outs.tolist()),

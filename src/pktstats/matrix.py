@@ -11,22 +11,12 @@ is built in one step, from a window of ``CodedPackets``, and is immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .ingest import CodedPackets
-
-
-@dataclass(frozen=True)
-class AggregateSummary:
-    """Window-level totals derivable from one matrix."""
-
-    valid_packets: int
-    unique_links: int
-    unique_sources: int
-    unique_destinations: int
+from .topology import CategoryStats
 
 
 def _cells(packets: CodedPackets) -> tuple:
@@ -105,10 +95,12 @@ class TrafficMatrix:
         """Number of stored entries (unique links)."""
         return len(self.count)
 
-    def aggregates(self) -> AggregateSummary:
-        return AggregateSummary(
-            valid_packets=self.total,
-            unique_links=self.nnz,
-            unique_sources=int(np.count_nonzero(self.out_degree)),
-            unique_destinations=int(np.count_nonzero(self.in_degree)),
+    def aggregates(self) -> CategoryStats:
+        """The whole matrix as one set of cells: its distinct sources, its
+        packets, its links (entries) and its distinct destinations."""
+        return CategoryStats(
+            sources=int(np.count_nonzero(self.out_degree)),
+            packets=self.total,
+            links=self.nnz,
+            destinations=int(np.count_nonzero(self.in_degree)),
         )

@@ -21,7 +21,7 @@ import pickle
 import shutil
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
@@ -102,11 +102,13 @@ class RunConfig:
     def __post_init__(self):
         if not self.inputs:
             raise PipelineConfigError("at least one input path is required")
+        if not all(self.inputs):
+            raise PipelineConfigError("input paths cannot be empty")
         if self.window_sizes is not None:
             if not self.window_sizes:
                 raise PipelineConfigError("window size list cannot be empty")
             for i, size in enumerate(self.window_sizes):
-                if not isinstance(size, int) or size < 1:
+                if type(size) is not int or size < 1:
                     raise PipelineConfigError(
                         f"window sizes must be positive integers, got {size!r}"
                     )
@@ -121,7 +123,7 @@ class RunConfig:
             if kind in seen:
                 raise PipelineConfigError(f"duplicate quantity: {kind.value}")
             seen.add(kind)
-        if self.workers < 1:
+        if type(self.workers) is not int or self.workers < 1:
             raise PipelineConfigError(f"workers must be >= 1, got {self.workers}")
 
 
@@ -388,11 +390,7 @@ def _write_report(cfg: RunConfig, out_dir: Path) -> RunReport:
             "inputs": list(cfg.inputs),
             "window_sizes": sizes,
             "quantities": [kind.value for kind in cfg.quantities],
-            "alpha_grid": {
-                "start": cfg.grid.start,
-                "stop": cfg.grid.stop,
-                "step": cfg.grid.step,
-            },
+            "alpha_grid": asdict(cfg.grid),
             "strict_core": cfg.strict_core,
             "supernode_k": DEFAULT_SUPERNODE_COUNT,
         },

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 import numpy as np
 
 if TYPE_CHECKING:
-    from .matrix import AggregateSummary, TrafficMatrix
+    from .matrix import TrafficMatrix
 
 DEFAULT_SUPERNODE_COUNT = 5
 
@@ -46,7 +46,9 @@ TOPOLOGY_CSV_HEADER = (
 
 @dataclass(frozen=True)
 class CategoryStats:
-    """Counts attributed to one topology category."""
+    """Distinct sources, packets, links and distinct destinations of one set
+    of matrix cells: a topology category, or the whole matrix as its totals
+    (``TrafficMatrix.aggregates``)."""
 
     sources: int
     packets: int
@@ -74,7 +76,7 @@ class TopologyBreakdown:
     categories: Dict[str, CategoryStats]
     supernode_ids: Tuple[str, ...]
     supernode_internal: CategoryStats
-    totals: AggregateSummary
+    totals: CategoryStats
     fractions: Dict[str, "CategoryFractions"]
     residual_packets: int
     residual_links: int
@@ -169,16 +171,13 @@ def find_supernodes(
     return chosen
 
 
-def _fraction(part: int, whole: int) -> float:
-    return part / whole if whole else 0.0
-
-
-def _fractions(stats: CategoryStats, totals: AggregateSummary) -> CategoryFractions:
+def _fractions(stats: CategoryStats, totals: CategoryStats) -> CategoryFractions:
+    """Each count of ``stats`` over the total of the same name; 0 where that
+    total is 0."""
+    parts = (stats.sources, stats.packets, stats.links, stats.destinations)
+    wholes = (totals.sources, totals.packets, totals.links, totals.destinations)
     return CategoryFractions(
-        sources=_fraction(stats.sources, totals.unique_sources),
-        packets=_fraction(stats.packets, totals.valid_packets),
-        links=_fraction(stats.links, totals.unique_links),
-        destinations=_fraction(stats.destinations, totals.unique_destinations),
+        *(part / whole if whole else 0.0 for part, whole in zip(parts, wholes))
     )
 
 
@@ -240,8 +239,8 @@ def topology_breakdown(
         supernode_internal=internal,
         totals=totals,
         fractions={name: _fractions(c, totals) for name, c in categories.items()},
-        residual_packets=totals.valid_packets - tiled_packets,
-        residual_links=totals.unique_links - tiled_links,
+        residual_packets=totals.packets - tiled_packets,
+        residual_links=totals.links - tiled_links,
     )
 
 

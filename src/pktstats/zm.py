@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -147,10 +147,7 @@ def _range_rho_sum(
     alpha: float, delta: float, lo: int, hi: int, exact_terms: int
 ) -> float:
     """Sum of (d + delta)**-alpha over integer d in (lo, hi]."""
-    n = hi - lo
-    if n <= 0:
-        return 0.0
-    if n <= exact_terms:
+    if hi - lo <= exact_terms:
         base = np.arange(lo + 1.0, hi + 1.0) + delta
         return float(np.sum(base ** (-alpha)))
     head_hi = lo + exact_terms
@@ -444,12 +441,7 @@ def admissible_bins(data: PooledDistribution) -> Tuple[int, ...]:
     )
 
 
-def half_norm_loss(
-    data: PooledDistribution,
-    model: PooledDistribution,
-    *,
-    noise_floor: float = LOG_GAP_NOISE_FLOOR,
-) -> float:
+def half_norm_loss(data: PooledDistribution, model: PooledDistribution) -> float:
     """Sum of sqrt(|log data - log model|) over admissible bins.
 
     Gaps below the noise floor count as exact matches: the square root would
@@ -466,7 +458,7 @@ def half_norm_loss(
         if model_value <= 0.0:
             return math.inf
         gap = abs(math.log(data.values[i]) - math.log(model_value))
-        if gap < noise_floor:
+        if gap < LOG_GAP_NOISE_FLOOR:
             gap = 0.0
         loss += math.sqrt(gap)
     return loss
@@ -792,17 +784,14 @@ def fit_payload(fit: ZmFit, grid: AlphaGrid, **meta) -> Dict:
         "leaf": fit.leaf,
         "d_max": fit.params.d_max,
         "bins_used": fit.bins_used,
-        "grid": {"start": grid.start, "stop": grid.stop, "step": grid.step},
+        "grid": asdict(grid),
     }
     payload.update({key: value for key, value in meta.items() if value is not None})
     return payload
 
 
 def failure_payload(message: str, grid: AlphaGrid, **meta) -> Dict:
-    payload = {
-        "error": message,
-        "grid": {"start": grid.start, "stop": grid.stop, "step": grid.step},
-    }
+    payload = {"error": message, "grid": asdict(grid)}
     payload.update({key: value for key, value in meta.items() if value is not None})
     return payload
 

@@ -101,7 +101,7 @@ def test_criterion_01_window_conservation(capsys):
 
         for window in iter_windows(stream(), 100_000):
             matrix = TrafficMatrix.from_window(window)
-            assert matrix.aggregates().valid_packets == 100_000
+            assert matrix.aggregates().packets == 100_000
             for kind in (QuantityKind.SOURCE_FAN_OUT, QuantityKind.LINK_PACKETS):
                 PRODUCED_POOLS.append(pool_quantity(matrix, kind))
             n_windows += 1
@@ -180,10 +180,10 @@ def test_criterion_04_dense_oracle_equivalence(capsys):
         packets, links, sources, dests = dense_oracle.aggregates(dense)
         agg = matrix.aggregates()
         assert (
-            agg.valid_packets,
-            agg.unique_links,
-            agg.unique_sources,
-            agg.unique_destinations,
+            agg.packets,
+            agg.links,
+            agg.sources,
+            agg.destinations,
         ) == (packets, links, sources, dests)
 
         expected = dense_oracle.quantity_maps(dense, rows, cols)
@@ -344,7 +344,7 @@ def test_criterion_12_single_window_throughput(capsys):
     analysis = analyze_window(window)
     elapsed = time.perf_counter() - started
     assert set(analysis.pooled) == {kind.value for kind in ALL_KINDS}
-    assert analysis.topology.totals.valid_packets == 1_000_000
+    assert analysis.topology.totals.packets == 1_000_000
     assert analysis.topology.residual_packets == 0
     assert elapsed <= budget
     _report(capsys, 12, "single-window throughput", elapsed, budget)

@@ -585,6 +585,20 @@ class TestAnalyze:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_input_path_is_config_error(self, tmp_path, capsys, source):
+        # `--input ""`, or a trailing comma in a config file's input list.
+        out = tmp_path / "report"
+        if source == "flag":
+            argv = ["analyze", "--input", ""]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"input = {self.stream(tmp_path)},\n")
+            argv = ["analyze", "--config", str(cfg)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: input paths cannot be empty\n"
+        assert not out.exists()
+
     def test_malformed_packet_data_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,10.0.0.1,10.0.0.2,TCP,4\nnot a packet line\n")

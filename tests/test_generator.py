@@ -100,7 +100,7 @@ class TestSpecValidation:
             generate_synthetic(GeneratorSpec(degree_model=ZmParams(1.2, 0.5, 9)), 2)
         # 2 * 4 pairs + a hub with 3 leaves + 4 core nodes = 16 ids.
         spec = GeneratorSpec(n_isolated_pairs=4, supernode_leaf_count=3, core_size=4)
-        assert generate_synthetic(spec, 40)[1].n_links == 4 + 3 + 8 + 4
+        assert generate_synthetic(spec, 40)[1].totals.links == 4 + 3 + 8 + 4
         with pytest.raises(GeneratorConfigError):
             generate_synthetic(GeneratorSpec(n_isolated_pairs=9), 40)
 
@@ -114,7 +114,7 @@ class TestIsolatedPairs:
         matrix = record_matrix(records)
         assert matrix.total == 6 and matrix.nnz == 3
         assert truth.categories["isolated_links"] == CategoryStats(3, 6, 3, 3)
-        assert truth.n_links == 3 and truth.n_sources == 3
+        assert truth.totals.links == 3 and truth.totals.sources == 3
         assert truth.exact_categories
         b = topology_breakdown(matrix, k=truth.recommended_k)
         assert b.categories == truth.categories
@@ -123,7 +123,7 @@ class TestIsolatedPairs:
         records, truth = generate_synthetic(GeneratorSpec(n_isolated_pairs=4), 14)
         counts = sorted(c for _, _, c in entries(record_matrix(records)))
         assert counts == [3, 3, 4, 4]
-        assert truth.n_packets == 14
+        assert truth.totals.packets == 14
 
 
 class TestStar:
@@ -146,7 +146,7 @@ class TestCore:
             GeneratorSpec(core_size=4, core_density=1.0), 24
         )
         matrix = record_matrix(records)
-        assert truth.n_links == 12  # 4 * 3 ordered pairs
+        assert truth.totals.links == 12  # 4 * 3 ordered pairs
         assert matrix.nnz == 12
         assert all(count == 2 for _, _, count in entries(matrix))
         assert truth.categories["core"] == CategoryStats(4, 24, 12, 4)
@@ -156,18 +156,18 @@ class TestCore:
         _, ring_only = generate_synthetic(
             GeneratorSpec(core_size=5, core_density=0.5), 10
         )
-        assert ring_only.n_links == 10  # double ring exactly
+        assert ring_only.totals.links == 10  # double ring exactly
         _, denser = generate_synthetic(
             GeneratorSpec(core_size=5, core_density=0.8), 16
         )
-        assert denser.n_links == 16  # ring plus round(0.8 * 20) - 10 extras
+        assert denser.totals.links == 16  # ring plus round(0.8 * 20) - 10 extras
 
     def test_extras_never_duplicate_links(self):
         for seed in range(5):
             _, truth = generate_synthetic(
                 GeneratorSpec(core_size=6, core_density=0.9, seed=seed), 27
             )
-            assert truth.n_links == 27  # round(0.9 * 30); duplicates would shrink nnz
+            assert truth.totals.links == 27  # round(0.9 * 30); duplicates would shrink nnz
             records, _ = generate_synthetic(
                 GeneratorSpec(core_size=6, core_density=0.9, seed=seed), 27
             )
@@ -204,6 +204,39 @@ class TestMixture:
         b = topology_breakdown(matrix, k=truth.recommended_k)
         assert b.categories == truth.categories
         assert truth.categories["isolated_links"] == CategoryStats(5, 10, 5, 5)
+
+
+@pytest.mark.parametrize(
+    "spec, n_packets",
+    [
+        (GeneratorSpec(n_isolated_pairs=7), 20),
+        (GeneratorSpec(supernode_leaf_count=9), 13),
+        (GeneratorSpec(core_size=5, core_density=0.7, seed=3), 31),
+        (GeneratorSpec(core_size=4, core_leaf_count=5), 40),
+        (
+            GeneratorSpec(
+                n_isolated_pairs=5, supernode_leaf_count=6, core_size=3, core_leaf_count=4
+            ),
+            42,
+        ),
+        (
+            GeneratorSpec(
+                n_isolated_pairs=2,
+                supernode_leaf_count=1,
+                core_size=6,
+                core_density=0.4,
+                core_leaf_count=3,
+                seed=7,
+            ),
+            29,
+        ),
+        (GeneratorSpec(degree_model=ZmParams(1.2, 0.5, 8), seed=9), 500),
+    ],
+    ids=["isolated", "star", "core", "core_leaves", "mixture", "sparse_mixture", "zm"],
+)
+def test_ground_truth_totals_are_the_matrix_totals(spec, n_packets):
+    records, truth = generate_synthetic(spec, n_packets)
+    assert truth.totals == record_matrix(records).aggregates()
 
 
 class TestDeterminism:

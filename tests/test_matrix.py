@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pktstats import TrafficMatrix
-from pktstats.matrix import AggregateSummary
+from pktstats.topology import CategoryStats
 
 import dense_oracle
 from conftest import STAR_COUNTS, matrix_of, random_cells
@@ -72,8 +72,8 @@ class TestViews:
             reduce(star_matrix, "row", "max")
 
     def test_aggregates(self, star_matrix):
-        assert star_matrix.aggregates() == AggregateSummary(
-            valid_packets=5, unique_links=4, unique_sources=2, unique_destinations=3
+        assert star_matrix.aggregates() == CategoryStats(
+            sources=2, packets=5, links=4, destinations=3
         )
 
 
@@ -86,10 +86,10 @@ class TestAgainstDenseOracle:
             dense, row_names, col_names = dense_oracle.from_cells(cells)
             packets, links, sources, dests = dense_oracle.aggregates(dense)
             agg = matrix.aggregates()
-            assert agg.valid_packets == packets
-            assert agg.unique_links == links
-            assert agg.unique_sources == sources
-            assert agg.unique_destinations == dests
+            assert agg.packets == packets
+            assert agg.links == links
+            assert agg.sources == sources
+            assert agg.destinations == dests
             assert reduce(matrix, "row", "sum") == dense_oracle.quantity_maps(
                 dense, row_names, col_names
             )["source_packets"]

@@ -87,6 +87,14 @@ class TestRunConfig:
         with pytest.raises(PipelineConfigError):
             RunConfig(inputs=("a",), out_dir="x", workers=0)
 
+    def test_bools_are_not_counts(self):
+        with pytest.raises(
+            PipelineConfigError, match="window sizes must be positive integers, got True"
+        ):
+            RunConfig(inputs=("a",), out_dir="x", window_sizes=(True,))
+        with pytest.raises(PipelineConfigError, match="workers must be >= 1, got True"):
+            RunConfig(inputs=("a",), out_dir="x", workers=True)
+
 
 class TestEffectiveSizes:
     def test_defaults_need_two_windows(self):
@@ -196,7 +204,7 @@ class TestAnalyzeWindow:
         window = next(iter_windows(records, 20))
         analysis = analyze_window(window, quantities=(QuantityKind.SOURCE_FAN_OUT,))
         assert set(analysis.pooled) == {"source_fan_out"}
-        assert analysis.topology.totals.valid_packets == 20
+        assert analysis.topology.totals.packets == 20
         assert analysis.topology.categories["isolated_links"].links == 10
 
     def test_pooled_totals_are_normalized(self):
@@ -580,10 +588,10 @@ class TestCodedWindows:
                 dense, rows, cols = dense_oracle.from_cells(cells)
                 aggregates = coded.topology.totals
                 assert (
-                    aggregates.valid_packets,
-                    aggregates.unique_links,
-                    aggregates.unique_sources,
-                    aggregates.unique_destinations,
+                    aggregates.packets,
+                    aggregates.links,
+                    aggregates.sources,
+                    aggregates.destinations,
                 ) == dense_oracle.aggregates(dense)
                 matrix = TrafficMatrix.from_window(window)
                 expected = dense_oracle.quantity_maps(dense, rows, cols)
