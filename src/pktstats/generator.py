@@ -70,7 +70,7 @@ class GeneratorSpec:
             "core_leaf_count",
         ):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:
                 raise GeneratorConfigError(
                     f"{name} must be a non-negative integer, got {value!r}"
                 )
@@ -85,6 +85,8 @@ class GeneratorSpec:
             )
         if self.core_leaf_count > 0 and self.core_size == 0:
             raise GeneratorConfigError("core leaves require a non-empty core")
+        if type(self.seed) is not int:
+            raise GeneratorConfigError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise GeneratorConfigError("seed must fit in 64 bits")
         if self.degree_model is not None and self.structural_parts:

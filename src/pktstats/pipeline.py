@@ -44,15 +44,7 @@ from .topology import (
     topology_breakdown,
     write_topology_csv,
 )
-from .zm import (
-    AlphaGrid,
-    DEFAULT_GRID,
-    InferenceError,
-    failure_payload,
-    fit_payload,
-    infer_parameters,
-    write_fit_json,
-)
+from .zm import AlphaGrid, DEFAULT_GRID, InferenceError, infer_parameters
 
 DEFAULT_WINDOW_SIZES = (
     10**5,
@@ -369,15 +361,18 @@ def _write_report(cfg: RunConfig, out_dir: Path) -> RunReport:
             pooled_path = size_dir / f"{kind.value}.pooled.csv"
             files[_rel(pooled_path, out_dir)] = write_pooled_csv(pooled_path, mean)
             fit_path = size_dir / f"{kind.value}.fit.json"
-            meta = {"kind": kind.value, "n_v": size, "n_windows": mean.n_windows}
+            record = {"kind": kind.value, "n_v": size, "n_windows": mean.n_windows}
+            record["grid"] = asdict(cfg.grid)
             try:
                 fit = infer_parameters(mean, cfg.grid)
-                payload = fit_payload(fit, cfg.grid, **meta)
             except InferenceError as exc:
-                payload = failure_payload(str(exc), cfg.grid, **meta)
-            write_fit_json(fit_path, payload)
+                record["error"] = str(exc)
+            else:
+                record.update(asdict(fit.params))  # alpha, delta, d_max
+                record.update(loss=fit.loss, leaf=fit.leaf, bins_used=fit.bins_used)
+            write_fit_json(fit_path, record)
             files[_rel(fit_path, out_dir)] = 1
-            fits[size][kind.value] = payload
+            fits[size][kind.value] = record
         for analysis in per_window:
             topo_path = size_dir / f"window_{analysis.index:06d}.topology.csv"
             files[_rel(topo_path, out_dir)] = write_topology_csv(
@@ -402,10 +397,7 @@ def _write_report(cfg: RunConfig, out_dir: Path) -> RunReport:
         "window_counts": {str(size): len(analyses[size]) for size in sizes},
         "files": files,
     }
-    manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_fit_json(out_dir / "manifest.json", manifest)
 
     finished = time.perf_counter()
     elapsed = {
@@ -415,9 +407,7 @@ def _write_report(cfg: RunConfig, out_dir: Path) -> RunReport:
         "total_seconds": finished - started,
     }
     timings = {"workers": cfg.workers, "elapsed": elapsed}
-    with open(out_dir / "timings.json", "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_fit_json(out_dir / "timings.json", timings)
 
     return RunReport(
         out_dir=Path(cfg.out_dir),
@@ -425,6 +415,15 @@ def _write_report(cfg: RunConfig, out_dir: Path) -> RunReport:
         mean_pooled=mean_pooled,
         fits=fits,
     )
+
+
+def write_fit_json(path: Path, record: Dict) -> None:
+    """Write ``record`` as JSON with sorted keys, a 2-space indent and a
+    final newline.  Every JSON file of a report is written here: the fit
+    of each quantity and size, ``manifest.json`` and ``timings.json``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _rel(path: Path, root: Path) -> str:

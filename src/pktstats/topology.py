@@ -58,7 +58,7 @@ class CategoryStats:
     def __post_init__(self):
         for name in ("sources", "packets", "links", "destinations"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if self.links > self.packets:
             raise ValueError(

@@ -13,10 +13,9 @@ are scored with a half-norm metric on log-pooled bins, keeping the best
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +55,11 @@ class InferenceError(ValueError):
 
 @dataclass(frozen=True)
 class ZmParams:
-    """Model parameters: exponent alpha, offset delta, support 1..d_max."""
+    """Model parameters: exponent alpha, offset delta, support 1..d_max.
+
+    alpha and delta are finite, and the largest density, at d = 1, is a
+    positive float, so the model can be normalized and sampled.
+    """
 
     alpha: float
     delta: float
@@ -67,6 +70,16 @@ class ZmParams:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if not self.delta >= 0.0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
+        for name, value in (("alpha", self.alpha), ("delta", self.delta)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not leaf_parameter(self) > 0.0:
+            raise ValueError(
+                f"largest density (1 + delta)**-alpha is 0.0 at alpha {self.alpha}, "
+                f"delta {self.delta}"
+            )
+        if type(self.d_max) is not int:
+            raise ValueError(f"d_max must be an integer, got {self.d_max!r}")
         if self.d_max < 1:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
 
@@ -92,7 +105,7 @@ class ZmFit:
 
 @dataclass(frozen=True)
 class AlphaGrid:
-    """Uniform alpha search grid, endpoints inclusive."""
+    """Uniform alpha search grid, endpoints inclusive; every field is finite."""
 
     start: float = 0.10
     stop: float = 4.00
@@ -103,6 +116,8 @@ class AlphaGrid:
             raise ValueError("grid start must be > 0")
         if not self.step > 0.0:
             raise ValueError("grid step must be > 0")
+        if not math.isfinite(self.step):
+            raise ValueError(f"grid step must be finite, got {self.step}")
         if self.stop < self.start:
             raise ValueError("grid stop must be >= start")
         # Training evaluates (1 + delta)**alpha up to the upper delta bound,
@@ -773,30 +788,3 @@ def infer_parameters(data: PooledDistribution, grid: AlphaGrid = DEFAULT_GRID) -
     if best is None:
         raise InferenceError("no grid alpha admitted a trained delta")
     return best
-
-
-def fit_payload(fit: ZmFit, grid: AlphaGrid, **meta) -> Dict:
-    """JSON-ready fit description; extra metadata keys are included if set."""
-    payload = {
-        "alpha": fit.params.alpha,
-        "delta": fit.params.delta,
-        "loss": fit.loss,
-        "leaf": fit.leaf,
-        "d_max": fit.params.d_max,
-        "bins_used": fit.bins_used,
-        "grid": asdict(grid),
-    }
-    payload.update({key: value for key, value in meta.items() if value is not None})
-    return payload
-
-
-def failure_payload(message: str, grid: AlphaGrid, **meta) -> Dict:
-    payload = {"error": message, "grid": asdict(grid)}
-    payload.update({key: value for key, value in meta.items() if value is not None})
-    return payload
-
-
-def write_fit_json(path, payload: Dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")

@@ -315,6 +315,31 @@ class TestGenerate:
         assert err == "error: bad degree model: alpha must be > 0, got 0.0\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "alpha, delta, message",
+        [
+            ("1.5", "inf", "delta must be finite, got inf"),
+            ("inf", "0.5", "alpha must be finite, got inf"),
+            ("2000", "0.5", "largest density (1 + delta)**-alpha is 0.0"),
+        ],
+    )
+    def test_degree_model_that_cannot_be_sampled_is_config_error(
+        self, tmp_path, capsys, alpha, delta, message
+    ):
+        spec = write_spec(
+            tmp_path,
+            f"degree_model_alpha = {alpha}\ndegree_model_delta = {delta}\n"
+            "degree_model_d_max = 100\n",
+        )
+        out = tmp_path / "pkts.csv"
+        code = main(["generate", "--spec", spec, "--packets", "10", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad degree model: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("existing", [None, "an earlier stream\n"])
     def test_failed_write_leaves_no_partial_output(
         self, tmp_path, capsys, monkeypatch, existing
@@ -453,6 +478,17 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: grid stop must be <= 296.00")
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_infinite_alpha_grid_step_is_a_usage_error(self, tmp_path, capsys):
+        stream = self.stream(tmp_path)
+        out = tmp_path / "report"
+        code = main(
+            ["analyze", "--input", stream, "--nv", "50", "--out", str(out),
+             "--alpha-grid", "0.1:4:inf"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: grid step must be finite, got inf\n"
         assert not out.exists()
 
     def test_bad_quantity_name(self, tmp_path, capsys):

@@ -64,6 +64,21 @@ class TestSpecValidation:
         with pytest.raises(GeneratorConfigError):
             GeneratorSpec(n_isolated_pairs=1, seed=1 << 64)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_isolated_pairs": True}, "n_isolated_pairs must be a non-negative"),
+            ({"n_isolated_pairs": 3, "seed": False}, "seed must be an integer"),
+            ({"n_isolated_pairs": 3, "seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"supernode_leaf_count": 2.0}, "supernode_leaf_count must be a non-neg"),
+            ({"core_size": True}, "core_size must be a non-negative integer"),
+            ({"core_size": 3, "core_leaf_count": True}, "core_leaf_count must be a"),
+        ],
+    )
+    def test_counts_and_seed_are_ints_not_bools_or_floats(self, kwargs, message):
+        with pytest.raises(GeneratorConfigError, match=message):
+            GeneratorSpec(**kwargs)
+
     def test_empty_spec_cannot_generate(self):
         with pytest.raises(GeneratorConfigError):
             generate_synthetic(GeneratorSpec(), 10)

@@ -19,6 +19,7 @@ from pktstats import (
     ZmParams,
     analyze_window,
     generate_synthetic,
+    infer_parameters,
     iter_windows,
     read_packet_csv,
     run_analyze,
@@ -34,7 +35,7 @@ from pktstats.pipeline import (
     load_valid_records,
 )
 from pktstats.topology import CATEGORY_ORDER, CategoryStats, write_topology_csv
-from pktstats.zm import AlphaGrid
+from pktstats.zm import AlphaGrid, InferenceError
 
 import dense_oracle
 from conftest import make_records, random_cells, window_pairs
@@ -384,6 +385,75 @@ class TestFitsOnSampledStreams:
         assert payload["n_windows"] == 3
         assert payload["kind"] == "source_fan_out"
         assert payload["n_v"] == 1000
+
+
+class TestReportJson:
+    """Fit records, manifest.json and timings.json as a run writes them."""
+
+    GRID = {"start": 1.0, "stop": 2.5, "step": 0.05}
+
+    @pytest.fixture
+    def report(self, tmp_path):
+        # Each packet is its own link to its own destination: the fan-outs
+        # follow the model and fit, destination fan-ins are all 1 and fail.
+        spec = GeneratorSpec(degree_model=ZmParams(1.8, 0.0, 30), seed=3)
+        path, _ = write_stream(tmp_path, spec, 3000)
+        cfg = RunConfig(
+            inputs=(str(path),),
+            out_dir=str(tmp_path / "out"),
+            window_sizes=(1000,),
+            grid=SMALL_GRID,
+        )
+        return run_analyze(cfg)
+
+    @staticmethod
+    def on_disk(report, kind):
+        path = Path(report.out_dir) / "nv_000001000" / f"{kind}.fit.json"
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def test_fitted_quantity_record(self, report):
+        fit = infer_parameters(report.mean_pooled[1000]["source_fan_out"], SMALL_GRID)
+        expected = {
+            "alpha": fit.params.alpha,
+            "delta": fit.params.delta,
+            "d_max": fit.params.d_max,
+            "loss": fit.loss,
+            "leaf": fit.leaf,
+            "bins_used": fit.bins_used,
+            "grid": self.GRID,
+            "kind": "source_fan_out",
+            "n_v": 1000,
+            "n_windows": 3,
+        }
+        assert self.on_disk(report, "source_fan_out") == expected
+        assert report.fits[1000]["source_fan_out"] == expected
+
+    def test_failed_quantity_record(self, report):
+        with pytest.raises(InferenceError) as failure:
+            infer_parameters(report.mean_pooled[1000]["destination_fan_in"], SMALL_GRID)
+        expected = {
+            "error": str(failure.value),
+            "grid": self.GRID,
+            "kind": "destination_fan_in",
+            "n_v": 1000,
+            "n_windows": 3,
+        }
+        assert self.on_disk(report, "destination_fan_in") == expected
+        assert report.fits[1000]["destination_fan_in"] == expected
+
+    def test_every_json_file_is_strict_sorted_and_ends_with_a_newline(self, report):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        paths = sorted(Path(report.out_dir).rglob("*.json"))
+        names = {path.name for path in paths}
+        assert names == {"manifest.json", "timings.json"} | {
+            f"{kind.value}.fit.json" for kind in ALL_KINDS
+        }
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            record = json.loads(text, parse_constant=refuse)
+            assert text == json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 class TestWorkerDeterminism:

@@ -60,6 +60,13 @@ class TestStatsValidation:
         with pytest.raises(ValueError):
             CategoryStats(0, 1, 2, 0)
 
+    @pytest.mark.parametrize(
+        "counts", [(True, 1, 1, 1), (1, True, 1, 1), (1, 1, False, 1), (1, 1, 1, 1.0)]
+    )
+    def test_rejects_bools_and_floats_as_counts(self, counts):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            CategoryStats(*counts)
+
     def test_fractions_bounded(self):
         CategoryFractions(0.0, 1.0, 0.5, 0.25)
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 """Two-parameter power-law model: sums, training, and grid inference."""
 
-import json
 import math
 import sys
 
@@ -20,11 +19,8 @@ from pktstats.zm import (
     AlphaGrid,
     InferenceError,
     admissible_bins,
-    failure_payload,
-    fit_payload,
     half_norm_loss,
     leaf_parameter,
-    write_fit_json,
 )
 
 from dict_reference import rho, rho_grad_delta, rho_sum
@@ -39,6 +35,29 @@ class TestParams:
             ZmParams(1.0, -0.1, 1)
         with pytest.raises(ValueError):
             ZmParams(1.0, 0.0, 0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.inf, 0.5, 100), "alpha must be finite, got inf"),
+            ((1.5, math.inf, 100), "delta must be finite, got inf"),
+            ((math.nan, 0.5, 100), "alpha must be > 0, got nan"),
+            ((1.5, math.nan, 100), "delta must be >= 0, got nan"),
+            ((2000.0, 0.5, 100), r"largest density .* is 0.0 at alpha 2000.0"),
+            ((1.5, 0.5, 10.5), "d_max must be an integer, got 10.5"),
+            ((1.5, 0.5, True), "d_max must be an integer, got True"),
+            ((1.5, 0.5, np.int64(10)), "d_max must be an integer, got "),
+        ],
+    )
+    def test_refuses_models_that_cannot_be_normalized(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ZmParams(*args)
+
+    def test_smallest_positive_largest_density_is_accepted(self):
+        # 1.5**-alpha is a subnormal float here: the model still normalizes.
+        params = ZmParams(1800.0, 0.5, 100)
+        assert 0.0 < leaf_parameter(params) < sys.float_info.min
+        assert model_distribution(params).values[0] == 1.0
 
     def test_alpha_grid_default_has_391_points(self):
         values = DEFAULT_GRID.values
@@ -60,6 +79,14 @@ class TestParams:
             AlphaGrid(1.0, 0.5, 0.1)
         with pytest.raises(ValueError):
             AlphaGrid(1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(0.1, 4.0, math.inf), (0.1, 4.0, math.nan), (math.inf, math.inf, 1.0)],
+    )
+    def test_alpha_grid_refuses_non_finite_fields(self, fields):
+        with pytest.raises(ValueError, match="grid (step|stop) must be"):
+            AlphaGrid(*fields)
 
     def test_alpha_grid_stops_where_training_powers_stay_finite(self):
         # Training evaluates (1 + delta)**alpha up to the upper delta bound.
@@ -506,30 +533,3 @@ class TestScreenedInference:
         assert fit.loss == 0.0
         infer_parameters(model, FINE_GRID)
         assert lane_counts[1] < lane_counts[0] / 100
-
-
-class TestPayloads:
-    def test_fit_payload_keys_and_meta(self):
-        fit = infer_parameters(
-            model_distribution(ZmParams(1.0, 0.5, 64)), AlphaGrid(1.0, 1.0, 0.01)
-        )
-        payload = fit_payload(fit, AlphaGrid(1.0, 1.0, 0.01), kind="x", n_v=None)
-        assert payload["alpha"] == 1.0
-        assert payload["kind"] == "x"
-        assert "n_v" not in payload
-        assert payload["grid"] == {"start": 1.0, "stop": 1.0, "step": 0.01}
-        for key in ("delta", "loss", "leaf", "d_max", "bins_used"):
-            assert key in payload
-
-    def test_failure_payload(self):
-        payload = failure_payload("bad data", DEFAULT_GRID, kind="y")
-        assert payload["error"] == "bad data"
-        assert payload["kind"] == "y"
-
-    def test_write_fit_json(self, tmp_path):
-        path = tmp_path / "fit.json"
-        write_fit_json(path, {"b": 1, "a": 2})
-        text = path.read_text()
-        assert text.endswith("\n")
-        assert text.index('"a"') < text.index('"b"')
-        assert json.loads(text) == {"a": 2, "b": 1}
