@@ -4,11 +4,11 @@ The model density is rho(d) = 1 / (d + delta)**alpha, normalized over
 d = 1..d_max.  Training solves for the delta that makes the model's
 degree-1 probability match a measured value, via bracketed Newton iteration
 with a bisection fallback.  Inference sweeps a fixed alpha grid: a screen
-scores every admitted alpha from cheap short-head sums with a proven error
-bound, and only the alphas that can still win are trained exactly, in
-lock-step so each round's model sums come from one 2-D power.  Candidates
-are scored with a half-norm metric on log-pooled bins, keeping the best
-(ties to the smaller alpha).
+decides whether each alpha trains and scores it from cheap short-head sums
+with a proven error bound, and only the alphas that can still win are
+trained exactly, in lock-step so each round's model sums come from one 2-D
+power.  Candidates are scored with a half-norm metric on log-pooled bins,
+keeping the best (ties to the smaller alpha).
 """
 
 from __future__ import annotations
@@ -279,15 +279,11 @@ def _lane_sums(memo: Dict, alpha: float, delta: float, need: str):
     got = memo.get((delta, need))
     if got is None:
         got = yield alpha, delta, need
-        _remember(memo, delta, got)
+        if got.s0 is not None:
+            memo[delta, "s0"] = got
+        if got.bins is not None:
+            memo[delta, "bins"] = got
     return got
-
-
-def _remember(memo: Dict, delta: float, got: _Sums) -> None:
-    if got.s0 is not None:
-        memo[delta, "s0"] = got
-    if got.bins is not None:
-        memo[delta, "bins"] = got
 
 
 def _newton_values(d1: float, alpha: float, delta: float, s: _Sums):
@@ -309,19 +305,14 @@ def _lane_gap(memo: Dict, d1: float, alpha: float, delta: float):
     return s.bins[0] / math.fsum(s.bins) - d1
 
 
-def _train_lane(
-    d1: float,
-    alpha: float,
-    memo: Optional[Dict[Tuple[float, str], _Sums]] = None,
-) -> Generator:
+def _train_lane(d1: float, alpha: float) -> Generator:
     """Delta training for one alpha as a coroutine.
 
     It yields (alpha, delta, need) requests, is sent the _Sums for each, and
     returns the training with the model's bin masses at the solution, or None
-    when no interior root exists.  Each (delta, need) is requested once;
-    memo may hold answers the lane then does not request.
+    when no interior root exists.  Each (delta, need) is requested once.
     """
-    memo = {} if memo is None else memo
+    memo: Dict[Tuple[float, str], _Sums] = {}
     lo, hi = TRAIN_DELTA_BOUNDS
     f_lo, _ = yield from _lane_newton(memo, d1, alpha, lo)
     if f_lo >= 0.0:
@@ -569,8 +560,8 @@ def _sum_errors(
 
 
 class _Screen(NamedTuple):
-    """Screened half-norm losses of the admitted alphas, each with a bound
-    on its distance from the exact loss, and a verdict per alpha: 1 when
+    """Screened half-norm losses of the alphas, each with a bound on its
+    distance from the exact loss, and a verdict per alpha: 1 when
     the exact training is proven to succeed, -1 when it is proven to fail,
     0 when the screen cannot tell or cannot bound the loss (loss nan,
     bound inf)."""
@@ -581,7 +572,7 @@ class _Screen(NamedTuple):
 
 
 def _screen(data: PooledDistribution, alphas: np.ndarray) -> _Screen:
-    """Screen alphas that passed the exact bracket test at delta = 0.
+    """Screen alphas: decide whether each trains and bound its loss.
 
     Notation: f(delta) = d1 (1 + delta)**alpha S(delta) - 1 is the training
     function (S the normalization sum), increasing in delta; B_i are the
@@ -596,9 +587,11 @@ def _screen(data: PooledDistribution, alphas: np.ndarray) -> _Screen:
 
     1. Training outcome.  While ES/S and EX0/S stay under 1/4, the
        screen's f and the float f that _train_lane computes differ by at
-       most err_f = (1 + |f|) (8 rho + 2 (ES + 2 EX0) / S~).  The lane
-       fails exactly when its f(10) <= 0, so f~(10) > err_f proves it
-       trains and f~(10) < -err_f proves it fails.
+       most err_f = (1 + |f|) (8 rho + 2 (ES + 2 EX0) / S~).  S decreases
+       in delta, so the check at delta = 10 covers delta = 0 as well.  The
+       lane fails exactly when its f(0) >= 0 or its f(10) <= 0, so
+       f~(0) < -err_f together with f~(10) > err_f proves it trains, and
+       f~(0) > err_f or f~(10) < -err_f proves it fails.
     2. Where delta lands.  The trained delta_x has a float residual of at
        most 2 TRAIN_RESIDUAL_TOL: its Newton phase stops below
        TRAIN_RESIDUAL_TOL and the ulp walk moves at most 36 ulps (asserted
@@ -655,13 +648,14 @@ def _screen(data: PooledDistribution, alphas: np.ndarray) -> _Screen:
 
     with np.errstate(all="ignore"):
         rows = np.arange(n)
+        _, _, f0, _, err0 = training(rows, np.full(n, lo_bound))
         bins10, s0_10, f10, _, err10 = training(rows, np.full(n, hi_bound))
         sums_ok = rho + (es_total + ex_total + ex0) / s0_10 <= 0.25
-        verdict[sums_ok & (f10 < -err10)] = -1
+        verdict[sums_ok & ((f0 > err0) | (f10 < -err10))] = -1
         bins_ok = (
             rho[:, None] + (es + ex)[:, admissible] / bins10[:, admissible] <= 0.25
         ).all(axis=1)
-        rows = np.flatnonzero(sums_ok & bins_ok & (f10 > err10))
+        rows = np.flatnonzero(sums_ok & bins_ok & (f0 < -err0) & (f10 > err10))
         if not len(rows):
             return _Screen(loss, bound, verdict)
 
@@ -718,21 +712,6 @@ def _screen(data: PooledDistribution, alphas: np.ndarray) -> _Screen:
     return _Screen(loss, bound, verdict)
 
 
-def _admitted(
-    d1: float, alphas: Sequence[float], d_max: int
-) -> List[Tuple[float, _Sums]]:
-    """The alphas that pass _train_lane's bracket test at the lower bound,
-    each with the sums that decided it.  The test rejects most grid alphas,
-    so it is evaluated for the whole grid in one round."""
-    lo = TRAIN_DELTA_BOUNDS[0]
-    sums = _evaluate([(alpha, lo, "s0") for alpha in alphas], d_max)
-    return [
-        (alpha, got)
-        for alpha, got in zip(alphas, sums)
-        if _newton_values(d1, alpha, lo, got)[0] < 0.0
-    ]
-
-
 def infer_parameters(data: PooledDistribution, grid: AlphaGrid = DEFAULT_GRID) -> ZmFit:
     """Grid search over alpha with per-alpha delta training.
 
@@ -753,19 +732,17 @@ def infer_parameters(data: PooledDistribution, grid: AlphaGrid = DEFAULT_GRID) -
     if not bins_used:
         raise InferenceError("no admissible bins to fit")
     d_max = data.d_max
-    admitted = _admitted(d1, grid.values, d_max)
-    screen = _screen(data, np.array([alpha for alpha, _ in admitted]))
+    alphas = grid.values
+    screen = _screen(data, np.array(alphas))
     proven = screen.verdict == 1
     best_bound = np.min(screen.loss[proven] + screen.bound[proven], initial=np.inf)
     confirm = (screen.verdict == 0) | (
         proven & (screen.loss - screen.bound <= best_bound)
     )
-    lanes = []
-    for k in np.flatnonzero(confirm).tolist():
-        alpha, sums = admitted[k]
-        memo: Dict = {}
-        _remember(memo, TRAIN_DELTA_BOUNDS[0], sums)
-        lanes.append((k, alpha, _train_lane(d1, alpha, memo=memo)))
+    lanes = [
+        (k, alphas[k], _train_lane(d1, alphas[k]))
+        for k in np.flatnonzero(confirm).tolist()
+    ]
     results = _run_lanes([lane for _, _, lane in lanes], d_max)
     best: Optional[ZmFit] = None
     for (k, alpha, _), result in zip(lanes, results):

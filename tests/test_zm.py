@@ -346,7 +346,6 @@ class TestBatchedSolver:
         grid = AlphaGrid(0.10, 4.00, 0.005)
         fit = infer_parameters(data, grid)
         assert fit.params.alpha == 1.5
-        assert batches[0] == len(grid.values) == 781
         assert len(batches) <= 60
 
 
@@ -506,9 +505,8 @@ class TestScreenedInference:
                 noisy_pool(rng, params, 500, 4),
             ):
                 d1 = data.values[0]
-                admitted = zm._admitted(d1, grid.values, d_max)
-                alphas = np.array([alpha for alpha, _ in admitted])
-                screen = zm._screen(data, alphas)
+                alphas = grid.values
+                screen = zm._screen(data, np.array(alphas))
                 lanes = [zm._train_lane(d1, alpha) for alpha in alphas]
                 results = zm._run_lanes(lanes, d_max)
                 for k, (alpha, result) in enumerate(zip(alphas, results)):
@@ -523,6 +521,30 @@ class TestScreenedInference:
                         loss = half_norm_loss(data, model)
                         assert abs(loss - screen.loss[k]) <= screen.bound[k], alpha
         assert verdicts.count(1) >= 100 and verdicts.count(-1) >= 20
+
+    @pytest.mark.parametrize(
+        "exact_terms, data, grid, most",
+        [
+            (zm.EXACT_SUM_TERMS, model_distribution(ZmParams(1.5, 0.3, 945)),
+             FINE_GRID, 40),
+            (64, model_distribution(ZmParams(1.3, 0.6, 300)),
+             AlphaGrid(0.1, 4.0, 0.03), 60),
+        ],
+    )
+    def test_screen_decides_admission(self, monkeypatch, exact_terms, data, grid, most):
+        # Exact sums are asked only for the alphas the screen leaves open
+        # or cannot rule out, not for the bracket test of every grid alpha.
+        rows = []
+        evaluate = zm._evaluate
+
+        def counted(requests, d_max):
+            rows.append(len(requests))
+            return evaluate(requests, d_max)
+
+        monkeypatch.setattr(zm, "EXACT_SUM_TERMS", exact_terms)
+        monkeypatch.setattr(zm, "_evaluate", counted)
+        infer_parameters(data, grid)
+        assert sum(rows) <= most
 
     def test_trains_every_alpha_the_screen_cannot_rule_out(self, lane_counts):
         # With only bin 0 admissible every trained alpha scores 0, so the
