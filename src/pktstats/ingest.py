@@ -5,15 +5,13 @@ ip_version)``, whose addresses are of the family ip_version names.  Only
 TCP-over-IPv4 records, two dotted quads each, are *valid*.  Windowing groups
 every ``n_valid`` consecutive valid records into one window, skipping (but
 counting) invalid ones; a trailing partial window is discarded.  Every
-window is a ``CodedPackets``: two integer arrays of source and destination
-codes into the sorted table of exactly that window's addresses, so code
-order is lexicographic address order.  ``parse_packet_line`` is the one
-parser of a CSV line.  ``read_packet_csv`` runs it on every line;
-``read_packet_keys`` reads a packet CSV as byte chunks, keys each dotted
-quad by a uint32 whose order is its text order, with no str per packet,
-skips rows of plain IPv6 text by one regular expression, and runs it only
-on the other lines.  ``KeyBatch.window`` cuts a window from such keys and
-codes it by its own keys.
+window is a ``CodedPackets``: source and destination keys whose order is
+lexicographic address order, and the table of their addresses.
+``parse_packet_line`` is the one parser of a CSV line.  ``read_packet_csv``
+runs it on every line; ``read_packet_keys`` reads a packet CSV as byte
+chunks, keys each dotted quad by a uint32 whose order is its text order,
+with no str per packet, skips rows of plain IPv6 text by one regular
+expression, and runs it only on the other lines.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import ipaddress
 import re
 import zlib
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,14 +72,13 @@ class IngestSummary:
 class CodedPackets:
     """One window of valid packets (``index`` counts windows from 0).
 
-    Packet i goes from ``names[src[i]]`` to ``names[dst[i]]``.  ``names`` is
-    the sorted table of exactly the window's addresses, so the codes are
-    0..len(names)-1 and each of them is used.
+    Packet i goes from ``names[src[i]]`` to ``names[dst[i]]``: the keys are
+    integers below 2**32 whose order is address order.
     """
 
     src: np.ndarray
     dst: np.ndarray
-    names: Sequence[str]
+    names: Any
     index: int = 0
 
     @property
@@ -118,19 +115,16 @@ def quad_text(key: int) -> str:
 
 
 class _QuadTexts:
-    """The dotted quads of sorted distinct keys, built on request: a sorted
-    address table that holds no str until one is asked for."""
+    """The address table of dotted-quad keys: each str is built on request."""
 
-    __slots__ = ("keys",)
+    # Iterating by __getitem__ would count keys up to 2**32 and beyond.
+    __iter__ = None
 
-    def __init__(self, keys: np.ndarray):
-        self.keys = keys
+    def __getitem__(self, key) -> str:
+        return quad_text(int(key))
 
-    def __len__(self) -> int:
-        return len(self.keys)
 
-    def __getitem__(self, index) -> str:
-        return quad_text(int(self.keys[index]))
+QUAD_TEXTS = _QuadTexts()
 
 
 _OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
@@ -344,13 +338,9 @@ class KeyBatch:
         return len(self.src)
 
     def window(self, index: int, size: int) -> CodedPackets:
-        """The index-th run of ``size`` consecutive packets, coded by its
-        own address table: its sorted distinct keys."""
-        start = index * size
-        src, dst = self.src[start : start + size], self.dst[start : start + size]
-        keys, codes = np.unique(np.concatenate((src, dst)), return_inverse=True)
-        n = len(src)
-        return CodedPackets(codes[:n], codes[n:], _QuadTexts(keys), index)
+        """The index-th run of ``size`` packets: views of the batch's keys."""
+        run = slice(index * size, (index + 1) * size)
+        return CodedPackets(self.src[run], self.dst[run], QUAD_TEXTS, index)
 
 
 def _tail_codes(buf: np.ndarray, at: np.ndarray, stops: np.ndarray) -> np.ndarray:

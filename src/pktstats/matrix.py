@@ -2,11 +2,11 @@
 
 A matrix row is a source address, a column a destination address, and each
 stored entry is a positive packet count.  Both roles share one node id space:
-the window's own address table, whose codes already number its addresses in
-lexicographic order, so node ids are those codes and id order is name order.
-Entries are three integer arrays (row, col, count) sorted by (row, col);
-per-node fan and volume arrays are derived once at construction.  A matrix
-is built in one step, from a window of ``CodedPackets``, and is immutable.
+node i is the window's i-th smallest endpoint key, and key order is address
+order, so id order is name order.  Entries are three integer arrays (row,
+col, count) sorted by (row, col); per-node fan and volume arrays are derived
+once at construction.  A matrix is built in one step, from a window of
+``CodedPackets``, and is immutable.
 """
 
 from __future__ import annotations
@@ -20,14 +20,21 @@ from .topology import CategoryStats
 
 
 def _cells(packets: CodedPackets) -> tuple:
-    """(names, row, col, count) of the coded packets' matrix: each distinct
-    (src, dst) pair is one entry counting its packets."""
-    names = packets.names
-    side = max(len(names), 1)
-    keys = packets.src.astype(np.intp, copy=False) * side + packets.dst
-    cells, count = np.unique(keys, return_counts=True)
-    row, col = np.divmod(cells, side)
-    return names, row, col, count
+    """(names, nodes, row, col, count) of the packets' matrix: one entry per
+    distinct (src, dst) pair; node i is the i-th smallest endpoint key."""
+    # Keys are below 2**32, whatever integer type holds them.
+    pairs = np.left_shift(packets.src, 32, dtype=np.uint64, casting="unsafe")
+    np.bitwise_or(pairs, packets.dst, out=pairs, dtype=np.uint64, casting="unsafe")
+    pairs.sort()
+    bounds = np.empty(len(pairs) + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)
+    cells, count = pairs[bounds[:-1]], np.diff(bounds)
+    del pairs, bounds
+    ends = np.concatenate((cells >> 32, cells & 0xFFFFFFFF), dtype=np.uint32)
+    nodes, ids = np.unique(ends, return_inverse=True)
+    return packets.names, nodes, *ids.reshape(2, -1), count
 
 
 class TrafficMatrix:
@@ -41,6 +48,7 @@ class TrafficMatrix:
 
     __slots__ = (
         "_names",
+        "_nodes",
         "row",
         "col",
         "count",
@@ -51,13 +59,14 @@ class TrafficMatrix:
         "total",
     )
 
-    def __init__(self, names, row, col, count):
-        # The cells of _cells: node id i is the address names[i].
+    def __init__(self, names, nodes, row, col, count):
+        # The cells of _cells: node id i is the address names[nodes[i]].
         self._names = names
+        self._nodes = nodes
         self.row = row
         self.col = col
         self.count = count
-        n = len(names)
+        n = len(nodes)
         self.out_degree = np.bincount(row, minlength=n)
         self.in_degree = np.bincount(col, minlength=n)
         # Weighted bincount sums in float64: exact while a node's packets
@@ -82,11 +91,11 @@ class TrafficMatrix:
 
     @property
     def n_nodes(self) -> int:
-        return len(self._names)
+        return len(self._nodes)
 
     def node_names(self, nodes: Iterable[int]) -> list:
-        names = self._names
-        return [names[i] for i in nodes]
+        names, keys = self._names, self._nodes
+        return [names[keys[i]] for i in nodes]
 
     # -- totals ------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """End-to-end analysis runs: ingest, window, analyze, fit, report.
 
 A run ingests packet CSVs into one stream of address keys, cuts it into
-fixed-size windows, each coded by its own address table, analyzes each
+fixed-size windows, each a view of the stream's keys, analyzes each
 window (matrix build, per-quantity pooled distributions, topology
 decomposition), averages pooled distributions across windows, fits the
 degree model to each averaged distribution, and writes a report directory

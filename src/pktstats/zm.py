@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -132,7 +133,7 @@ class AlphaGrid:
     def _value(self, k: int) -> float:
         return round(self.start + k * self.step, 9)
 
-    @property
+    @cached_property
     def values(self) -> Tuple[float, ...]:
         return tuple(self._value(k) for k in range(self._count()))
 

@@ -1,10 +1,13 @@
 """Sparse traffic-matrix construction and totals, and the name-keyed
 reference views of ``dict_reference`` over it."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pktstats import TrafficMatrix
+from pktstats.ingest import KeyBatch
 from pktstats.topology import CategoryStats
 
 import dense_oracle
@@ -25,6 +28,23 @@ class TestConstruction:
 
     def test_from_window_conserves_packets(self, star_window):
         assert TrafficMatrix.from_window(star_window).total == star_window.n_valid
+
+    def test_key_window_build_holds_few_bytes_per_packet(self):
+        # A million packets over at most 1e4 links: the cells are few, so the
+        # peak is what the build holds per packet.
+        n = 10**6
+        rng = np.random.default_rng(26)
+        src, dst = rng.integers(0, 2**32, size=(2, 10**4), dtype=np.uint32)
+        link = rng.integers(0, 10**4, size=n)
+        stream = KeyBatch(src[link], dst[link], n)
+        tracemalloc.start()
+        try:
+            matrix = TrafficMatrix.from_window(stream.window(0, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.total == n and matrix.nnz <= 10**4
+        assert peak < 24 * n
 
 
 class TestViews:

@@ -26,7 +26,7 @@ from pktstats import (
     write_packet_csv,
 )
 from pktstats import pipeline
-from pktstats.ingest import PacketParseError, next_window
+from pktstats.ingest import PacketParseError, next_window, read_packet_keys
 from pktstats.pipeline import (
     EmptyRunError,
     PipelineConfigError,
@@ -612,6 +612,41 @@ class TestCodedWindows:
             written = out / "nv_000000006" / "window_000000.topology.csv"
             assert written.read_bytes() == expected_csv.read_bytes()
 
+    def test_a_window_is_a_view_of_the_stream_keys(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        pairs = [(f"10.0.0.{i}", "10.0.1.1") for i in range(9)]
+        write_packet_csv(path, make_records(pairs))
+        stream, _ = load_valid_records([str(path)])
+        window = stream.window(1, 3)
+        assert np.shares_memory(window.src, stream.src)
+        assert np.shares_memory(window.dst, stream.dst)
+        assert window_pairs(window) == pairs[3:6]
+
+    def test_extreme_keys_and_self_loops_match_the_record_path(self, tmp_path):
+        # 0.0.0.0 is key 0 and 99.99.99.99 is key 2**32 - 1 ("99" is the
+        # last octet text), so a cell key of theirs fills all 64 bits.
+        low, high = "0.0.0.0", "99.99.99.99"
+        pairs = [(high, low), (low, high), (high, high), (low, low), (high, high)]
+        pairs += [("10.0.0.1", high), (high, "255.0.0.1"), ("10.0.0.1", low)]
+        records = make_records(pairs)
+        path = tmp_path / "extremes.csv"
+        write_packet_csv(path, records)
+        (stream,) = read_packet_keys(path)
+        assert (int(stream.src.min()), int(stream.src.max())) == (0, 2**32 - 1)
+        window = stream.window(0, len(pairs))
+        record_window = next_window(iter(records), len(pairs))
+        coded = TrafficMatrix.from_window(window)
+        expected = TrafficMatrix.from_window(record_window)
+        for name in ("row", "col", "count", "out_volume", "in_volume"):
+            assert np.array_equal(getattr(coded, name), getattr(expected, name)), name
+        assert coded.node_names(range(coded.n_nodes)) == [
+            low, "10.0.0.1", "255.0.0.1", high
+        ]
+        for k in (1, 2):
+            assert analyze_window(window, supernode_k=k) == analyze_window(
+                record_window, supernode_k=k
+            )
+
     def test_coded_windows_match_record_windows_and_dense_oracle(self, tmp_path):
         # Two windows per stream over partly shared addresses.  In every
         # other stream a trailing partial window of fresh addresses follows,
@@ -641,15 +676,14 @@ class TestCodedWindows:
             assert summary.total_skipped == len(noise)
             k = int(rng.integers(0, 7))
             for index in range(2):
-                window_records = records[index * size : (index + 1) * size]
+                run = slice(index * size, (index + 1) * size)
+                window_records = records[run]
                 window = stream.window(index, size)
-                # Codes 0..len(names)-1 into the sorted table of exactly the
-                # window's own addresses.
-                names = list(window.names)
-                codes = np.concatenate((window.src, window.dst))
-                assert (names == sorted(names), codes.min(), codes.max() + 1) == (
-                    True, 0, len(names)
-                ) and len(names) == len(np.unique(codes))
+                # The window's keys are the stream's, and its table names
+                # each row's addresses.
+                assert np.array_equal(window.src, stream.src[run])
+                assert np.array_equal(window.dst, stream.dst[run])
+                assert window_pairs(window) == [(r[1], r[2]) for r in window_records]
                 coded = analyze_window(window, supernode_k=k)
                 record_window = next_window(iter(window_records), size, index=index)
                 assert coded == analyze_window(record_window, supernode_k=k)

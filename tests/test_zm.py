@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ class TestParams:
         assert values[100] == 1.1
         steps = {round(b - a, 9) for a, b in zip(values, values[1:])}
         assert steps == {0.01}
+
+    def test_alpha_grid_values_are_built_once(self):
+        grid = AlphaGrid(0.1, 4.0, 0.01)
+        assert grid.values is grid.values
+        assert grid.values == tuple(round(0.1 + k * 0.01, 9) for k in range(391))
+        assert grid == DEFAULT_GRID and asdict(grid) == asdict(DEFAULT_GRID)
 
     def test_alpha_grid_custom(self):
         assert AlphaGrid(1.0, 2.0, 0.5).values == (1.0, 1.5, 2.0)
