@@ -13,6 +13,7 @@ flags override file values.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import os
 import sys
@@ -22,6 +23,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 # pool whose threads spin for about 0.1 CPU-s per process.  This runs before
 # the first import of numpy; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# At exit the interpreter's last collections would walk every object the
+# imports made, to free nothing that exit does not free anyway: frozen,
+# those objects are skipped.
+atexit.register(gc.freeze)
 
 from .fileio import read_key_values
 from .generator import (

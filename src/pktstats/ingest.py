@@ -260,11 +260,9 @@ def read_packet_csv(path) -> Iterator[PacketRecord]:
 # is live at once, so peak memory grows with this size.
 CHUNK_BYTES = 1 << 18
 
-# The non-digit bytes of a canonical line up to its protocol field.
-_SEPARATORS = np.frombuffer(b",...,...,", dtype=np.uint8)
 _LF, _CR = b"\n\r"
-# Chunks are padded so that _tail_codes can read its 8 bytes from any tail
-# start, which lies at most one byte past the last LF.
+# Chunks are padded so that a word can be read from any byte up to one past
+# the last LF, where every word read of _scan_canonical starts.
 _PADDING = bytes(8)
 
 # Plain IPv6 text: eight groups of 1-4 hex digits (H) joined by colons, or
@@ -299,7 +297,7 @@ def _octet_lookup() -> np.ndarray:
     and 4 hold no octet) and the low nibbles of the three bytes at its
     start, as ``((width * 16 + n2) * 16 + n1) * 16 + n0``.  Nibbles past the
     width do not matter; 256 marks a text that is no octet string."""
-    table = np.full((5, 16, 16, 16), 256, dtype=np.uint32)
+    table = np.full((5, 16, 16, 16), 256, dtype="<u2")
     for value, rank in enumerate(_OCTET_RANKS):
         digits = tuple(int(digit) for digit in reversed(str(value)))
         table[(len(digits),) + (slice(None),) * (3 - len(digits)) + digits] = rank
@@ -323,6 +321,8 @@ _V4_TAILS = np.array(
     [_text_code(f"{name},4".encode()) for name in PROTOCOLS], np.uint64
 )
 _TCP_V4_CODE = _text_code(b"TCP,4")
+# The first eight non-digit bytes of a canonical line, as one word.
+_SEPARATORS_CODE = int.from_bytes(b",...,...", "little")
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,11 +343,19 @@ class KeyBatch:
         return CodedPackets(self.src[run], self.dst[run], QUAD_TEXTS, index)
 
 
+def _words(buf: np.ndarray, dtype: str) -> np.ndarray:
+    """The overlapping words of ``buf``: entry i is the word whose first
+    byte is ``buf[i]``.  Gather from it by indexing; np.take would first
+    copy it whole, since it is not contiguous."""
+    size = np.dtype(dtype).itemsize
+    return np.ndarray((len(buf) - size + 1,), dtype, buf, 0, (1,))
+
+
 def _tail_codes(buf: np.ndarray, at: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """The _text_code of each tail ``buf[at:stop]`` of up to 7 bytes; a
     longer tail's code is that of no such text."""
     width = np.clip(stops - at, 0, 255).astype(np.uint64)
-    tails = buf[at[:, None] + np.arange(8)].view("<u8")[:, 0]
+    tails = _words(buf, "<u8")[at]
     return tails & _MASKS[np.minimum(width, 8)] | width << np.uint64(56)
 
 
@@ -361,29 +369,32 @@ def _scan_canonical(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     ``_PADDING``.  Keys of other lines are arbitrary.
     """
     # Up to the protocol, a canonical line's non-digit bytes are exactly the
-    # separators.  Indices clipped past the last line land on its LF, a
-    # non-digit, and fail the check.
+    # separators ``,...,...,``.  Indices clipped past the last line land on
+    # its LF, a non-digit, and fail the check.
     body = buf[: -len(_PADDING)]
     nondigits = np.flatnonzero(body - np.uint8(ord("0")) > 9)
     first = np.searchsorted(nondigits, starts)
     seps = np.take(nondigits, first[:, None] + np.arange(9), mode="clip")
     digits = seps[:, 0] - starts
-    ok = (buf[seps] == _SEPARATORS).all(axis=1) & (digits > 0)
-    ok &= digits <= MAX_TIMESTAMP_DIGITS
+    ok = (digits > 0) & (digits <= MAX_TIMESTAMP_DIGITS)
+    ok &= np.take(buf, seps[:, :8]).view("<u8")[:, 0] == _SEPARATORS_CODE
+    ok &= np.take(buf, seps[:, 8]) == ord(",")
 
-    # The eight octets, four per address, lie between the separators.
+    # The eight octets, four per address, lie between the separators.  The
+    # word at an octet's start holds the three bytes the lookup reads.
     lo = seps[:, :-1] + 1
-    index = np.clip(seps[:, 1:] - lo, 0, 4)
-    for i in (2, 1, 0):
-        index = index * 16 + (buf[lo + i] & 15)
-    ranks = _OCTET_LOOKUP[index]
-    ok &= (ranks < 256).all(axis=1)
+    words = _words(buf, "<u4")[lo]
+    index = np.clip(seps[:, 1:] - lo, 0, 4) << 12
+    index |= words & 0xF | words >> 4 & 0xF0 | words >> 8 & 0xF00
+    # Each rank's low byte is the rank and its high byte is 0, or 1 for no
+    # octet string.
+    rank_bytes = np.take(_OCTET_LOOKUP, index).view(np.uint8).reshape(len(starts), 8, 2)
+    ok &= np.ascontiguousarray(rank_bytes[:, :, 1]).view("<u8")[:, 0] == 0
 
     tails = _tail_codes(buf, seps[:, 8] + 1, stops)
-    ok &= (tails[:, None] == _V4_TAILS).any(axis=1)
+    ok &= np.isin(tails, _V4_TAILS)
 
-    ranks <<= np.array([24, 16, 8, 0] * 2, np.uint32)
-    keys = np.bitwise_or.reduce(ranks.reshape(len(starts), 2, 4), axis=2)
+    keys = np.ascontiguousarray(rank_bytes[:, :, 0]).view(">u4").astype(np.uint32)
     return ok, tails == _TCP_V4_CODE, keys[:, 0], keys[:, 1]
 
 
@@ -413,11 +424,14 @@ def _chunk_batch(
     canonical, tcp_v4, src, dst = _scan_canonical(buf, starts, stops)
     n = len(ends)
     error = None
-    for i in np.flatnonzero(~canonical).tolist():
-        if _PLAIN_LINE.fullmatch(data, starts[i], stops[i]):
+    rest = np.flatnonzero(~canonical)
+    for i, start, stop, end in zip(
+        rest.tolist(), starts[rest].tolist(), stops[rest].tolist(), ends[rest].tolist()
+    ):
+        if _PLAIN_LINE.fullmatch(data, start, stop):
             continue
         try:
-            line = data[starts[i] : ends[i]].decode("utf-8")
+            line = data[start:end].decode("utf-8")
             record = parse_packet_line(line, first + i, known)
         except UnicodeDecodeError as exc:
             error = PacketParseError(f"undecodable text ({exc})", first + i)

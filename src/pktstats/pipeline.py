@@ -235,12 +235,17 @@ def _forked_map(
 ) -> List[WindowAnalysis]:
     """``task_fn`` over ``tasks``, returned in task order.
 
-    With n = min(workers, len(tasks)), share i is every n-th task from task
-    i.  This process forks one child for each of shares 1..n-1, analyzes
-    share 0 itself, then reads each child's pipe to EOF and reaps it.  A
-    child still running when this function leaves is killed and reaped.
+    With n = min(workers, len(tasks), the CPUs this process may run on),
+    share i is every n-th task from task i.  This process forks one child
+    for each of shares 1..n-1, analyzes share 0 itself, then reads each
+    child's pipe to EOF and reaps it.  A child still running when this
+    function leaves is killed and reaped.
     """
-    n = min(workers, len(tasks))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    n = min(workers, len(tasks), cpus)
     pipes: Dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
         for share in range(1, n):

@@ -3,6 +3,7 @@
 import ast
 import csv
 import errno
+import gc
 import gzip
 import hashlib
 import json
@@ -899,6 +900,48 @@ class TestStartup:
             "      'generate_synthetic' in vars(cli), 'write_packet_csv' in vars(cli))\n"
         )
         assert fresh_python(probe) == "0 [] True True"
+
+    def run_module(self, *args):
+        """``python -m pktstats.cli`` with ``args``, importing this checkout."""
+        env = dict(os.environ, PYTHONPATH=str(Path(pktstats.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "pktstats.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_a_frozen_exit_still_delivers_output_and_report(self, tmp_path):
+        # The CLI freezes the collector at exit; buffered output and every
+        # report file must still be there.
+        spec = GeneratorSpec(n_isolated_pairs=30, supernode_leaf_count=8, seed=5)
+        stream = write_stream(tmp_path, spec, 200)
+        out = tmp_path / "report"
+        result = self.run_module(
+            "analyze", "--input", stream, "--nv", "50", "--out", str(out),
+            "--alpha-grid", "1.0:2.0:0.5",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == f"report written to {out}"
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["files"]
+        assert all((out / name).is_file() for name in manifest["files"])
+
+    def test_a_frozen_exit_still_delivers_an_error_line(self, tmp_path):
+        stream = tmp_path / "bad.csv"
+        stream.write_text("1,10.0.0.1,10.0.0.2,TCP,4\nbad\n")
+        result = self.run_module(
+            "analyze", "--input", str(stream), "--out", str(tmp_path / "report")
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: malformed input: line 2: expected 5 fields, got 1\n"
+        )
+
+    def test_main_in_process_leaves_the_collector_unfrozen(self, tmp_path):
+        spec = write_spec(tmp_path, "n_isolated_pairs = 5\n")
+        argv = ["generate", "--spec", spec, "--packets", "10",
+                "--out", str(tmp_path / "pkts.csv")]
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == 0
 
     def test_cli_sets_one_blas_thread_unless_the_user_chose(self):
         probe = "import os, pktstats.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"

@@ -2,6 +2,7 @@
 
 import gzip
 import ipaddress
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -361,6 +362,27 @@ class TestReadPacketKeys:
         with pytest.raises(PacketParseError, match="line 9: invalid src address"):
             list(ingest.read_packet_keys(path))
         assert parsed == [6, 7, 8, 9]
+
+    def test_peak_memory_does_not_grow_with_the_stream(self, tmp_path):
+        # A chunk's per-line arrays come to about 15 times its bytes; all of
+        # them are freed before the next chunk is read.
+        rows = b"".join(
+            b"%d,10.%d.%d.1,192.168.%d.%d,%s,4\n"
+            % (i, i % 250, i % 7, i % 199, i % 97, (b"TCP", b"UDP")[i % 3 == 0])
+            for i in range(20000)
+        )
+        peaks = {}
+        for chunks in (10, 40):
+            path = tmp_path / f"{chunks}.csv"
+            path.write_bytes(rows * (chunks * ingest.CHUNK_BYTES // len(rows) + 1))
+            tracemalloc.start()
+            try:
+                for batch in ingest.read_packet_keys(path):
+                    del batch
+                peaks[chunks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40] <= 1.1 * peaks[10]
 
 
 class TestWindows:

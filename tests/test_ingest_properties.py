@@ -13,6 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import byte_scan  # noqa: E402
 from pktstats import read_packet_csv  # noqa: E402
 from pktstats.ingest import (  # noqa: E402
     CANONICAL_FIELDS,
@@ -429,6 +430,85 @@ def test_chunked_reader_matches_read_packet_csv(data, chunk_size):
         # Chunks of a few bytes split lines, CRLF pairs and octets.
         for size in (1, 2, 3, 7, chunk_size, CHUNK_BYTES):
             assert _by_chunks(path, size) == expected
+
+
+def _scans(data):
+    """The word scan and the byte-at-a-time scan of ``data``, lines that end
+    with LF or CRLF, laid out as the chunk reader lays out a chunk."""
+    buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
+    ends = np.flatnonzero(buf[: len(data)] == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    stops = ends - (buf[ends - 1] == ord("\r"))
+    return _scan_canonical(buf, starts, stops), byte_scan.scan_canonical(
+        buf, starts, stops
+    )
+
+
+def _assert_scans_agree(data):
+    """Both scans give the same verdicts, and the same keys wherever the
+    line is canonical; returns the word scan."""
+    (canonical, tcp_v4, src, dst), expected = _scans(data)
+    assert canonical.tolist() == expected[0].tolist()
+    assert tcp_v4.tolist() == expected[1].tolist()
+    assert src.dtype == dst.dtype == np.uint32
+    assert src[canonical].tolist() == expected[2][canonical].tolist()
+    assert dst[canonical].tolist() == expected[3][canonical].tolist()
+    return canonical, tcp_v4, src, dst
+
+
+def _with_byte(line, at, byte, insert):
+    """``line`` as UTF-8 with ``byte`` put in at ``at`` (modulo its length),
+    in place of the byte there unless ``insert``."""
+    data = line.encode("utf-8")
+    at %= len(data) + 1
+    return data[:at] + bytes([byte]) + data[at + (not insert) :]
+
+
+CHUNK_LINES = st.one_of(
+    LINES.map(lambda line: line.encode("utf-8")),
+    st.builds(
+        _with_byte,
+        ROWS,
+        st.integers(0, 60),
+        st.one_of(
+            st.integers(ord("0"), ord("9")),
+            st.integers(0, 255).filter(lambda byte: byte not in b"\r\n"),
+        ),
+        st.booleans(),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.tuples(CHUNK_LINES, st.sampled_from([b"\n", b"\r\n"])),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_word_scan_matches_the_byte_scan(lines):
+    _assert_scans_agree(b"".join(line + end for line, end in lines))
+
+
+# The longest canonical row: a 19-digit timestamp, two 15-character quads
+# and the longest protocol name.
+LONGEST_ROW = "9" * MAX_TIMESTAMP_DIGITS + ",255.255.255.255,199.199.199.199,OTHER,4"
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize(
+    "row", [LONGEST_ROW, LONGEST_ROW.replace("OTHER", "TCP")], ids=["OTHER", "TCP"]
+)
+def test_word_scan_of_a_last_row_before_the_padding(row, end):
+    # Every word read of the last row starts inside the chunk; the tail read
+    # of a short protocol name reaches into the padding.
+    data = b"1,10.0.0.1,10.0.0.2,UDP,4\n" + row.encode() + end
+    canonical, tcp_v4, src, dst = _assert_scans_agree(data)
+    assert canonical.tolist() == [True, True]
+    assert tcp_v4.tolist() == [False, row.endswith("TCP,4")]
+    _, src_text, dst_text, _, _ = row.split(",")
+    assert (int(src[1]), int(dst[1])) == (quad_key(src_text), quad_key(dst_text))
 
 
 NEAR_MISSES = [

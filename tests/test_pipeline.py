@@ -530,10 +530,49 @@ class TestForkedWorkers:
             return pid
 
         monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        )
         report = run_analyze(self.config(tmp_path, workers=8))
         assert len(forks) == 3
         assert report.manifest["window_counts"] == {"75": 4}
         assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, children",
+        [({0}, 64, 0), ({0, 1, 2}, 1, 2), (None, 4, 3), (None, None, 0)],
+        ids=["one CPU", "three CPUs", "no affinity, four CPUs", "no CPU count"],
+    )
+    def test_children_are_bounded_by_the_usable_cpus(
+        self, monkeypatch, affinity, cpu_count, children
+    ):
+        # No process starts: a fork returns a made-up pid above any pid
+        # Linux hands out, and each one is reaped as killed by signal 9.
+        forked, killed = [], []
+
+        def fork():
+            forked.append((1 << 22) + len(forked))
+            return forked[-1]
+
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: affinity, raising=False
+            )
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "waitpid", lambda pid, options: (pid, signal.SIGKILL))
+        monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid))
+        tasks = list(range(10))
+        if children:
+            with pytest.raises(WindowWorkerError, match="killed by signal 9$"):
+                pipeline._forked_map(str, tasks, 1000)
+        else:
+            assert pipeline._forked_map(str, tasks, 1000) == list(map(str, tasks))
+        assert len(forked) == children
+        # The first child is reaped; the others are killed when the error leaves.
+        assert killed == forked[1:]
 
     def test_killed_worker_raises_a_worker_error(self, tmp_path, monkeypatch):
         analyze = pipeline.analyze_window
