@@ -7,7 +7,8 @@ categories.  The CLI entry points are ``pktstats generate`` and
 ``pktstats analyze``.
 
 The names below load their module on first use, so ``import pktstats``
-imports no numpy until one of them is needed.
+imports no numpy until one of them is needed.  That also lets the
+``pktstats`` console script run ``pktstats.cli`` as ``python -m`` does.
 """
 
 import importlib
@@ -46,3 +47,11 @@ def __getattr__(name):
     globals()[name] = value
     return value
 
+
+def _console_script():
+    """The ``pktstats`` program of ``[project.scripts]``: ``pktstats.cli``
+    run as ``python -m pktstats.cli`` runs it, so the collector is off
+    before numpy is imported."""
+    import runpy
+
+    runpy.run_module("pktstats.cli", run_name="__main__", alter_sys=True)

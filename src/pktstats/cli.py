@@ -8,13 +8,23 @@ died without delivering its analyses.
 Both subcommands accept ``--config FILE`` holding flat ``key=value`` lines,
 in the grammar of spec files, that mirror the long flag names; explicit
 flags override file values.
+
+A program run (``python -m pktstats.cli`` or the ``pktstats`` console
+script) turns the cyclic collector off before numpy is imported, and ends
+with ``os._exit`` once its output is flushed.  ``main`` called in-process
+changes no collector state.
 """
 
 from __future__ import annotations
 
-import argparse
-import atexit
 import gc
+
+if __name__ == "__main__":
+    # A program run makes no garbage cycle per window or chunk, so the
+    # cyclic collector would only walk what the imports made, over and over.
+    gc.disable()
+
+import argparse
 import os
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
@@ -23,10 +33,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 # pool whose threads spin for about 0.1 CPU-s per process.  This runs before
 # the first import of numpy; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-# At exit the interpreter's last collections would walk every object the
-# imports made, to free nothing that exit does not free anyway: frozen,
-# those objects are skipped.
-atexit.register(gc.freeze)
 
 from .fileio import read_key_values
 from .generator import (
@@ -286,4 +292,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Flushed, the output is complete; the interpreter's teardown would only
+    # free what the process's exit frees.
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

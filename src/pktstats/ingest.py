@@ -9,8 +9,9 @@ window is a ``CodedPackets``: source and destination keys whose order is
 lexicographic address order, and the table of their addresses.
 ``parse_packet_line`` is the one parser of a CSV line.  ``read_packet_csv``
 runs it on every line; ``read_packet_keys`` reads a packet CSV as byte
-chunks, keys each dotted quad by a uint32 whose order is its text order,
-with no str per packet, skips rows of plain IPv6 text by one regular
+chunks, takes each chunk's line ends and separators from one pass over its
+non-digit bytes, keys each dotted quad by a uint32 whose order is its text
+order, with no str per packet, skips rows of plain IPv6 text by one regular
 expression, and runs it only on the other lines.
 """
 
@@ -359,8 +360,34 @@ def _tail_codes(buf: np.ndarray, at: np.ndarray, stops: np.ndarray) -> np.ndarra
     return tails & _MASKS[np.minimum(width, 8)] | width << np.uint64(56)
 
 
-def _scan_canonical(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """(canonical, tcp_v4, src key, dst key) of each line ``buf[start:stop]``.
+def _line_table(buf: np.ndarray):
+    """(seps, ends, stops, lone_cr) of the lines of a chunk ``buf``, whose
+    text ends with LF and then ``_PADDING``.
+
+    Row i of ``seps`` holds the offsets of the first nine non-digit bytes
+    at or after line i's start.  LF and CR are non-digits, so one pass over
+    the text gives the rest: the line ends are its LF bytes, a line's first
+    non-digit follows the previous line's LF, a line stops before its CRLF
+    or LF end, and ``lone_cr`` says whether some CR is followed by no LF.
+    """
+    body = buf[: -len(_PADDING)]
+    nondigits = np.flatnonzero(body - np.uint8(ord("0")) > 9)
+    marks = np.take(body, nondigits)
+    lfs = np.flatnonzero(marks == _LF)
+    ends = np.take(nondigits, lfs)
+    crlf = np.take(buf, ends - 1) == _CR
+    lone_cr = np.count_nonzero(marks == _CR) > np.count_nonzero(crlf)
+    # Offsets clipped past the last line land on its LF.
+    first = np.concatenate(([0], lfs[:-1] + 1))
+    seps = np.take(nondigits, first[:, None] + np.arange(9), mode="clip")
+    return seps, ends, ends - crlf, lone_cr
+
+
+def _scan_canonical(
+    buf: np.ndarray, seps: np.ndarray, starts: np.ndarray, stops: np.ndarray
+):
+    """(canonical, tcp_v4, src key, dst key) of each line ``buf[start:stop]``
+    whose first nine non-digit bytes are at ``seps`` (see ``_line_table``).
 
     A canonical line is ``timestamp,quad,quad,protocol,4``: a timestamp of 1
     to MAX_TIMESTAMP_DIGITS ASCII digits, dotted quads whose octets are
@@ -369,12 +396,8 @@ def _scan_canonical(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     ``_PADDING``.  Keys of other lines are arbitrary.
     """
     # Up to the protocol, a canonical line's non-digit bytes are exactly the
-    # separators ``,...,...,``.  Indices clipped past the last line land on
-    # its LF, a non-digit, and fail the check.
-    body = buf[: -len(_PADDING)]
-    nondigits = np.flatnonzero(body - np.uint8(ord("0")) > 9)
-    first = np.searchsorted(nondigits, starts)
-    seps = np.take(nondigits, first[:, None] + np.arange(9), mode="clip")
+    # separators ``,...,...,``.  A line with fewer non-digits has its own LF
+    # among its nine, and fails the check.
     digits = seps[:, 0] - starts
     ok = (digits > 0) & (digits <= MAX_TIMESTAMP_DIGITS)
     ok &= np.take(buf, seps[:, :8]).view("<u8")[:, 0] == _SEPARATORS_CODE
@@ -412,16 +435,13 @@ def _chunk_batch(
     that line's error is returned beside it.
     """
     buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
-    ends = np.flatnonzero(buf[: len(data)] == _LF)
-    crlf = buf[ends - 1] == _CR
-    if data.count(b"\r") > np.count_nonzero(crlf):
+    seps, ends, stops, lone_cr = _line_table(buf)
+    if lone_cr:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
-        ends = np.flatnonzero(buf[: len(data)] == _LF)
-        crlf = np.zeros(len(ends), dtype=bool)
+        seps, ends, stops, _ = _line_table(buf)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    stops = ends - crlf
-    canonical, tcp_v4, src, dst = _scan_canonical(buf, starts, stops)
+    canonical, tcp_v4, src, dst = _scan_canonical(buf, seps, starts, stops)
     n = len(ends)
     error = None
     rest = np.flatnonzero(~canonical)

@@ -1,4 +1,10 @@
-"""A byte-at-a-time definition of the chunk reader's canonical-line scan.
+"""Reference definitions of the chunk reader's line table and canonical-line
+scan.
+
+``line_table`` takes a chunk's line ends from a pass of its own over the LF
+bytes, each line's first non-digit by ``searchsorted`` and the lone-CR
+test by ``bytes.count``.  ``pktstats.ingest._line_table`` takes all of it
+from the one non-digit pass, and is checked against this.
 
 ``scan_canonical`` gathers every byte it checks one at a time: the nine
 separators as a (lines, 9) array, three bytes per octet, and eight bytes
@@ -29,13 +35,23 @@ def tail_codes(buf, at, stops):
     return tails & _MASKS[np.minimum(width, 8)] | width << np.uint64(56)
 
 
-def scan_canonical(buf, starts, stops):
-    """(canonical, tcp_v4, src key, dst key) of each line ``buf[start:stop]``,
-    as ``_scan_canonical`` defines them."""
+def line_table(buf):
+    """(seps, ends, stops, lone_cr) of a chunk ``buf``, as ``_line_table``
+    defines them."""
     body = buf[: -len(_PADDING)]
     nondigits = np.flatnonzero(body - np.uint8(ord("0")) > 9)
+    ends = np.flatnonzero(body == ord("\n"))
+    crlf = buf[ends - 1] == ord("\r")
+    starts = np.concatenate(([0], ends[:-1] + 1))
     first = np.searchsorted(nondigits, starts)
     seps = np.take(nondigits, first[:, None] + np.arange(9), mode="clip")
+    lone_cr = body.tobytes().count(b"\r") > np.count_nonzero(crlf)
+    return seps, ends, ends - crlf, lone_cr
+
+
+def scan_canonical(buf, seps, starts, stops):
+    """(canonical, tcp_v4, src key, dst key) of each line ``buf[start:stop]``,
+    as ``_scan_canonical`` defines them."""
     digits = seps[:, 0] - starts
     ok = (buf[seps] == SEPARATORS).all(axis=1) & (digits > 0)
     ok &= digits <= MAX_TIMESTAMP_DIGITS

@@ -1,10 +1,21 @@
 """Shared fixtures and helpers for the test suite."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from pktstats import TrafficMatrix
 from pktstats.ingest import CodedPackets, next_window
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Every test ends with the cyclic collector enabled and nothing frozen:
+    only a program run of the CLI turns it off, never a call in-process."""
+    yield
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
 
 # A small star plus a satellite source: s1 fans out to three destinations
 # (twice to d1), while s2 sends a single packet into d1.

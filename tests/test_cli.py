@@ -3,11 +3,11 @@
 import ast
 import csv
 import errno
-import gc
 import gzip
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -872,6 +872,22 @@ class TestAnalyze:
         assert code == 1
 
 
+def _console_script() -> str:
+    """The call that the ``pktstats`` console script makes: the wrapper that
+    pip installs for the entry point in ``[project.scripts]``."""
+    text = (Path(pktstats.__file__).parents[2] / "pyproject.toml").read_text()
+    module, name = re.search(r'^pktstats = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return f"import sys\nfrom {module} import {name}\nsys.exit({name}())\n"
+
+
+# The interpreter arguments of a program run: ``python -m pktstats.cli``, or
+# the console script's wrapper.
+PROGRAMS = {
+    "module": ["-m", "pktstats.cli"],
+    "console_script": ["-c", _console_script()],
+}
+
+
 class TestStartup:
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
@@ -901,22 +917,29 @@ class TestStartup:
         )
         assert fresh_python(probe) == "0 [] True True"
 
-    def run_module(self, *args):
-        """``python -m pktstats.cli`` with ``args``, importing this checkout."""
-        env = dict(os.environ, PYTHONPATH=str(Path(pktstats.__file__).parents[1]))
+    def run_program(self, launcher, *args, site_dir=None):
+        """``pktstats`` with ``args``, run as a program by ``launcher``
+        (``PROGRAMS``) with its output buffered, importing this checkout and
+        the ``sitecustomize`` module in ``site_dir``, if given."""
+        paths = [str(Path(pktstats.__file__).parents[1])]
+        if site_dir is not None:
+            paths.insert(0, str(site_dir))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        env.pop("PYTHONUNBUFFERED", None)
         return subprocess.run(
-            [sys.executable, "-m", "pktstats.cli", *args],
+            [sys.executable, *PROGRAMS[launcher], *map(str, args)],
             capture_output=True, text=True, env=env, timeout=120,
         )
 
-    def test_a_frozen_exit_still_delivers_output_and_report(self, tmp_path):
-        # The CLI freezes the collector at exit; buffered output and every
-        # report file must still be there.
+    @pytest.mark.parametrize("launcher", PROGRAMS)
+    def test_a_program_run_delivers_output_and_report(self, tmp_path, launcher):
+        # A program run ends with os._exit after a flush; buffered output
+        # and every report file must still be there.
         spec = GeneratorSpec(n_isolated_pairs=30, supernode_leaf_count=8, seed=5)
         stream = write_stream(tmp_path, spec, 200)
         out = tmp_path / "report"
-        result = self.run_module(
-            "analyze", "--input", stream, "--nv", "50", "--out", str(out),
+        result = self.run_program(
+            launcher, "analyze", "--input", stream, "--nv", "50", "--out", out,
             "--alpha-grid", "1.0:2.0:0.5",
         )
         assert result.returncode == 0, result.stderr
@@ -925,23 +948,44 @@ class TestStartup:
         assert manifest["files"]
         assert all((out / name).is_file() for name in manifest["files"])
 
-    def test_a_frozen_exit_still_delivers_an_error_line(self, tmp_path):
+    @pytest.mark.parametrize("launcher", PROGRAMS)
+    def test_a_program_run_delivers_an_error_line(self, tmp_path, launcher):
         stream = tmp_path / "bad.csv"
         stream.write_text("1,10.0.0.1,10.0.0.2,TCP,4\nbad\n")
-        result = self.run_module(
-            "analyze", "--input", str(stream), "--out", str(tmp_path / "report")
+        result = self.run_program(
+            launcher, "analyze", "--input", stream, "--out", tmp_path / "report"
         )
         assert result.returncode == 2
         assert result.stderr == (
             "error: malformed input: line 2: expected 5 fields, got 1\n"
         )
 
-    def test_main_in_process_leaves_the_collector_unfrozen(self, tmp_path):
-        spec = write_spec(tmp_path, "n_isolated_pairs = 5\n")
-        argv = ["generate", "--spec", spec, "--packets", "10",
-                "--out", str(tmp_path / "pkts.csv")]
-        assert main(argv) == 0
-        assert gc.get_freeze_count() == 0
+    @pytest.mark.parametrize("launcher", PROGRAMS)
+    @pytest.mark.parametrize("command", ["generate", "analyze"])
+    def test_a_program_run_has_no_collection_after_numpy_and_no_teardown(
+        self, tmp_path, launcher, command
+    ):
+        spec = write_spec(tmp_path, "n_isolated_pairs = 20\nsupernode_leaf_count = 8\n")
+        stream = tmp_path / "pkts.csv"
+        argv = {
+            "generate": ["--spec", spec, "--packets", 300, "--out", stream],
+            "analyze": ["--input", stream, "--nv", 100, "--out", tmp_path / "report"],
+        }
+        if command == "analyze":
+            assert main(["generate", *map(str, argv["generate"])]) == 0
+        # Each collection that starts after numpy's import writes a line,
+        # and so does the interpreter's teardown.
+        site_dir = tmp_path / "site"
+        site_dir.mkdir()
+        (site_dir / "sitecustomize.py").write_text(
+            "import atexit, gc, os, sys\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start'\n"
+            "    and 'numpy' in sys.modules and os.write(2, b'collection\\n'))\n"
+            "atexit.register(os.write, 2, b'teardown\\n')\n"
+        )
+        result = self.run_program(launcher, command, *argv[command], site_dir=site_dir)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
 
     def test_cli_sets_one_blas_thread_unless_the_user_chose(self):
         probe = "import os, pktstats.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"

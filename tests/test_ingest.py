@@ -364,8 +364,9 @@ class TestReadPacketKeys:
         assert parsed == [6, 7, 8, 9]
 
     def test_peak_memory_does_not_grow_with_the_stream(self, tmp_path):
-        # A chunk's per-line arrays come to about 15 times its bytes; all of
-        # them are freed before the next chunk is read.
+        # A chunk's per-line arrays come to about 12.3 times its bytes (15.6
+        # while line ends took a pass of their own); all of them are freed
+        # before the next chunk is read.
         rows = b"".join(
             b"%d,10.%d.%d.1,192.168.%d.%d,%s,4\n"
             % (i, i % 250, i % 7, i % 199, i % 97, (b"TCP", b"UDP")[i % 3 == 0])
@@ -383,6 +384,7 @@ class TestReadPacketKeys:
             finally:
                 tracemalloc.stop()
         assert peaks[40] <= 1.1 * peaks[10]
+        assert peaks[10] <= 15.6 * ingest.CHUNK_BYTES
 
 
 class TestWindows:

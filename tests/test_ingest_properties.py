@@ -25,6 +25,7 @@ from pktstats.ingest import (  # noqa: E402
     _PADDING,
     _PLAIN_V6,
     _is_address,
+    _line_table,
     _scan_canonical,
     is_valid_packet,
     parse_packet_line,
@@ -372,9 +373,8 @@ def test_every_valid_line_of_two_dotted_quads_is_canonical(line):
     assert _DOTTED_QUAD.fullmatch(record.src) and _DOTTED_QUAD.fullmatch(record.dst)
     data = line.encode("utf-8")
     buf = np.frombuffer(data + b"\n" + _PADDING, dtype=np.uint8)
-    canonical, tcp_v4, src, dst = _scan_canonical(
-        buf, np.array([0]), np.array([len(data)])
-    )
+    seps, _, stops, _ = _line_table(buf)
+    canonical, tcp_v4, src, dst = _scan_canonical(buf, seps, np.array([0]), stops)
     assert canonical[0] and tcp_v4[0]
     assert (int(src[0]), int(dst[0])) == (quad_key(record.src), quad_key(record.dst))
 
@@ -436,12 +436,9 @@ def _scans(data):
     """The word scan and the byte-at-a-time scan of ``data``, lines that end
     with LF or CRLF, laid out as the chunk reader lays out a chunk."""
     buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
-    ends = np.flatnonzero(buf[: len(data)] == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    stops = ends - (buf[ends - 1] == ord("\r"))
-    return _scan_canonical(buf, starts, stops), byte_scan.scan_canonical(
-        buf, starts, stops
-    )
+    seps, ends, stops, _ = byte_scan.line_table(buf)
+    table = seps, np.concatenate(([0], ends[:-1] + 1)), stops
+    return _scan_canonical(buf, *table), byte_scan.scan_canonical(buf, *table)
 
 
 def _assert_scans_agree(data):
@@ -489,6 +486,31 @@ CHUNK_LINES = st.one_of(
 )
 def test_word_scan_matches_the_byte_scan(lines):
     _assert_scans_agree(b"".join(line + end for line, end in lines))
+
+
+TABLE_LINES = st.one_of(
+    CHUNK_LINES, st.just(b""), st.text("0123456789", min_size=1).map(str.encode)
+)
+LINE_ENDS = [b"\n", b"\r\n"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.tuples(TABLE_LINES, st.sampled_from(LINE_ENDS + [b"\r"])), max_size=20),
+    TABLE_LINES,
+    st.sampled_from(LINE_ENDS),
+)
+def test_one_pass_line_table_matches_the_lf_pass(lines, last, end):
+    # Chunks end with LF; any other line may end with a lone CR, and lines
+    # may be empty or digits only.
+    data = b"".join(line + end for line, end in lines) + last + end
+    buf = np.frombuffer(data + _PADDING, dtype=np.uint8)
+    seps, ends, stops, lone_cr = _line_table(buf)
+    expected = byte_scan.line_table(buf)
+    assert seps.tolist() == expected[0].tolist()
+    assert ends.tolist() == expected[1].tolist()
+    assert stops.tolist() == expected[2].tolist()
+    assert lone_cr == expected[3] == (b"\r" in data.replace(b"\r\n", b""))
 
 
 # The longest canonical row: a 19-digit timestamp, two 15-character quads

@@ -1,5 +1,6 @@
 """End-to-end analysis runs: windowing, reports, determinism, failure paths."""
 
+import gc
 import gzip
 import json
 import os
@@ -479,6 +480,54 @@ class TestWorkerDeterminism:
                 if p.is_file() and p.name != "timings.json"
             }
         assert reports[1] == reports[3]
+
+
+def garbage_after(run) -> int:
+    """The objects that ``gc.collect()`` frees after ``run()`` ran with the
+    cyclic collector off: what the garbage cycles that it made held."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestWithoutTheCollector:
+    """A program run of the CLI turns the cyclic collector off.  That is safe
+    because no garbage cycle is made per window or per chunk: a stream four
+    times as long leaves the same garbage."""
+
+    def test_no_cycle_per_window(self, tmp_path):
+        spec = GeneratorSpec(n_isolated_pairs=30, supernode_leaf_count=8, seed=5)
+        garbage = {}
+        # The first run fills the caches that every run shares.
+        for windows in (10, 10, 40):
+            path, _ = write_stream(tmp_path, spec, windows * 50, f"{windows}.csv")
+            cfg = RunConfig(
+                inputs=(str(path),),
+                out_dir=str(tmp_path / f"report{windows}"),
+                window_sizes=(50,),
+                grid=SMALL_GRID,
+                force=True,
+            )
+            garbage[windows] = garbage_after(lambda: run_analyze(cfg))
+        assert garbage[40] == garbage[10] < 1000
+
+    def test_no_cycle_per_chunk(self, tmp_path):
+        # A canonical row, a plain IPv6 row, and one for parse_packet_line.
+        rows = (
+            b"1,10.0.0.1,10.0.0.2,TCP,4\r\n2,fd00::1,fd00::2,UDP,6\n"
+            b"3,::ffff:10.0.0.1,fd00::2,UDP,6\n"
+        )
+        garbage = {}
+        for chunks in (10, 10, 40):
+            path = tmp_path / f"{chunks}.csv"
+            path.write_bytes(rows * chunks)
+            batches = read_packet_keys(path, _chunk_size=len(rows))
+            garbage[chunks] = garbage_after(lambda: list(batches))
+        assert garbage[40] == garbage[10] < 1000
 
 
 def assert_no_child_left():
