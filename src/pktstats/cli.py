@@ -20,14 +20,16 @@ from __future__ import annotations
 import gc
 
 if __name__ == "__main__":
-    # A program run makes no garbage cycle per window or chunk, so the
-    # cyclic collector would only walk what the imports made, over and over.
+    # A program run makes no garbage cycle per window or chunk: the only
+    # cycles it leaves are the JSON encoder's, a few dozen objects per report
+    # JSON file.  The cyclic collector would only walk what the imports
+    # made, over and over.
     gc.disable()
 
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 # pktstats makes no BLAS call, yet importing numpy starts an OpenBLAS thread
 # pool whose threads spin for about 0.1 CPU-s per process.  This runs before
@@ -108,12 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def read_config_file(path, allowed: Set[str]) -> Dict[str, str]:
-    """The ``key=value`` lines of a ``--config`` file, whose keys must be in
-    ``allowed`` (``fileio.read_key_values``)."""
-    return read_key_values(path, allowed, CliUsageError)
-
-
 def _options(args, required: Sequence[str]) -> Dict:
     """Each option of a subcommand: its flag's value, else the value of its
     key in the ``--config`` file, else None.  The keys are the dests of the
@@ -121,7 +117,9 @@ def _options(args, required: Sequence[str]) -> Dict:
     be set."""
     flags = {key: value for key, value in vars(args).items()
              if key not in ("command", "config")}
-    config = read_config_file(args.config, set(flags)) if args.config else {}
+    config = {}
+    if args.config:
+        config = read_key_values(args.config, set(flags), CliUsageError)
     options = {key: config.get(key) if value is None else value
                for key, value in flags.items()}
     for key in required:

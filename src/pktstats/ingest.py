@@ -21,7 +21,7 @@ import gzip
 import ipaddress
 import re
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,7 +71,7 @@ class IngestSummary:
 
 @dataclass(frozen=True, eq=False)
 class CodedPackets:
-    """One window of valid packets (``index`` counts windows from 0).
+    """One window of valid packets.
 
     Packet i goes from ``names[src[i]]`` to ``names[dst[i]]``: the keys are
     integers below 2**32 whose order is address order.
@@ -80,7 +80,6 @@ class CodedPackets:
     src: np.ndarray
     dst: np.ndarray
     names: Any
-    index: int = 0
 
     @property
     def n_valid(self) -> int:
@@ -341,7 +340,7 @@ class KeyBatch:
     def window(self, index: int, size: int) -> CodedPackets:
         """The index-th run of ``size`` packets: views of the batch's keys."""
         run = slice(index * size, (index + 1) * size)
-        return CodedPackets(self.src[run], self.dst[run], QUAD_TEXTS, index)
+        return CodedPackets(self.src[run], self.dst[run], QUAD_TEXTS)
 
 
 def _words(buf: np.ndarray, dtype: str) -> np.ndarray:
@@ -505,7 +504,6 @@ def next_window(
     stream: Iterable,
     n_valid: int,
     *,
-    index: int = 0,
     summary: Optional[IngestSummary] = None,
 ) -> Optional[CodedPackets]:
     """Consume the stream until one complete window is filled.
@@ -534,7 +532,7 @@ def next_window(
             summary.total_skipped += read - len(srcs)
     if len(srcs) < n_valid:
         return None
-    return replace(intern_addresses(srcs, dsts), index=index)
+    return intern_addresses(srcs, dsts)
 
 
 def iter_windows(
@@ -544,10 +542,8 @@ def iter_windows(
 ) -> Iterator[CodedPackets]:
     """Yield every complete window of the stream in order."""
     it = iter(stream)
-    index = 0
     while True:
-        window = next_window(it, n_valid, index=index, summary=summary)
+        window = next_window(it, n_valid, summary=summary)
         if window is None:
             return
         yield window
-        index += 1

@@ -13,7 +13,6 @@ that the pools match them bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,8 +33,6 @@ class QuantityKind(Enum):
 
 
 ALL_KINDS: Tuple[QuantityKind, ...] = tuple(QuantityKind)
-
-POOLED_CSV_HEADER = ("kind", "bin_edge", "mean", "sigma", "n_windows")
 
 
 # The per-node matrix array behind each per-node quantity, whose nonzero
@@ -161,15 +158,3 @@ def pool_quantity(
     degrees, counts = np.unique(values, return_counts=True)
     cums = np.cumsum(counts / len(values))
     return _pool_cumulative(degrees, cums, kind.value)
-
-
-def write_pooled_csv(path, pooled: PooledDistribution) -> int:
-    """Write one pooled distribution; returns the data row count."""
-    if pooled.kind is None:
-        raise ValueError("pooled distribution must carry a quantity kind")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(POOLED_CSV_HEADER)
-        for edge, mean, sigma in zip(pooled.bin_edges, pooled.values, pooled.sigmas):
-            writer.writerow([pooled.kind, edge, repr(mean), repr(sigma), pooled.n_windows])
-    return len(pooled.bin_edges)

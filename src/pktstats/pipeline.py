@@ -5,7 +5,8 @@ fixed-size windows, each a view of the stream's keys, analyzes each
 window (matrix build, per-quantity pooled distributions, topology
 decomposition), averages pooled distributions across windows, fits the
 degree model to each averaged distribution, and writes a report directory
-of CSV/JSON files plus a manifest.
+of CSV/JSON files plus a manifest.  Every report file's layout (header,
+line ends, float text) is set here; the analysis modules only compute.
 
 Reports are deterministic: files depend only on the input data and the
 configuration, never on worker count, timing, or output location.  Wall-time
@@ -15,6 +16,7 @@ contract.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import pickle
@@ -22,6 +24,7 @@ import shutil
 import signal
 import time
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
@@ -36,13 +39,13 @@ from .netstats import (
     QuantityKind,
     pool_quantity,
     window_mean_std,
-    write_pooled_csv,
 )
 from .topology import (
+    CATEGORY_ORDER,
     DEFAULT_SUPERNODE_COUNT,
+    CategoryStats,
     TopologyBreakdown,
     topology_breakdown,
-    write_topology_csv,
 )
 from .zm import AlphaGrid, DEFAULT_GRID, InferenceError, infer_parameters
 
@@ -56,6 +59,20 @@ DEFAULT_WINDOW_SIZES = (
     10**8,
 )
 
+POOLED_CSV_HEADER = ("kind", "bin_edge", "mean", "sigma", "n_windows")
+
+TOPOLOGY_CSV_HEADER = (
+    "category",
+    "sources",
+    "packets",
+    "links",
+    "destinations",
+    "frac_sources",
+    "frac_packets",
+    "frac_links",
+    "frac_destinations",
+)
+
 
 class PipelineConfigError(ValueError):
     """Invalid run configuration (bad sizes, refused output directory, ...)."""
@@ -63,14 +80,6 @@ class PipelineConfigError(ValueError):
 
 class WindowWorkerError(RuntimeError):
     """A forked window worker ended without delivering its analyses."""
-
-
-class EmptyRunError(PipelineConfigError):
-    """No requested window size yields a single complete window."""
-
-    def __init__(self, message: str, summary: IngestSummary):
-        super().__init__(message)
-        self.summary = summary
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,6 @@ class RunConfig:
 class WindowAnalysis:
     """Everything computed from one window."""
 
-    index: int
     pooled: Dict[str, PooledDistribution]
     topology: TopologyBreakdown
 
@@ -149,7 +157,7 @@ def analyze_window(
     matrix = TrafficMatrix.from_window(window)
     pooled = {kind.value: pool_quantity(matrix, kind) for kind in quantities}
     breakdown = topology_breakdown(matrix, supernode_k, strict_core=strict_core)
-    return WindowAnalysis(index=window.index, pooled=pooled, topology=breakdown)
+    return WindowAnalysis(pooled=pooled, topology=breakdown)
 
 
 def load_valid_records(inputs: Sequence[str]) -> Tuple[KeyBatch, IngestSummary]:
@@ -340,11 +348,10 @@ def _write_report(cfg: RunConfig, out_dir: Path) -> RunReport:
 
     sizes = _effective_sizes(cfg.window_sizes, len(stream))
     if not sizes:
-        raise EmptyRunError(
+        raise PipelineConfigError(
             "no window size admits a complete window "
             f"(valid={summary.total_valid}, read={summary.total_read}, "
-            f"skipped={summary.total_skipped})",
-            summary,
+            f"skipped={summary.total_skipped})"
         )
 
     analyses = _analyze_all_windows(stream, sizes, cfg)
@@ -378,8 +385,8 @@ def _write_report(cfg: RunConfig, out_dir: Path) -> RunReport:
             write_fit_json(fit_path, record)
             files[_rel(fit_path, out_dir)] = 1
             fits[size][kind.value] = record
-        for analysis in per_window:
-            topo_path = size_dir / f"window_{analysis.index:06d}.topology.csv"
+        for index, analysis in enumerate(per_window):
+            topo_path = size_dir / f"window_{index:06d}.topology.csv"
             files[_rel(topo_path, out_dir)] = write_topology_csv(
                 topo_path, analysis.topology
             )
@@ -420,6 +427,72 @@ def _write_report(cfg: RunConfig, out_dir: Path) -> RunReport:
         mean_pooled=mean_pooled,
         fits=fits,
     )
+
+
+@dataclass(frozen=True)
+class CategoryFractions:
+    """A category's share of each matrix total, each in [0, 1]."""
+
+    sources: float
+    packets: float
+    links: float
+    destinations: float
+
+    def __post_init__(self):
+        for name in ("sources", "packets", "links", "destinations"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"fraction {name} must be in [0, 1], got {value}")
+
+
+# The four fields, in column order, of a CategoryStats or a CategoryFractions.
+_CATEGORY_FIELDS = attrgetter("sources", "packets", "links", "destinations")
+
+
+def _fractions(stats: CategoryStats, totals: CategoryStats) -> CategoryFractions:
+    """Each count of ``stats`` over the total of the same name; 0 where that
+    total is 0."""
+    return CategoryFractions(
+        *(part / whole if whole else 0.0
+          for part, whole in zip(_CATEGORY_FIELDS(stats), _CATEGORY_FIELDS(totals)))
+    )
+
+
+def _write_csv(path, header: Sequence[str], rows: List[tuple], line_end: str) -> int:
+    """Write ``header`` and then ``rows`` as CSV lines that end in
+    ``line_end``; returns the number of rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=line_end)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return len(rows)
+
+
+def write_pooled_csv(path, pooled: PooledDistribution) -> int:
+    """Write one pooled distribution, a row per bin with LF line ends;
+    returns the row count."""
+    if pooled.kind is None:
+        raise ValueError("pooled distribution must carry a quantity kind")
+    rows = [
+        (pooled.kind, edge, repr(mean), repr(sigma), pooled.n_windows)
+        for edge, mean, sigma in zip(pooled.bin_edges, pooled.values, pooled.sigmas)
+    ]
+    return _write_csv(path, POOLED_CSV_HEADER, rows, "\n")
+
+
+def write_topology_csv(path, breakdown: TopologyBreakdown) -> int:
+    """One row per category, then supernode-internal and residual accounting,
+    with CRLF line ends.  Returns the number of data rows written."""
+    named = [(name, breakdown.categories[name]) for name in CATEGORY_ORDER]
+    named.append(("supernode_internal", breakdown.supernode_internal))
+    residual = CategoryStats(0, breakdown.residual_packets, breakdown.residual_links, 0)
+    named.append(("residual", residual))
+    rows = [
+        (name, *_CATEGORY_FIELDS(stats),
+         *map(repr, _CATEGORY_FIELDS(_fractions(stats, breakdown.totals))))
+        for name, stats in named
+    ]
+    return _write_csv(path, TOPOLOGY_CSV_HEADER, rows, "\r\n")
 
 
 def write_fit_json(path: Path, record: Dict) -> None:

@@ -1,8 +1,8 @@
 """Traffic topology decomposition.
 
 Splits a traffic matrix into structural categories — isolated links,
-supernode leaves, supernodes, core, and core leaves — and reports each
-category's share of sources, packets, links, and destinations.  Supernodes
+supernode leaves, supernodes, core, and core leaves — and counts each
+category's sources, packets, links, and destinations.  Supernodes
 and categories are found on node ids; names enter only as the reported
 ``supernode_ids``.  Every matrix cell lands in at most one category or the
 supernode-internal class.  With the default core the per-category packet and
@@ -12,7 +12,6 @@ it drops as a non-negative residual.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
@@ -29,18 +28,6 @@ CATEGORY_ORDER = (
     "supernodes",
     "core",
     "core_leaves",
-)
-
-TOPOLOGY_CSV_HEADER = (
-    "category",
-    "sources",
-    "packets",
-    "links",
-    "destinations",
-    "frac_sources",
-    "frac_packets",
-    "frac_links",
-    "frac_destinations",
 )
 
 
@@ -71,31 +58,14 @@ ZERO_STATS = CategoryStats(sources=0, packets=0, links=0, destinations=0)
 
 @dataclass(frozen=True)
 class TopologyBreakdown:
-    """Full decomposition of one matrix plus per-category fractions."""
+    """Full decomposition of one matrix."""
 
     categories: Dict[str, CategoryStats]
     supernode_ids: Tuple[str, ...]
     supernode_internal: CategoryStats
     totals: CategoryStats
-    fractions: Dict[str, "CategoryFractions"]
     residual_packets: int
     residual_links: int
-
-
-@dataclass(frozen=True)
-class CategoryFractions:
-    """A category's share of each matrix total, each in [0, 1]."""
-
-    sources: float
-    packets: float
-    links: float
-    destinations: float
-
-    def __post_init__(self):
-        for name in ("sources", "packets", "links", "destinations"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"fraction {name} must be in [0, 1], got {value}")
 
 
 def _cell_stats(matrix: TrafficMatrix, cells: np.ndarray) -> CategoryStats:
@@ -171,23 +141,13 @@ def find_supernodes(
     return chosen
 
 
-def _fractions(stats: CategoryStats, totals: CategoryStats) -> CategoryFractions:
-    """Each count of ``stats`` over the total of the same name; 0 where that
-    total is 0."""
-    parts = (stats.sources, stats.packets, stats.links, stats.destinations)
-    wholes = (totals.sources, totals.packets, totals.links, totals.destinations)
-    return CategoryFractions(
-        *(part / whole if whole else 0.0 for part, whole in zip(parts, wholes))
-    )
-
-
 def topology_breakdown(
     matrix: TrafficMatrix,
     k: int = DEFAULT_SUPERNODE_COUNT,
     *,
     strict_core: bool = False,
 ) -> TopologyBreakdown:
-    """Full decomposition: all categories, fractions, and the tiling residual.
+    """Full decomposition: all categories, the totals and the tiling residual.
 
     Each cell's endpoint fans and supernode roles are read once, and each
     category is a boolean mask over the cells.  The masks are disjoint, so
@@ -238,37 +198,6 @@ def topology_breakdown(
         supernode_ids=tuple(matrix.node_names(supers)),
         supernode_internal=internal,
         totals=totals,
-        fractions={name: _fractions(c, totals) for name, c in categories.items()},
         residual_packets=totals.packets - tiled_packets,
         residual_links=totals.links - tiled_links,
     )
-
-
-def write_topology_csv(path, breakdown: TopologyBreakdown) -> int:
-    """One row per category, then supernode-internal and residual accounting.
-
-    Returns the number of data rows written.
-    """
-    rows = [(name, breakdown.categories[name]) for name in CATEGORY_ORDER]
-    rows.append(("supernode_internal", breakdown.supernode_internal))
-    residual = CategoryStats(0, breakdown.residual_packets, breakdown.residual_links, 0)
-    rows.append(("residual", residual))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TOPOLOGY_CSV_HEADER)
-        for name, stats in rows:
-            frac = _fractions(stats, breakdown.totals)
-            writer.writerow(
-                [
-                    name,
-                    stats.sources,
-                    stats.packets,
-                    stats.links,
-                    stats.destinations,
-                    repr(frac.sources),
-                    repr(frac.packets),
-                    repr(frac.links),
-                    repr(frac.destinations),
-                ]
-            )
-    return len(rows)

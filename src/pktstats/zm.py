@@ -288,7 +288,8 @@ def _lane_sums(memo: Dict, alpha: float, delta: float, need: str):
 
 
 def _newton_values(d1: float, alpha: float, delta: float, s: _Sums):
-    """f(delta) = d1 * (1 + delta)**alpha * S(delta) - 1 and its derivative."""
+    """f(delta) = d1 * (1 + delta)**alpha * S(delta) - 1 and its derivative;
+    elementwise when alpha, delta and the sums are arrays (the screen)."""
     scale = d1 * (1.0 + delta) ** alpha
     f = scale * s.s0 - 1.0
     grad = alpha * scale * (s.s0 / (1.0 + delta) - s.s1)
@@ -639,9 +640,7 @@ def _screen(data: PooledDistribution, alphas: np.ndarray) -> _Screen:
         alpha = alphas[rows]
         bins, s1 = _screen_sums(alpha, deltas, d_max)
         s0 = bins.sum(axis=1)
-        scale = d1 * (1.0 + deltas) ** alpha
-        f = scale * s0 - 1.0
-        grad = alpha * scale * (s0 / (1.0 + deltas) - s1)
+        f, grad = _newton_values(d1, alpha, deltas, _Sums(s0, s1, None))
         err = (1.0 + np.abs(f)) * (
             8.0 * rho[rows] + 2.0 * (es_total[rows] + 2.0 * ex0[rows]) / s0
         )

@@ -18,12 +18,8 @@ import pytest
 import pktstats
 from pktstats import GeneratorSpec, ZmParams, generate_synthetic, write_packet_csv
 from pktstats import pipeline
-from pktstats.cli import (
-    CliUsageError,
-    main,
-    parse_alpha_grid,
-    read_config_file,
-)
+from pktstats.cli import CliUsageError, main, parse_alpha_grid
+from pktstats.fileio import read_key_values
 
 from conftest import STRICT_CELLS, make_records
 from test_readme import library_session
@@ -80,13 +76,14 @@ class TestParsing:
         path = tmp_path / "run.cfg"
         path.write_text("# defaults\nnv = 100\nalpha-grid=1:2:0.5\n\n")
         allowed = {"nv", "alpha_grid", "force"}
-        assert read_config_file(path, allowed) == {"nv": "100", "alpha_grid": "1:2:0.5"}
+        config = read_key_values(path, allowed, CliUsageError)
+        assert config == {"nv": "100", "alpha_grid": "1:2:0.5"}
 
     def test_config_file_rejects_bare_words(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("force\n")
-        with pytest.raises(CliUsageError):
-            read_config_file(path, {"force"})
+        with pytest.raises(CliUsageError, match="run.cfg:1: expected key=value"):
+            read_key_values(path, {"force"}, CliUsageError)
 
 
 class TestGenerate:

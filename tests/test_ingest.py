@@ -395,7 +395,6 @@ class TestWindows:
     def test_exact_windows_and_discarded_tail(self):
         records = make_records([(f"s{i}", f"d{i % 2}") for i in range(7)])
         windows = list(iter_windows(records, 3))
-        assert [w.index for w in windows] == [0, 1]
         assert all(w.n_valid == 3 and len(w) == 3 for w in windows)
         # 7 = 2 full windows + 1 leftover record, which is dropped.
         assert window_pairs(windows[0]) == [(r[1], r[2]) for r in records[:3]]

@@ -7,13 +7,8 @@ import numpy as np
 import pytest
 
 from pktstats import ALL_KINDS, QuantityKind, pool_quantity
-from pktstats.netstats import (
-    POOLED_CSV_HEADER,
-    PooledDistribution,
-    bin_edges,
-    window_mean_std,
-    write_pooled_csv,
-)
+from pktstats.netstats import PooledDistribution, bin_edges, window_mean_std
+from pktstats.pipeline import POOLED_CSV_HEADER, write_pooled_csv
 
 import dense_oracle
 from conftest import matrix_of, random_cells

@@ -1,5 +1,6 @@
 """End-to-end analysis runs: windowing, reports, determinism, failure paths."""
 
+import ast
 import gc
 import gzip
 import json
@@ -29,13 +30,13 @@ from pktstats import (
 from pktstats import pipeline
 from pktstats.ingest import PacketParseError, next_window, read_packet_keys
 from pktstats.pipeline import (
-    EmptyRunError,
     PipelineConfigError,
     WindowWorkerError,
     _effective_sizes,
     load_valid_records,
+    write_topology_csv,
 )
-from pktstats.topology import CATEGORY_ORDER, CategoryStats, write_topology_csv
+from pktstats.topology import CATEGORY_ORDER, CategoryStats
 from pktstats.zm import AlphaGrid, InferenceError
 
 import dense_oracle
@@ -344,9 +345,11 @@ class TestRunAnalyze:
         cfg = RunConfig(
             inputs=(str(path),), out_dir=str(tmp_path / "out"), window_sizes=(10,)
         )
-        with pytest.raises(EmptyRunError) as excinfo:
+        with pytest.raises(PipelineConfigError) as excinfo:
             run_analyze(cfg)
-        assert excinfo.value.summary.total_valid == 6
+        assert str(excinfo.value) == (
+            "no window size admits a complete window (valid=6, read=6, skipped=0)"
+        )
 
     def test_degenerate_data_writes_error_payload(self, tmp_path):
         # Isolated-only traffic: every quantity is identically 1, so no model
@@ -497,23 +500,30 @@ def garbage_after(run) -> int:
 class TestWithoutTheCollector:
     """A program run of the CLI turns the cyclic collector off.  That is safe
     because no garbage cycle is made per window or per chunk: a stream four
-    times as long leaves the same garbage."""
+    times as long leaves the same garbage.  The only cycles a run leaves are
+    the JSON encoder's, the same for each report JSON file, so they grow by
+    one step per window size (its fit files) and not with the windows."""
 
     def test_no_cycle_per_window(self, tmp_path):
         spec = GeneratorSpec(n_isolated_pairs=30, supernode_leaf_count=8, seed=5)
+        sizes = (50, 25, 10)
         garbage = {}
-        # The first run fills the caches that every run shares.
+        # The first runs fill the caches that every run shares.
         for windows in (10, 10, 40):
             path, _ = write_stream(tmp_path, spec, windows * 50, f"{windows}.csv")
-            cfg = RunConfig(
-                inputs=(str(path),),
-                out_dir=str(tmp_path / f"report{windows}"),
-                window_sizes=(50,),
-                grid=SMALL_GRID,
-                force=True,
-            )
-            garbage[windows] = garbage_after(lambda: run_analyze(cfg))
-        assert garbage[40] == garbage[10] < 1000
+            for n_sizes in (1, 2, 3):
+                cfg = RunConfig(
+                    inputs=(str(path),),
+                    out_dir=str(tmp_path / f"report{windows}"),
+                    window_sizes=sizes[:n_sizes],
+                    grid=SMALL_GRID,
+                    force=True,
+                )
+                garbage[windows, n_sizes] = garbage_after(lambda: run_analyze(cfg))
+        for n_sizes in (1, 2, 3):
+            assert garbage[40, n_sizes] == garbage[10, n_sizes] < 1000
+        step = garbage[40, 2] - garbage[40, 1]
+        assert 0 < step == garbage[40, 3] - garbage[40, 2]
 
     def test_no_cycle_per_chunk(self, tmp_path):
         # A canonical row, a plain IPv6 row, and one for parse_packet_line.
@@ -528,6 +538,27 @@ class TestWithoutTheCollector:
             batches = read_packet_keys(path, _chunk_size=len(rows))
             garbage[chunks] = garbage_after(lambda: list(batches))
         assert garbage[40] == garbage[10] < 1000
+
+
+class TestReportLayout:
+    def test_only_the_pipeline_writes_files(self):
+        # The report's layout (file formats, headers, line ends) is decided
+        # in pipeline alone; the analysis modules compute and write nothing.
+        src = Path(pipeline.__file__).parent
+        for name in ("matrix.py", "netstats.py", "topology.py", "zm.py"):
+            tree = ast.parse((src / name).read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    modules = []
+                assert not {"csv", "json"} & {m.split(".")[0] for m in modules}, name
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = getattr(func, "id", None) or getattr(func, "attr", None)
+                    assert called != "open", f"{name} line {node.lineno} calls open"
 
 
 def assert_no_child_left():
@@ -553,15 +584,21 @@ class TestForkedWorkers:
     @pytest.mark.parametrize("bad_index", [1, 2], ids=["in a child", "in this process"])
     def test_window_errors_reach_the_caller(self, tmp_path, monkeypatch, bad_index):
         analyze = pipeline.analyze_window
+        cfg = self.config(tmp_path, workers=2)
+        stream, _ = load_valid_records(cfg.inputs)
+        keys = [(w.src.tobytes(), w.dst.tobytes())
+                for w in (stream.window(index, 75) for index in range(4))]
+        assert len(set(keys)) == 4  # the keys tell the windows apart
 
         def failing(window, *args, **kwargs):
-            if window.index == bad_index:
-                raise ArithmeticError(f"window {window.index} is bad")
+            index = keys.index((window.src.tobytes(), window.dst.tobytes()))
+            if index == bad_index:
+                raise ArithmeticError(f"window {index} is bad")
             return analyze(window, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "analyze_window", failing)
         with pytest.raises(ArithmeticError) as excinfo:
-            run_analyze(self.config(tmp_path, workers=2))
+            run_analyze(cfg)
         assert type(excinfo.value) is ArithmeticError
         assert str(excinfo.value) == f"window {bad_index} is bad"
         assert_no_child_left()
@@ -773,7 +810,7 @@ class TestCodedWindows:
                 assert np.array_equal(window.dst, stream.dst[run])
                 assert window_pairs(window) == [(r[1], r[2]) for r in window_records]
                 coded = analyze_window(window, supernode_k=k)
-                record_window = next_window(iter(window_records), size, index=index)
+                record_window = next_window(iter(window_records), size)
                 assert coded == analyze_window(record_window, supernode_k=k)
 
                 cells = Counter((r[1], r[2]) for r in window_records)

@@ -6,30 +6,46 @@ import numpy as np
 import pytest
 
 from pktstats import topology_breakdown
-from pktstats.topology import (
-    CATEGORY_ORDER,
-    TOPOLOGY_CSV_HEADER,
-    ZERO_STATS,
-    CategoryFractions,
-    CategoryStats,
-    find_supernodes,
-    write_topology_csv,
-)
+from pktstats.pipeline import TOPOLOGY_CSV_HEADER, CategoryFractions, write_topology_csv
+from pktstats.topology import CATEGORY_ORDER, ZERO_STATS, CategoryStats, find_supernodes
 
 import dense_oracle
 from conftest import STRICT_CELLS, matrix_of, random_cells
 
 
-def read_topology_csv(path):
-    """The category rows of a written topology CSV, residual row aside."""
+def csv_rows(path):
+    """The data rows of a written topology CSV, by their first column."""
     with open(path, encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
     assert tuple(header) == TOPOLOGY_CSV_HEADER
+    return {row[0]: row[1:] for row in rows}
+
+
+def read_topology_csv(path):
+    """The category rows of a written topology CSV, residual row aside."""
     return {
-        row[0]: CategoryStats(*map(int, row[1:5]))
-        for row in rows
-        if row[0] != "residual"
+        name: CategoryStats(*map(int, row[:4]))
+        for name, row in csv_rows(path).items()
+        if name != "residual"
     }
+
+
+def assert_written_fractions(path, breakdown):
+    """Each row's frac_* column is its count over the matrix total of the
+    same name (0.0 where that total is 0), in [0, 1]."""
+    totals = stats_tuple(breakdown.totals)
+    rows = csv_rows(path)
+    assert list(rows) == [*CATEGORY_ORDER, "supernode_internal", "residual"]
+    for name, row in rows.items():
+        counts = tuple(map(int, row[:4]))
+        fractions = tuple(map(float, row[4:]))
+        assert fractions == tuple(
+            count / total if total else 0.0 for count, total in zip(counts, totals)
+        ), name
+        assert all(0.0 <= f <= 1.0 for f in fractions), name
+    residual = rows["residual"][:4]
+    assert residual == ["0", str(breakdown.residual_packets),
+                        str(breakdown.residual_links), "0"]
 
 
 def supernode_names(matrix, k=5):
@@ -97,15 +113,22 @@ class TestStarBreakdown:
         assert b.supernode_internal == ZERO_STATS
         assert_tiling(star_matrix, b)
 
-    def test_fractions(self, star_matrix):
-        b = topology_breakdown(star_matrix)
-        snl = b.fractions["supernode_leaves"]
-        assert snl.destinations == pytest.approx(2 / 3)
-        assert snl.packets == pytest.approx(2 / 5)
-        assert snl.links == pytest.approx(0.5)
-        assert snl.sources == 0.0
-        assert b.fractions["supernodes"].sources == pytest.approx(0.5)
-        assert b.fractions["core_leaves"].sources == pytest.approx(0.5)
+    def test_fractions(self, tmp_path, star_matrix):
+        # The written shares: on the star, then on random matrices, with the
+        # default and the strict core.
+        path = tmp_path / "topo.csv"
+        write_topology_csv(path, topology_breakdown(star_matrix))
+        rows = csv_rows(path)
+        assert rows["supernode_leaves"][4:] == ["0.0", repr(2 / 5), "0.5", repr(2 / 3)]
+        assert rows["supernodes"][4] == rows["core_leaves"][4] == "0.5"
+        matrices = [star_matrix, matrix_of(STRICT_CELLS), matrix_of({})]
+        rng = np.random.Generator(np.random.Philox(key=5))
+        matrices += [matrix_of(random_cells(rng, 30, 100)) for _ in range(20)]
+        for matrix in matrices:
+            for strict in (False, True):
+                b = topology_breakdown(matrix, strict_core=strict)
+                write_topology_csv(path, b)
+                assert_written_fractions(path, b)
 
     def test_isolated_pair_joins_cleanly(self, star_matrix):
         cells = {("s1", "d1"): 2, ("s1", "d2"): 1, ("s1", "d3"): 1,
