@@ -6,9 +6,9 @@ degree-1 probability match a measured value, via bracketed Newton iteration
 with a bisection fallback.  Inference sweeps a fixed alpha grid: a screen
 decides whether each alpha trains and scores it from cheap short-head sums
 with a proven error bound, and only the alphas that can still win are
-trained exactly, in lock-step so each round's model sums come from one 2-D
-power.  Candidates are scored with a half-norm metric on log-pooled bins,
-keeping the best (ties to the smaller alpha).
+trained exactly, one at a time by train_delta.  Candidates are scored with
+a half-norm metric on log-pooled bins, keeping the best (ties to the
+smaller alpha).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -26,11 +26,6 @@ from .netstats import PooledDistribution, bin_edges
 # Ranges at most this long are summed term by term; longer ranges use an
 # integral tail approximation after an exact head of this many terms.
 EXACT_SUM_TERMS = 10**6
-
-# Elements per 2-D block of the batched model evaluator: a block holds
-# max(1, EVAL_BLOCK_ELEMENTS // d_max) rows, so memory does not grow with
-# the grid size.
-EVAL_BLOCK_ELEMENTS = 1 << 16
 
 # Per-bin |log data - log model| gaps below this are float noise and score as
 # an exact match; see half_norm_loss.
@@ -44,6 +39,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 TRAIN_DELTA_START = 1.0
 TRAIN_DELTA_BOUNDS = (0.0, 10.0)
+# Training evaluates (1 + delta)**alpha up to the upper delta bound, which
+# is past the largest float for any larger alpha.
+_ALPHA_TOP = math.log(sys.float_info.max) / math.log1p(TRAIN_DELTA_BOUNDS[1])
 TRAIN_STEP_TOL = 1e-3
 # _screen's error bound assumes this residual tolerance.
 TRAIN_RESIDUAL_TOL = 1e-9
@@ -121,9 +119,7 @@ class AlphaGrid:
             raise ValueError(f"grid step must be finite, got {self.step}")
         if self.stop < self.start:
             raise ValueError("grid stop must be >= start")
-        # Training evaluates (1 + delta)**alpha up to the upper delta bound,
-        # which is past the largest float for any larger alpha.
-        top = math.log(sys.float_info.max) / math.log1p(TRAIN_DELTA_BOUNDS[1])
+        top = _ALPHA_TOP
         if not self.stop <= top or self._value(self._count() - 1) > top:
             raise ValueError(f"grid stop must be <= {top:.6f}")
 
@@ -188,103 +184,53 @@ class _Sums(NamedTuple):
     bins: Optional[List[float]]
 
 
-def _block_sums(
-    alphas: np.ndarray, deltas: np.ndarray, d_max: int, bins: bool
-) -> List[_Sums]:
-    """The Newton sums, and the bin sums if ``bins``, for each row
-    (alpha, delta) from one 2-D power.
+def _sums(alpha: float, delta: float, d_max: int, bins: bool) -> _Sums:
+    """The Newton sums at (alpha, delta), and the per-bin masses if ``bins``.
 
-    Row sums and bin-slice sums of the 2-D array equal the 1-D sums of the
-    same terms bit for bit.
+    Up to EXACT_SUM_TERMS every sum is over one array of powers and the
+    Newton sums are always computed.  Beyond it each sum is an exact head
+    plus the Euler-Maclaurin tail, and only the requested part is computed.
     """
-    base = np.arange(1.0, d_max + 1.0) + deltas[:, None]
-    powers = base ** -alphas[:, None]
-    # For a scalar exponent numpy computes x ** -1.0 as 1 / x, which can
-    # differ from pow() in the last bit; do the same for alpha = 1 rows.
-    ones = alphas == 1.0
-    if ones.any():
-        powers[ones] = 1.0 / base[ones]
-    s0 = powers.sum(axis=1).tolist()
-    masses = [None] * len(alphas)
-    if bins:
-        masses = np.stack(
-            [powers[:, lo:hi].sum(axis=1) for lo, hi in _bin_ranges(d_max)], axis=1
-        ).tolist()
-    s1 = np.divide(powers, base, out=powers).sum(axis=1).tolist()
-    return [_Sums(*row) for row in zip(s0, s1, masses)]
-
-
-def _head_tail_sums(alpha: float, delta: float, d_max: int, need: str) -> _Sums:
-    """The requested sums when d_max exceeds EXACT_SUM_TERMS: an exact head
-    plus the Euler-Maclaurin tail, one (alpha, delta) at a time."""
-    terms = EXACT_SUM_TERMS
-    if need == "s0":
+    if d_max > EXACT_SUM_TERMS:
+        terms = EXACT_SUM_TERMS
+        if bins:
+            masses = [
+                _range_rho_sum(alpha, delta, lo, hi, terms)
+                for lo, hi in _bin_ranges(d_max)
+            ]
+            return _Sums(None, None, masses)
         return _Sums(
             _range_rho_sum(alpha, delta, 0, d_max, terms),
             _range_rho_sum(alpha + 1.0, delta, 0, d_max, terms),
             None,
         )
-    bins = [
-        _range_rho_sum(alpha, delta, lo, hi, terms) for lo, hi in _bin_ranges(d_max)
-    ]
-    return _Sums(None, None, bins)
+    base = np.arange(1.0, d_max + 1.0) + delta
+    powers = base ** -alpha
+    masses = None
+    if bins:
+        masses = [float(powers[lo:hi].sum()) for lo, hi in _bin_ranges(d_max)]
+    s0 = float(powers.sum())
+    s1 = float(np.divide(powers, base, out=powers).sum())
+    return _Sums(s0, s1, masses)
 
 
-def _evaluate(
-    requests: Sequence[Tuple[float, float, str]], d_max: int
-) -> List[_Sums]:
-    """Sums for each (alpha, delta, need) request, need being "s0" (Newton
-    sums) or "bins"; for d_max up to EXACT_SUM_TERMS the Newton sums are
-    always computed, and the bins of every block that holds a "bins"
-    request."""
-    if d_max > EXACT_SUM_TERMS:
-        return [_head_tail_sums(a, delta, d_max, need) for a, delta, need in requests]
-    rows = max(1, EVAL_BLOCK_ELEMENTS // d_max)
-    sums: List[_Sums] = []
-    for start in range(0, len(requests), rows):
-        alphas, deltas, needs = zip(*requests[start : start + rows])
-        sums.extend(
-            _block_sums(np.array(alphas), np.array(deltas), d_max, "bins" in needs)
-        )
-    return sums
-
-
-def _pooled(params: ZmParams, sums: Sequence[float]) -> PooledDistribution:
-    """The log-pooled distribution whose per-bin model masses are sums."""
-    total = math.fsum(sums)
-    values = tuple(s / total for s in sums)
+def model_distribution(params: ZmParams) -> PooledDistribution:
+    """The model's log-pooled distribution on the bins covering 1..d_max."""
+    masses = _sums(params.alpha, params.delta, params.d_max, True).bins
+    total = math.fsum(masses)
     edges = bin_edges(params.d_max)
     return PooledDistribution(
         bin_edges=edges,
-        values=values,
+        values=tuple(s / total for s in masses),
         sigmas=(0.0,) * len(edges),
         n_windows=1,
         d_max=params.d_max,
     )
 
 
-def model_distribution(params: ZmParams) -> PooledDistribution:
-    """The model's log-pooled distribution on the bins covering 1..d_max."""
-    request = (params.alpha, params.delta, "bins")
-    return _pooled(params, _evaluate([request], params.d_max)[0].bins)
-
-
 def leaf_parameter(params: ZmParams) -> float:
     """The model's unnormalized degree-1 density, 1 / (1 + delta)**alpha."""
     return (1.0 + params.delta) ** (-params.alpha)
-
-
-def _lane_sums(memo: Dict, alpha: float, delta: float, need: str):
-    """The _Sums at delta holding the part need ("s0" or "bins"), requested
-    from the lane's driver unless memo already has it."""
-    got = memo.get((delta, need))
-    if got is None:
-        got = yield alpha, delta, need
-        if got.s0 is not None:
-            memo[delta, "s0"] = got
-        if got.bins is not None:
-            memo[delta, "bins"] = got
-    return got
 
 
 def _newton_values(d1: float, alpha: float, delta: float, s: _Sums):
@@ -296,38 +242,54 @@ def _newton_values(d1: float, alpha: float, delta: float, s: _Sums):
     return f, grad
 
 
-def _lane_newton(memo: Dict, d1: float, alpha: float, delta: float):
-    s = yield from _lane_sums(memo, alpha, delta, "s0")
-    return _newton_values(d1, alpha, delta, s)
+def train_delta(d1: float, alpha: float, d_max: int) -> Optional[DeltaTraining]:
+    """Solve for the delta whose model matches degree-1 probability d1.
 
-
-def _lane_gap(memo: Dict, d1: float, alpha: float, delta: float):
-    """The binned model's degree-1 value at delta minus d1."""
-    s = yield from _lane_sums(memo, alpha, delta, "bins")
-    return s.bins[0] / math.fsum(s.bins) - d1
-
-
-def _train_lane(d1: float, alpha: float) -> Generator:
-    """Delta training for one alpha as a coroutine.
-
-    It yields (alpha, delta, need) requests, is sent the _Sums for each, and
-    returns the training with the model's bin masses at the solution, or None
-    when no interior root exists.  Each (delta, need) is requested once.
+    Root-finds f(delta) = d1 * (1 + delta)**alpha * S(delta) - 1 (strictly
+    increasing in delta) by Newton steps inside a sign bracket on (0, 10),
+    bisecting whenever a step leaves the bracket.  Returns None when no
+    interior root exists.  After convergence, the solution is refined until
+    the model's pooled degree-1 value reproduces d1 as closely as float64
+    allows (exactly, when an exact match exists).  Each (delta, part) of
+    the model sums is computed once.
     """
-    memo: Dict[Tuple[float, str], _Sums] = {}
+    if not 0.0 < d1 < 1.0:
+        raise ValueError(f"d1 must be in (0, 1), got {d1}")
+    if not 0.0 < alpha <= _ALPHA_TOP:
+        raise ValueError(f"alpha must be in (0, {_ALPHA_TOP:.6f}], got {alpha}")
+    if type(d_max) is not int or d_max < 1:
+        raise ValueError(f"d_max must be an integer >= 1, got {d_max!r}")
+    memo: Dict[Tuple[float, bool], _Sums] = {}
+
+    def sums(delta: float, bins: bool) -> _Sums:
+        got = memo.get((delta, bins))
+        if got is None:
+            got = _sums(alpha, delta, d_max, bins)
+            if got.s0 is not None:
+                memo[delta, False] = got
+            if got.bins is not None:
+                memo[delta, True] = got
+        return got
+
+    def newton(delta: float):
+        return _newton_values(d1, alpha, delta, sums(delta, False))
+
+    def gap(delta: float) -> float:
+        """The binned model's degree-1 value at delta minus d1."""
+        masses = sums(delta, True).bins
+        return masses[0] / math.fsum(masses) - d1
+
     lo, hi = TRAIN_DELTA_BOUNDS
-    f_lo, _ = yield from _lane_newton(memo, d1, alpha, lo)
-    if f_lo >= 0.0:
+    if newton(lo)[0] >= 0.0:
         return None  # matching delta would sit at or below the lower bound
-    f_hi, _ = yield from _lane_newton(memo, d1, alpha, hi)
-    if f_hi <= 0.0:
+    if newton(hi)[0] <= 0.0:
         return None  # matching delta would sit at or beyond the upper bound
 
     # Newton inside the sign bracket, bisecting when a step leaves it.
     delta = TRAIN_DELTA_START
     iterations = 0
     last_step = math.inf
-    fval, grad = yield from _lane_newton(memo, d1, alpha, delta)
+    fval, grad = newton(delta)
     for _ in range(TRAIN_MAX_ITERATIONS):
         if fval < 0.0:
             lo = delta
@@ -343,7 +305,7 @@ def _train_lane(d1: float, alpha: float) -> Generator:
         last_step = abs(candidate - delta)
         delta = candidate
         iterations += 1
-        fval, grad = yield from _lane_newton(memo, d1, alpha, delta)
+        fval, grad = newton(delta)
 
     # Refinement: push the residual down to float noise with further Newton
     # steps (quadratic tail), keeping only strict improvements.
@@ -353,7 +315,7 @@ def _train_lane(d1: float, alpha: float) -> Generator:
         candidate = delta - fval / grad
         if candidate == delta or not lo < candidate < hi:
             break
-        new_f, new_grad = yield from _lane_newton(memo, d1, alpha, candidate)
+        new_f, new_grad = newton(candidate)
         if abs(new_f) < abs(fval):
             delta, fval, grad = candidate, new_f, new_grad
         else:
@@ -368,7 +330,7 @@ def _train_lane(d1: float, alpha: float) -> Generator:
     prev_sign = None
     current = delta
     for _ in range(32):
-        g = yield from _lane_gap(memo, d1, alpha, current)
+        g = gap(current)
         if abs(g) < best_abs:
             best_abs, best_delta = abs(g), current
         if best_abs == 0.0:
@@ -386,58 +348,14 @@ def _train_lane(d1: float, alpha: float) -> Generator:
         # Prefer the smallest float in a zero plateau, deterministically.
         for _ in range(4):
             down = math.nextafter(best_delta, lo)
-            if not lo < down < hi:
-                break
-            if (yield from _lane_gap(memo, d1, alpha, down)) != 0.0:
+            if not lo < down < hi or gap(down) != 0.0:
                 break
             best_delta = down
 
-    residual, _ = yield from _lane_newton(memo, d1, alpha, best_delta)
-    model = yield from _lane_sums(memo, alpha, best_delta, "bins")
-    training = DeltaTraining(
+    residual, _ = newton(best_delta)
+    return DeltaTraining(
         delta=best_delta, iterations=iterations, residual=abs(residual)
     )
-    return training, model.bins
-
-
-def _run_lanes(lanes: Sequence[Generator], d_max: int) -> list:
-    """Run lane coroutines in lock-step: each round answers every pending
-    request with one batched evaluation.  Returns the lanes' results."""
-    results: list = [None] * len(lanes)
-    answers: List[Optional[_Sums]] = [None] * len(lanes)
-    active = range(len(lanes))
-    while active:
-        requests = []
-        for i in active:
-            try:
-                requests.append((i, lanes[i].send(answers[i])))
-            except StopIteration as stop:
-                results[i] = stop.value
-        active = [i for i, _ in requests]
-        for i, got in zip(active, _evaluate([req for _, req in requests], d_max)):
-            answers[i] = got
-    return results
-
-
-def train_delta(d1: float, alpha: float, d_max: int) -> Optional[DeltaTraining]:
-    """Solve for the delta whose model matches degree-1 probability d1.
-
-    Root-finds f(delta) = d1 * (1 + delta)**alpha * S(delta) - 1 (strictly
-    increasing in delta) by Newton steps inside a sign bracket on (0, 10),
-    bisecting whenever a step leaves the bracket.  Returns None when no
-    interior root exists.  After convergence, the solution is refined until
-    the model's pooled degree-1 value reproduces d1 as closely as float64
-    allows (exactly, when an exact match exists).
-    """
-    if not 0.0 < d1 < 1.0:
-        raise ValueError(f"d1 must be in (0, 1), got {d1}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if d_max < 1:
-        raise ValueError(f"d_max must be >= 1, got {d_max}")
-    lane = _train_lane(d1, alpha)
-    result = _run_lanes([lane], d_max)[0]
-    return None if result is None else result[0]
 
 
 def admissible_bins(data: PooledDistribution) -> Tuple[int, ...]:
@@ -541,7 +459,7 @@ def _sum_errors(
     alphas: np.ndarray, d_max: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Absolute error bounds, valid at every delta in the bracket, of the
-    screen's bin masses, of _evaluate's bin masses and of _evaluate's
+    screen's bin masses, of _sums' bin masses and of _sums'
     normalization sum, apart from relative rounding: the tail bounds of
     _em_error plus d_max subnormal ulps for terms that underflow."""
     exact_terms = EXACT_SUM_TERMS
@@ -579,7 +497,7 @@ def _screen(data: PooledDistribution, alphas: np.ndarray) -> _Screen:
     Notation: f(delta) = d1 (1 + delta)**alpha S(delta) - 1 is the training
     function (S the normalization sum), increasing in delta; B_i are the
     bin masses and m_i = B_i / S the model's pooled values.  The screen's
-    sums (_screen_sums) and _evaluate's differ from the true sums by at
+    sums (_screen_sums) and _sums' differ from the true sums by at
     most rho relative plus the absolute bounds of _sum_errors (ES_i, EX_i,
     EX0, with ES and EX their sums over bins), where rho = (256 + 4 alpha)
     unit roundoffs covers powers (the rounded base costs alpha ulps),
@@ -588,10 +506,10 @@ def _screen(data: PooledDistribution, alphas: np.ndarray) -> _Screen:
     under 1/2, where |log(1 + x)| <= 2 |x|.
 
     1. Training outcome.  While ES/S and EX0/S stay under 1/4, the
-       screen's f and the float f that _train_lane computes differ by at
+       screen's f and the float f that train_delta computes differ by at
        most err_f = (1 + |f|) (8 rho + 2 (ES + 2 EX0) / S~).  S decreases
-       in delta, so the check at delta = 10 covers delta = 0 as well.  The
-       lane fails exactly when its f(0) >= 0 or its f(10) <= 0, so
+       in delta, so the check at delta = 10 covers delta = 0 as well.
+       Training fails exactly when its f(0) >= 0 or its f(10) <= 0, so
        f~(0) < -err_f together with f~(10) > err_f proves it trains, and
        f~(0) > err_f or f~(10) < -err_f proves it fails.
     2. Where delta lands.  The trained delta_x has a float residual of at
@@ -716,14 +634,14 @@ def infer_parameters(data: PooledDistribution, grid: AlphaGrid = DEFAULT_GRID) -
     """Grid search over alpha with per-alpha delta training.
 
     Every grid alpha that can win is trained to match the data's degree-1
-    value, all of them in lock-step; candidates are scored by half_norm_loss
-    and the smallest loss wins, ties going to the smaller alpha.  Which
-    alphas can win is settled by _screen: an alpha is trained exactly when
-    the screen cannot decide it, or when its screened loss minus its bound
-    is at most the least screened loss plus bound among the alphas proven
-    trainable, so the exact winner is always among them.  Raises
-    InferenceError when the data is degenerate or no grid point can be
-    trained.
+    value by train_delta; candidates are scored by half_norm_loss against
+    model_distribution and the smallest loss wins, ties going to the
+    smaller alpha.  Which alphas can win is settled by _screen: an alpha is
+    trained exactly when the screen cannot decide it, or when its screened
+    loss minus its bound is at most the least screened loss plus bound
+    among the alphas proven trainable, so the exact winner is always among
+    them.  Raises InferenceError when the data is degenerate or no grid
+    point can be trained.
     """
     d1 = data.values[0]
     if not 0.0 < d1 < 1.0:
@@ -739,19 +657,15 @@ def infer_parameters(data: PooledDistribution, grid: AlphaGrid = DEFAULT_GRID) -
     confirm = (screen.verdict == 0) | (
         proven & (screen.loss - screen.bound <= best_bound)
     )
-    lanes = [
-        (k, alphas[k], _train_lane(d1, alphas[k]))
-        for k in np.flatnonzero(confirm).tolist()
-    ]
-    results = _run_lanes([lane for _, _, lane in lanes], d_max)
     best: Optional[ZmFit] = None
-    for (k, alpha, _), result in zip(lanes, results):
-        assert screen.verdict[k] != (1 if result is None else -1), alpha
-        if result is None:
+    for k in np.flatnonzero(confirm).tolist():
+        alpha = alphas[k]
+        trained = train_delta(d1, alpha, d_max)
+        assert screen.verdict[k] != (1 if trained is None else -1), alpha
+        if trained is None:
             continue
-        trained, model_bins = result
         params = ZmParams(alpha=alpha, delta=trained.delta, d_max=d_max)
-        loss = half_norm_loss(data, _pooled(params, model_bins))
+        loss = half_norm_loss(data, model_distribution(params))
         if screen.verdict[k] == 1:
             assert trained.residual <= 2.0 * TRAIN_RESIDUAL_TOL, alpha
             assert abs(loss - screen.loss[k]) <= screen.bound[k], alpha

@@ -115,7 +115,7 @@ class TestParams:
         grid = AlphaGrid(286.0, 296.0, 5.0)
         assert grid.values == (286.0, 291.0, 296.0)
         # Every alpha is admitted at delta = 0; training them all makes each
-        # lane evaluate the upper delta bound, where no delta solves.
+        # training evaluate the upper delta bound, where no delta solves.
         monkeypatch.setattr(zm, "_screen", undecided_screen)
         pool = model_distribution(ZmParams(1.5, 0.5, 1024))
         with pytest.raises(InferenceError, match="no grid alpha admitted"):
@@ -218,6 +218,22 @@ class TestTrainDelta:
             train_delta(0.5, 0.0, 4)
         with pytest.raises(ValueError):
             train_delta(0.5, 1.0, 0)
+        # Alphas past the top, where (1 + delta)**alpha overflows, and a
+        # d_max that is not an int >= 1 are refused as ZmParams refuses them.
+        top = zm._ALPHA_TOP
+        for alpha, d_max in (
+            (400.0, 4),  # (1 + delta)**alpha overflows
+            (math.nextafter(top, math.inf), 4),
+            (math.inf, 4),
+            (math.nan, 4),
+            (1.0, 2.5),
+            (1.0, True),
+            (1.0, np.int64(4)),
+        ):
+            with pytest.raises(ValueError, match="alpha must be in|d_max must be"):
+                train_delta(0.5, alpha, d_max)
+        # The top of the alpha range still trains; no delta solves there.
+        assert train_delta(0.5, top, 4) is None
 
 
 def make_data(values, sigmas=None, d_max=None):
@@ -309,20 +325,15 @@ class TestBatchedSolver:
             make_data((0.6, 0.2, 0.1, 0.07, 0.03), sigmas=(0.0, 0.01, 0.0, 0.0, 0.0)),
         ],
     )
-    def test_lock_step_matches_training_alone(self, data):
+    def test_fit_is_the_training_of_its_alpha(self, data):
         d1, d_max = data.values[0], data.d_max
-        alphas = AlphaGrid(0.1, 4.0, 0.05).values
-        lanes = [zm._train_lane(d1, alpha) for alpha in alphas]
-        batched = zm._run_lanes(lanes, d_max)
-        skipped = 0
-        for alpha, result in zip(alphas, batched):
-            alone = train_delta(d1, alpha, d_max)
-            if alone is None:
-                assert result is None, alpha
-                skipped += 1
-            else:
-                assert result[0].delta == alone.delta, alpha
-        assert skipped < len(alphas)
+        grid = AlphaGrid(0.1, 4.0, 0.05)
+        fit = infer_parameters(data, grid)
+        trained = train_delta(d1, fit.params.alpha, d_max)
+        assert fit.params.delta == trained.delta
+        assert fit.loss == half_norm_loss(data, model_distribution(fit.params))
+        skipped = sum(train_delta(d1, alpha, d_max) is None for alpha in grid.values)
+        assert skipped < len(grid.values)
 
     def test_frozen_values_at_alpha_one(self):
         fit = infer_parameters(model_distribution(ZmParams(1.0, 3.0, 40)))
@@ -339,21 +350,45 @@ class TestBatchedSolver:
         assert fit.loss == 6.556485662440223e-05
 
     def test_grid_is_evaluated_in_few_batches(self, monkeypatch):
-        # One batched evaluation per round of the lock-step solver; training
-        # the alphas one by one would take thousands.
-        batches = []
-        evaluate = zm._evaluate
-
-        def counted(requests, d_max):
-            batches.append(len(requests))
-            return evaluate(requests, d_max)
-
+        # Exact sums only for the few alphas the screen leaves, each
+        # (delta, part) once; training every grid alpha would take thousands.
+        calls = count_sums(monkeypatch)
         data = model_distribution(ZmParams(1.5, 0.3, 945))
-        monkeypatch.setattr(zm, "_evaluate", counted)
         grid = AlphaGrid(0.10, 4.00, 0.005)
         fit = infer_parameters(data, grid)
         assert fit.params.alpha == 1.5
-        assert len(batches) <= 60
+        assert len(calls) <= 60
+
+    def test_trainings_go_through_the_public_functions(self, monkeypatch):
+        # A tracer that wraps zm.train_delta and zm.model_distribution sees
+        # every exact training of a fit and the model of each success.
+        trained, modelled = [], []
+        train, model = zm.train_delta, zm.model_distribution
+
+        def counted_train(d1, alpha, d_max):
+            result = train(d1, alpha, d_max)
+            trained.append((alpha, result))
+            return result
+
+        def counted_model(params):
+            modelled.append(params)
+            return model(params)
+
+        data = model_distribution(ZmParams(1.5, 0.5, 1024))
+        monkeypatch.setattr(zm, "train_delta", counted_train)
+        monkeypatch.setattr(zm, "model_distribution", counted_model)
+        callers = count_sums(monkeypatch)
+        fit = infer_parameters(data, FINE_GRID)
+        assert fit.params.alpha == 1.5
+        assert fit.params.alpha in [alpha for alpha, _ in trained]
+        assert modelled == [
+            ZmParams(alpha, result.delta, 1024)
+            for alpha, result in trained
+            if result is not None
+        ]
+        # No exact sum is taken outside them.
+        assert set(callers) == {"train_delta.<locals>.sums", "model_distribution"}
+        assert callers.count("model_distribution") == len(modelled)
 
 
 FINE_GRID = AlphaGrid(0.10, 4.00, 0.005)
@@ -443,6 +478,19 @@ def undecided_screen(data, alphas):
     return zm._Screen(np.full(n, np.nan), np.full(n, np.inf), np.zeros(n, np.int8))
 
 
+def count_sums(monkeypatch):
+    """Patch zm._sums to record the qualified name of each call's caller."""
+    callers = []
+    sums = zm._sums
+
+    def counted(alpha, delta, d_max, bins):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        return sums(alpha, delta, d_max, bins)
+
+    monkeypatch.setattr(zm, "_sums", counted)
+    return callers
+
+
 def inference_outcome(data, grid):
     try:
         return infer_parameters(data, grid)
@@ -451,16 +499,24 @@ def inference_outcome(data, grid):
 
 
 @pytest.fixture
-def lane_counts(monkeypatch):
-    """The number of lanes of each _run_lanes call, in call order."""
+def trained_counts(monkeypatch):
+    """The number of alphas each infer_parameters call trains through
+    zm.train_delta, in call order, for the calls that train any."""
     counts = []
-    run_lanes = zm._run_lanes
+    last = None
+    train = zm.train_delta
 
-    def counted(lanes, d_max):
-        counts.append(len(lanes))
-        return run_lanes(lanes, d_max)
+    def counted(d1, alpha, d_max):
+        nonlocal last
+        caller = sys._getframe(1)
+        if caller.f_code is zm.infer_parameters.__code__:
+            if caller is not last:  # held, so a new fit has a new frame
+                counts.append(0)
+                last = caller
+            counts[-1] += 1
+        return train(d1, alpha, d_max)
 
-    monkeypatch.setattr(zm, "_run_lanes", counted)
+    monkeypatch.setattr(zm, "train_delta", counted)
     return counts
 
 
@@ -479,22 +535,22 @@ class TestScreenedInference:
         assert len(fits) >= 25
         assert len({fit.params.d_max for fit in fits}) >= 15
 
-    def test_tie_goes_to_the_smaller_alpha(self, lane_counts):
+    def test_tie_goes_to_the_smaller_alpha(self, trained_counts):
         d1 = model_distribution(ZmParams(1.5025, 0.7, 1000)).values[0]
         data = tie_pool(d1, 1000, 7, FINE_GRID, FINE_GRID.values.index(1.5))
-        lane_counts.clear()
+        trained_counts.clear()
         fit = infer_parameters(data, FINE_GRID)
         assert fit.params.alpha == 1.5
         other = train_delta(d1, 1.505, 1000)
         model = model_distribution(ZmParams(1.505, other.delta, 1000))
         assert half_norm_loss(data, model) == fit.loss > 0.0
-        assert 2 <= lane_counts[0] <= 10
+        assert 2 <= trained_counts[0] <= 10
 
     @pytest.mark.parametrize(
         "exact_terms, sizes, grid",
         [
             (zm.EXACT_SUM_TERMS, (1, 2, 37, 300, 3000), FINE_GRID),
-            # _evaluate's head-and-tail path, which sums one alpha at a time.
+            # _sums' head-and-tail path.
             (64, (65, 300), AlphaGrid(0.1, 4.0, 0.03)),
         ],
     )
@@ -514,17 +570,21 @@ class TestScreenedInference:
                 d1 = data.values[0]
                 alphas = grid.values
                 screen = zm._screen(data, np.array(alphas))
-                lanes = [zm._train_lane(d1, alpha) for alpha in alphas]
-                results = zm._run_lanes(lanes, d_max)
-                for k, (alpha, result) in enumerate(zip(alphas, results)):
+                for k, alpha in enumerate(alphas):
                     verdict = screen.verdict[k]
                     verdicts.append(verdict)
+                    if d1 == 1.0:
+                        # train_delta and infer_parameters refuse the pool.
+                        with pytest.raises(ValueError):
+                            train_delta(d1, alpha, d_max)
+                        assert verdict != 1, alpha
+                        continue
+                    trained = train_delta(d1, alpha, d_max)
                     if verdict == -1:
-                        assert result is None, alpha
+                        assert trained is None, alpha
                     elif verdict == 1:
-                        assert result is not None, alpha
-                        trained, bins = result
-                        model = zm._pooled(ZmParams(alpha, trained.delta, d_max), bins)
+                        assert trained is not None, alpha
+                        model = model_distribution(ZmParams(alpha, trained.delta, d_max))
                         loss = half_norm_loss(data, model)
                         assert abs(loss - screen.loss[k]) <= screen.bound[k], alpha
         assert verdicts.count(1) >= 100 and verdicts.count(-1) >= 20
@@ -541,19 +601,12 @@ class TestScreenedInference:
     def test_screen_decides_admission(self, monkeypatch, exact_terms, data, grid, most):
         # Exact sums are asked only for the alphas the screen leaves open
         # or cannot rule out, not for the bracket test of every grid alpha.
-        rows = []
-        evaluate = zm._evaluate
-
-        def counted(requests, d_max):
-            rows.append(len(requests))
-            return evaluate(requests, d_max)
-
         monkeypatch.setattr(zm, "EXACT_SUM_TERMS", exact_terms)
-        monkeypatch.setattr(zm, "_evaluate", counted)
+        calls = count_sums(monkeypatch)
         infer_parameters(data, grid)
-        assert sum(rows) <= most
+        assert len(calls) <= most
 
-    def test_trains_every_alpha_the_screen_cannot_rule_out(self, lane_counts):
+    def test_trains_every_alpha_the_screen_cannot_rule_out(self, trained_counts):
         # With only bin 0 admissible every trained alpha scores 0, so the
         # screen rules out none of the admitted alphas it proves trainable.
         model = model_distribution(ZmParams(1.5, 2.0, 64))
@@ -561,4 +614,4 @@ class TestScreenedInference:
         fit = infer_parameters(data, FINE_GRID)
         assert fit.loss == 0.0
         infer_parameters(model, FINE_GRID)
-        assert lane_counts[1] < lane_counts[0] / 100
+        assert trained_counts[1] < trained_counts[0] / 100
